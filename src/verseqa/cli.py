@@ -18,8 +18,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import data, embeddings, evaluation, models, training
 
 logger = logging.getLogger("verseqa")
@@ -31,6 +29,10 @@ EXIT_VALIDATION = 3
 
 
 class CliValidationError(ValueError):
+    pass
+
+
+class CliUsageError(ValueError):
     pass
 
 
@@ -197,14 +199,13 @@ def cmd_predict(args) -> int:
     emb = _load_embedding(args)
     corpus = data.parse_bible(_read_lines(args.bible))
     verses = corpus.chapter(args.translation, args.book, args.chapter)
-    q_emb = embeddings.embed_sequence(data.tokenize(args.question), emb,
-                                      embeddings.MAX_QUESTION_TOKENS)
-    scored = []
-    for v, text in enumerate(verses, start=1):
-        a_emb = embeddings.embed_sequence(data.tokenize(text), emb,
-                                          embeddings.MAX_ANSWER_TOKENS)
-        scored.append({"verse": v, "score": model.forward(q_emb, a_emb).item(),
-                       "text": text})
+    group = data.QuestionGroup(qid=0, translation=args.translation,
+                               question=args.question,
+                               candidates=[data.Candidate(text=text, label=0)
+                                           for text in verses])
+    (preds,) = evaluation.score_groups(model, [group], emb).values()
+    scored = [{"verse": p.index + 1, "score": p.score, "text": verses[p.index]}
+              for p in preds]
     scored.sort(key=lambda r: (-r["score"], r["verse"]))
     print(json.dumps(scored[:args.top], indent=2))
     return EXIT_OK
@@ -318,14 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend config-file entries as flags so explicit CLI flags win."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise CliUsageError("--config needs a path")
     path = argv[idx + 1]
     with open(_require_file(path), encoding="utf-8") as f:
-        file_cfg = json.load(f)
+        try:
+            file_cfg = json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise CliValidationError(f"config file {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise CliValidationError(f"config file {path}: expected a JSON object")
     injected: list[str] = []
     for key, value in file_cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -344,8 +352,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
+    except CliUsageError as exc:
+        logger.error("%s", exc)
+        return EXIT_USAGE
     except CliValidationError as exc:
         logger.error("%s", exc)
         return EXIT_VALIDATION

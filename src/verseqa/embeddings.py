@@ -1,9 +1,9 @@
 """Vocabulary and word-vector handling.
 
 Covers loading pretrained vectors from text, training CBOW vectors on a
-tokenized corpus (negative sampling by default, full softmax for tiny test
-vocabularies), concatenating two embedding sources, and turning token
-sequences into fixed-size input tensors.
+tokenized corpus with negative sampling, concatenating two embedding
+sources, and turning token sequences into unpadded input tensors: one row
+per token, so the row count is the sequence length.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class EmbeddingMatrix:
     vocab: Vocabulary
     dim: int
     table: np.ndarray  # |V| x dim, float64; PAD row all zero
-    trainable: bool = False
 
     def __post_init__(self):
         if self.table.shape != (len(self.vocab), self.dim):
@@ -91,7 +90,6 @@ class CbowConfig:
     epochs: int = 5
     learning_rate: float = 0.05
     seed: int = 0
-    full_softmax: bool = False  # exact objective, tiny vocabularies only
 
     def __post_init__(self):
         if self.window < 1 or self.dim < 1:
@@ -144,17 +142,17 @@ def save_embedding(m: EmbeddingMatrix) -> list[str]:
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
                loss_history: list[float] | None = None) -> EmbeddingMatrix:
     """Train CBOW word vectors: predict each center word from its window.
 
-    Negative sampling against a unigram^0.75 noise distribution by default;
-    ``cfg.full_softmax`` switches to the exact softmax objective for tiny
-    vocabularies. Deterministic for a fixed seed. The PAD row is never
-    touched (real tokens never map to it).
+    Negative sampling against a unigram^0.75 noise distribution.
+    Deterministic for a fixed seed. The PAD row is never touched (real
+    tokens never map to it).
     """
     sentences = [list(s) for s in corpus if s]
     total = sum(len(s) for s in sentences)
@@ -186,8 +184,6 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
     noise[UNK_INDEX] = 0.0
     noise /= noise.sum()
 
-    real = np.array(sorted(counts), dtype=np.int64)  # candidate output words
-
     lr = cfg.learning_rate
     for _epoch in range(cfg.epochs):
         epoch_loss = 0.0
@@ -201,28 +197,16 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
                     continue
                 h = w_in[context].mean(axis=0)
 
-                if cfg.full_softmax:
-                    scores = w_out[real] @ h
-                    scores -= scores.max()
-                    probs = np.exp(scores)
-                    probs /= probs.sum()
-                    target = np.searchsorted(real, center)
-                    epoch_loss += -np.log(max(probs[target], 1e-12))
-                    dscores = probs.copy()
-                    dscores[target] -= 1.0
-                    dh = dscores @ w_out[real]
-                    w_out[real] -= lr * np.outer(dscores, h)
-                else:
-                    negs = rng.choice(nv, size=cfg.negative_samples, p=noise)
-                    outs = np.concatenate([[center], negs])
-                    labels = np.zeros(len(outs))
-                    labels[0] = 1.0
-                    scores = _sigmoid(w_out[outs] @ h)
-                    epoch_loss += -(np.log(np.clip(scores[0], 1e-12, None)) +
-                                    np.sum(np.log(np.clip(1.0 - scores[1:], 1e-12, None))))
-                    derr = scores - labels
-                    dh = derr @ w_out[outs]
-                    w_out[outs] -= lr * np.outer(derr, h)
+                negs = rng.choice(nv, size=cfg.negative_samples, p=noise)
+                outs = np.concatenate([[center], negs])
+                labels = np.zeros(len(outs))
+                labels[0] = 1.0
+                scores = _sigmoid(w_out[outs] @ h)
+                epoch_loss += -(np.log(np.clip(scores[0], 1e-12, None)) +
+                                np.sum(np.log(np.clip(1.0 - scores[1:], 1e-12, None))))
+                derr = scores - labels
+                dh = derr @ w_out[outs]
+                w_out[outs] -= lr * np.outer(derr, h)
 
                 grad_ctx = lr * dh / len(context)
                 for c in context:
@@ -232,7 +216,7 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
             loss_history.append(epoch_loss / max(1, n_examples))
 
     w_in[PAD_INDEX] = 0.0
-    return EmbeddingMatrix(vocab=vocab, dim=cfg.dim, table=w_in, trainable=True)
+    return EmbeddingMatrix(vocab=vocab, dim=cfg.dim, table=w_in)
 
 
 def concat_embeddings(a: EmbeddingMatrix, b: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -259,18 +243,16 @@ def concat_embeddings(a: EmbeddingMatrix, b: EmbeddingMatrix) -> EmbeddingMatrix
 
 def embed_sequence(tokens: Sequence[str], m: EmbeddingMatrix,
                    max_len: int) -> Tensor:
-    """Map tokens to a fixed [max_len, dim] tensor.
+    """Map tokens to a [min(len(tokens), max_len), dim] tensor, one row each.
 
-    Unknown tokens use the UNK row; long inputs are truncated at the tail;
-    short ones are padded with PAD rows. An empty list yields one PAD row
-    followed by padding.
+    Unknown tokens use the UNK row; long inputs are truncated at the tail.
+    Nothing is padded: an empty list yields one all-zero row.
     """
     if max_len < 1:
         raise EmbeddingError("max_len must be >= 1")
-    out = np.zeros((max_len, m.dim), dtype=np.float64)
-    for i, tok in enumerate(tokens[:max_len]):
-        out[i] = m.table[m.vocab.index(tok)]
-    return Tensor(out)
+    if not tokens:
+        return Tensor(np.zeros((1, m.dim)))
+    return Tensor(m.table[[m.vocab.index(tok) for tok in tokens[:max_len]]])
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -25,10 +25,6 @@ class Prediction:
     label: int
 
 
-# question id -> ordered candidate predictions (order matches the group)
-PredictionSet = dict
-
-
 @dataclass
 class EvalReport:
     n: int
@@ -84,7 +80,7 @@ def select_answer(scores: Sequence[float]) -> int:
     return best
 
 
-def f1_top1(preds: PredictionSet) -> tuple[float, float, float]:
+def f1_top1(preds: dict[int, list[Prediction]]) -> tuple[float, float, float]:
     """Top-1 selection F1: one prediction and one gold per question."""
     if not preds:
         raise ValueError("empty prediction set")
@@ -100,7 +96,7 @@ def f1_top1(preds: PredictionSet) -> tuple[float, float, float]:
     return f1, precision, recall
 
 
-def threshold_f1(preds: PredictionSet, threshold: float = 0.5) -> float:
+def threshold_f1(preds: dict[int, list[Prediction]], threshold: float = 0.5) -> float:
     """Binary F1 where every candidate scoring above the threshold is a
     predicted positive. Diagnostic only."""
     if not preds:
@@ -122,20 +118,20 @@ def threshold_f1(preds: PredictionSet, threshold: float = 0.5) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def mrr(preds: PredictionSet) -> float:
+def mrr(preds: dict[int, list[Prediction]]) -> float:
     if not preds:
         raise ValueError("empty prediction set")
     return sum(1.0 / rank_candidates(plist) for plist in preds.values()) / len(preds)
 
 
-def gold_ranks(preds: PredictionSet) -> list[int]:
+def gold_ranks(preds: dict[int, list[Prediction]]) -> list[int]:
     return [rank_candidates(preds[qid]) for qid in sorted(preds)]
 
 
-def random_baseline(groups, seed: int) -> PredictionSet:
+def random_baseline(groups, seed: int) -> dict[int, list[Prediction]]:
     """Independent uniform [0,1) scores per candidate, seeded PCG-64."""
     rng = np.random.default_rng(seed)
-    preds: PredictionSet = {}
+    preds: dict[int, list[Prediction]] = {}
     for key, g in enumerate(groups):
         preds[key] = [Prediction(index=i, score=float(rng.random()), label=c.label)
                       for i, c in enumerate(g.candidates)]
@@ -144,9 +140,14 @@ def random_baseline(groups, seed: int) -> PredictionSet:
 
 def score_groups(model, groups, embedding: EmbeddingMatrix,
                  max_question_tokens: int = MAX_QUESTION_TOKENS,
-                 max_answer_tokens: int = MAX_ANSWER_TOKENS) -> PredictionSet:
-    """Score every candidate of every group with a pair model."""
-    preds: PredictionSet = {}
+                 max_answer_tokens: int = MAX_ANSWER_TOKENS
+                 ) -> dict[int, list[Prediction]]:
+    """Score every candidate of every group with a pair model.
+
+    Keys are group positions; each list follows the group's candidate order.
+    This is the one inference loop: validation and ``predict`` use it too.
+    """
+    preds: dict[int, list[Prediction]] = {}
     for key, g in enumerate(groups):
         q_emb = embed_sequence(g.question_tokens, embedding, max_question_tokens)
         plist = []
@@ -158,8 +159,9 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
     return preds
 
 
-def evaluate(preds: PredictionSet, model: str = "", dataset: str = "",
-             translation: str = "", seed: int | None = None) -> EvalReport:
+def evaluate(preds: dict[int, list[Prediction]], model: str = "",
+             dataset: str = "", translation: str = "",
+             seed: int | None = None) -> EvalReport:
     f1, precision, recall = f1_top1(preds)
     return EvalReport(n=len(preds), f1=f1, precision=precision, recall=recall,
                       mrr=mrr(preds), ranks=gold_ranks(preds), seed=seed,

@@ -11,27 +11,20 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout.
 
-All LSTMs are unidirectional. Trailing PAD (all-zero) rows never affect
-outputs: encoding stops at the true sequence length.
+All LSTMs are unidirectional. Sequences arrive unpadded, one row per
+token, and every row is encoded: the row count is the sequence length.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ParameterSet, ShapeError, Tensor, concat, concat_all
+from .tensor import ParameterSet, ShapeError, Tensor, concat
 
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
-
-
-def _true_length(seq: Tensor) -> int:
-    """Number of rows up to and including the last non-zero row."""
-    nonzero = np.any(seq.data != 0.0, axis=1)
-    idx = np.nonzero(nonzero)[0]
-    return 0 if idx.size == 0 else int(idx[-1]) + 1
 
 
 class LstmCell:
@@ -62,7 +55,7 @@ class LstmCell:
         c_prev, h_prev = state
         if x.shape != (1, self.d_in):
             raise ShapeError(f"expected input shape (1, {self.d_in}), got {x.shape}")
-        z = concat(x, h_prev, axis=1)
+        z = concat([x, h_prev], axis=1)
         i = (z @ self.W["i"] + self.b["i"]).sigmoid()
         f = (z @ self.W["f"] + self.b["f"]).sigmoid()
         o = (z @ self.W["o"] + self.b["o"]).sigmoid()
@@ -71,39 +64,20 @@ class LstmCell:
         h = o * c.tanh()
         return c, h
 
-    def encode(self, seq: Tensor, length: int | None = None) -> Tensor:
-        """Final hidden state after folding over the first ``length`` rows.
-
-        ``length`` defaults to the true (pre-PAD) length; zero-length input
-        yields the zero vector.
-        """
-        if length is None:
-            length = _true_length(seq)
+    def _hidden_states(self, seq: Tensor):
         state = self.zero_state()
-        for t in range(length):
+        for t in range(seq.shape[0]):
             state = self.step(state, seq.rows(t, t + 1))
-        return state[1]
+            yield state[1]
 
-    def encode_states(self, seq: Tensor, length: int | None = None) -> Tensor:
-        """All hidden states as a [length, d_h] tensor (length >= 1 enforced)."""
-        if length is None:
-            length = _true_length(seq)
-        length = max(length, 1)
-        state = self.zero_state()
-        rows = []
-        for t in range(length):
-            state = self.step(state, seq.rows(t, t + 1))
-            rows.append(state[1])
-        return concat_all(rows, axis=0)
+    def encode(self, seq: Tensor) -> Tensor:
+        """Final hidden state after one step per row of ``seq``."""
+        *_, h = self._hidden_states(seq)
+        return h
 
-
-def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
-              x: Tensor) -> tuple[Tensor, Tensor]:
-    return cell.step(state, x)
-
-
-def encode_lstm(cell: LstmCell, seq: Tensor, length: int | None = None) -> Tensor:
-    return cell.encode(seq, length)
+    def encode_states(self, seq: Tensor) -> Tensor:
+        """All hidden states as a [rows, d_h] tensor."""
+        return concat(list(self._hidden_states(seq)), axis=0)
 
 
 class RnnPairModel:
@@ -128,7 +102,7 @@ class RnnPairModel:
                 rng: np.random.Generator | None = None) -> Tensor:
         h_q = self.q_cell.encode(q_emb)
         h_a = self.a_cell.encode(a_emb)
-        m = concat(h_q, h_a, axis=1)
+        m = concat([h_q, h_a], axis=1)
         return (m @ self.w_out + self.b_out).sigmoid()
 
     def input_layout(self) -> dict[str, tuple]:
@@ -167,16 +141,14 @@ class CnnPairModel:
                 "window": self.window, "dropout": self.dropout}
 
     def _pool(self, seq: Tensor) -> Tensor:
-        if seq.shape[0] < self.window:
+        if seq.shape[0] < self.window:  # zero-pad up to one window
             pad = np.zeros((self.window - seq.shape[0], self.d_in))
-            seq = concat(seq, Tensor(pad), axis=0)
-        length = max(_true_length(seq), self.window)  # pad up to one window
+            seq = concat([seq, Tensor(pad)], axis=0)
         feats = []
-        for i in range(length - self.window + 1):
+        for i in range(seq.shape[0] - self.window + 1):
             win = seq.rows(i, i + self.window).reshape(1, self.window * self.d_in)
             feats.append((win @ self.w_conv + self.b_conv).relu())
-        stacked = concat_all(feats, axis=0)
-        return stacked.max(axis=0).reshape(1, self.n_filters)
+        return concat(feats, axis=0).max(axis=0).reshape(1, self.n_filters)
 
     def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -189,7 +161,7 @@ class CnnPairModel:
             # inverted dropout: scale kept units so inference needs no rescale
             q_v = q_v * Tensor((rng.random((1, self.n_filters)) < keep) / keep)
             a_v = a_v * Tensor((rng.random((1, self.n_filters)) < keep) / keep)
-        m = concat(q_v, a_v, axis=1)
+        m = concat([q_v, a_v], axis=1)
         return (m @ self.w_out + self.b_out).sigmoid()
 
     def input_layout(self) -> dict[str, tuple]:
@@ -229,7 +201,7 @@ def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor
     pooled_a = row_max.softmax() @ a_enc             # [1, d_h]
     til_a = ones_a @ pooled_a                        # [t_a, d_h]
 
-    combined = concat_all([a_enc, att_q, a_enc * att_q, a_enc * til_a], axis=1)
+    combined = concat([a_enc, att_q, a_enc * att_q, a_enc * til_a], axis=1)
     return sim, att_q, til_a, combined
 
 
@@ -262,9 +234,9 @@ class BidafModel:
         a_enc = self.enc_cell.encode_states(a_emb)
         _, _, _, combined = bidaf_attention(q_enc, a_enc, self.w_alpha)
         if self.readout == "final":
-            m = self.model_cell.encode(combined, length=combined.shape[0])
+            m = self.model_cell.encode(combined)
         else:
-            states = self.model_cell.encode_states(combined, length=combined.shape[0])
+            states = self.model_cell.encode_states(combined)
             m = states.max(axis=0).reshape(1, self.d_h)
         return (m @ self.w_out + self.b_out).sigmoid()
 

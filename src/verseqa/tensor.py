@@ -11,6 +11,7 @@ summation, so forward results are bitwise deterministic.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -163,7 +164,8 @@ class Tensor:
     # ---- nonlinearities ----------------------------------------------------
 
     def sigmoid(self) -> "Tensor":
-        val = 1.0 / (1.0 + np.exp(-self.data))
+        with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
+            val = 1.0 / (1.0 + np.exp(-self.data))
         out = Tensor(val, (self,))
         out._backward = lambda g: self._accumulate(g * val * (1.0 - val))
         return out
@@ -292,58 +294,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    if a.ndim != b.ndim:
-        raise ShapeError(f"concat rank mismatch: {a.shape} vs {b.shape}")
-    if not (0 <= axis < a.ndim):
-        raise InvalidAxisError(f"axis {axis} out of range for shape {a.shape}")
-    for ax in range(a.ndim):
-        if ax != axis and a.shape[ax] != b.shape[ax]:
-            raise ShapeError(f"concat: shapes {a.shape} and {b.shape} "
-                             f"differ along axis {ax}")
-    split_at = a.shape[axis]
-    out = Tensor(np.concatenate([a.data, b.data], axis=axis), (a, b))
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along ``axis`` in one graph node and one copy."""
+    parts = tuple(parts)
+    if not parts:
+        raise ShapeError("concat of zero tensors")
+    if not (0 <= axis < parts[0].ndim):
+        raise InvalidAxisError(f"axis {axis} out of range for shape {parts[0].shape}")
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as exc:  # rank or off-axis extent mismatch
+        raise ShapeError(f"concat of shapes {[p.shape for p in parts]}: {exc}") from exc
+    out = Tensor(data, parts)
 
     def backward(g: np.ndarray) -> None:
-        ga, gb = np.split(g, [split_at], axis=axis)
-        a._accumulate(ga)
-        b._accumulate(gb)
+        bounds = list(accumulate(p.shape[axis] for p in parts[:-1]))
+        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
+            p._accumulate(gp)
 
     out._backward = backward
     return out
-
-
-def concat_all(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_all of zero tensors")
-    out = parts[0]
-    for p in parts[1:]:
-        out = concat(out, p, axis)
-    return out
-
-
-def split(t: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
-    """Inverse of concat: cut ``t`` into pieces of the given extents."""
-    if not (0 <= axis < t.ndim):
-        raise InvalidAxisError(f"axis {axis} out of range for shape {t.shape}")
-    if sum(sizes) != t.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover extent {t.shape[axis]}")
-    pieces = []
-    start = 0
-    for size in sizes:
-        sl = [slice(None)] * t.ndim
-        sl[axis] = slice(start, start + size)
-        piece = Tensor(t.data[tuple(sl)].copy(), (t,))
-
-        def backward(g: np.ndarray, sl=tuple(sl)) -> None:
-            full = np.zeros_like(t.data)
-            full[sl] = g
-            t._accumulate(full)
-
-        piece._backward = backward
-        pieces.append(piece)
-        start += size
-    return pieces
 
 
 class ParameterSet:

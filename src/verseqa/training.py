@@ -9,10 +9,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import evaluation
 from . import models as models_mod
 from .embeddings import (EmbeddingMatrix, MAX_ANSWER_TOKENS,
                          MAX_QUESTION_TOKENS, embed_sequence)
-from .tensor import ParameterSet, ShapeError, Tensor, concat_all
+from .tensor import ParameterSet, ShapeError, Tensor, concat
 
 BCE_EPS = 1e-7
 ADAGRAD_EPS = 1e-8
@@ -113,35 +114,23 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _pairs(groups, embedding: EmbeddingMatrix, cfg: TrainConfig):
-    out = []
-    for g in groups:
-        q = embed_sequence(g.question_tokens, embedding, cfg.max_question_tokens)
-        for cand in g.candidates:
-            a = embed_sequence(cand.tokens, embedding, cfg.max_answer_tokens)
-            out.append((q, a, float(cand.label)))
-    return out
-
-
-def _eval_pairs(model, pairs) -> float:
-    probs = [model.forward(q, a) for q, a, _ in pairs]
-    labels = [label for _, _, label in pairs]
-    return bce_loss(concat_all(probs, axis=0), labels).item()
-
-
-def _val_f1(model, groups, embedding: EmbeddingMatrix, cfg: TrainConfig) -> float:
-    from .evaluation import f1_top1, score_groups
-    preds = score_groups(model, groups, embedding,
-                         max_question_tokens=cfg.max_question_tokens,
-                         max_answer_tokens=cfg.max_answer_tokens)
-    return f1_top1(preds)[0]
+def _validate(model, groups, embedding: EmbeddingMatrix,
+              cfg: TrainConfig) -> tuple[float, float]:
+    """Validation BCE and top-1 F1 from one scoring pass over ``groups``."""
+    preds = evaluation.score_groups(model, groups, embedding,
+                                    cfg.max_question_tokens, cfg.max_answer_tokens)
+    scored = [p for plist in preds.values() for p in plist]
+    probs = Tensor(np.array([[p.score] for p in scored]))
+    loss = bce_loss(probs, [p.label for p in scored]).item()
+    return loss, evaluation.f1_top1(preds)[0]
 
 
 def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
           cfg: TrainConfig) -> TrainResult:
     """Mini-batch AdaGrad training with validation-loss early stopping.
 
-    Iterates (question, candidate, label) pairs in seeded-shuffled batches.
+    Iterates (question, candidate, label) pairs in seeded-shuffled batches,
+    embedding each batch as it runs it.
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
     best validation epoch. Deterministic for fixed weights, data, and seed.
@@ -154,8 +143,8 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
             raise ValueError(f"group {g.qid}: expected exactly one positive, "
                              f"got {positives}")
 
-    train_pairs = _pairs(train_groups, embedding, cfg)
-    val_pairs = _pairs(val_groups, embedding, cfg)
+    train_pairs = [(g.question_tokens, c.tokens, float(c.label))
+                   for g in train_groups for c in g.candidates]
     rng = np.random.default_rng(cfg.seed)
     state = AdaGradState(model.params)
     result = TrainResult()
@@ -167,21 +156,20 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_pairs[i] for i in order[start:start + cfg.batch_size]]
-            probs = [model.forward(q, a, training=True, rng=rng) for q, a, _ in batch]
+            probs = [model.forward(embed_sequence(q, embedding, cfg.max_question_tokens),
+                                   embed_sequence(a, embedding, cfg.max_answer_tokens),
+                                   training=True, rng=rng) for q, a, _ in batch]
             labels = [label for _, _, label in batch]
-            loss = bce_loss(concat_all(probs, axis=0), labels)
-            for _name, t in model.params.items():
-                t.grad = None  # a param can be unreachable for all-PAD inputs
-            loss.backward()
-            grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                     for name, t in model.params.items()}
+            loss = bce_loss(concat(probs, axis=0), labels)
+            loss.backward()  # every input has a row, so it reaches every param
+            grads = {name: t.grad for name, t in model.params.items()}
             adagrad_step(model.params, grads, state, cfg.learning_rate)
             losses.append((loss.item(), len(batch)))
 
         total = sum(n for _, n in losses)
         train_loss = sum(l * n for l, n in losses) / total
-        val_loss = _eval_pairs(model, val_pairs) if val_pairs else train_loss
-        val_f1 = _val_f1(model, val_groups, embedding, cfg) if val_groups else 0.0
+        val_loss, val_f1 = (_validate(model, val_groups, embedding, cfg)
+                            if val_groups else (train_loss, 0.0))
         result.history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
 
         if val_loss < result.best_val_loss:
@@ -238,6 +226,25 @@ def save_checkpoint(model, dtype: str = "f8") -> bytes:
     return bytes(blob)
 
 
+def _check_manifest(manifest) -> None:
+    """Raise ManifestMismatchError unless the manifest has the v1 structure."""
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("model_kind"), str)
+            and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("tensors"), list)):
+        raise ManifestMismatchError("manifest must be an object with a string "
+                                    "model_kind, a config object and a tensors list")
+    for entry in manifest["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("dtype"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int for d in entry["shape"])):
+            raise ManifestMismatchError(f"malformed tensor entry: {entry!r}")
+        if any(d < 0 for d in entry["shape"]):
+            raise ManifestMismatchError(
+                f"tensor {entry['name']}: negative dimension in shape {entry['shape']}")
+
+
 def load_checkpoint(data: bytes) -> Checkpoint:
     if len(data) < 12:
         raise TruncatedCheckpointError("checkpoint shorter than header")
@@ -252,6 +259,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         manifest = json.loads(data[12:12 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestMismatchError(f"unreadable manifest: {exc}") from exc
+    _check_manifest(manifest)
 
     tensors: dict[str, np.ndarray] = {}
     offset = 12 + mlen

@@ -80,7 +80,7 @@ def test_criterion_1_gradients():
                lambda x: x.relu().sum(),
                lambda x: (x * x).log().sum(),
                lambda x: x.softmax().max(axis=1).sum(),
-               lambda x: concat(x, x, axis=0).transpose().sum(),
+               lambda x: concat([x, x], axis=0).transpose().sum(),
                lambda x: x.reshape(12, 1).rows(2, 9).sum()):
         check(op)
 

@@ -1,11 +1,18 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import pytest
 
 from conftest import make_embedding, make_separable_groups
 from verseqa import cli
-from verseqa.data import read_groups, write_groups
-from verseqa.embeddings import save_embedding
+from verseqa.data import Candidate, QuestionGroup, read_groups, write_groups
+from verseqa.embeddings import load_pretrained, save_embedding
+from verseqa.evaluation import score_groups
+from verseqa.models import RnnPairModel
+from verseqa.training import load_checkpoint, model_from_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -71,6 +78,16 @@ class TestEvaluate:
 
     def test_trained_model_needs_checkpoint(self, dataset_jsonl):
         rc = cli.main(["evaluate", "--model", "rnn", "--data", dataset_jsonl])
+        assert rc == 3
+
+    def test_malformed_checkpoint_manifest_exits_3(self, dataset_jsonl,
+                                                   embeddings_txt, tmp_path):
+        manifest = json.dumps({"model_kind": "rnn", "tensors": []}).encode()
+        ckpt = tmp_path / "no-config.ckpt"
+        ckpt.write_bytes(b"BQAC" + struct.pack("<II", 1, len(manifest)) + manifest)
+        rc = cli.main(["evaluate", "--model", "rnn", "--data", dataset_jsonl,
+                       "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
+                       "--dim", "8"])
         assert rc == 3
 
 
@@ -161,6 +178,31 @@ class TestUsageAndConfig:
         assert report["model"] == "baseline"
 
 
+    @staticmethod
+    def _run(*argv):
+        """Run the CLI in a child process to see its exit code and stderr."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "verseqa.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_config_without_path_is_usage_error(self):
+        proc = self._run("--config")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "--config" in proc.stderr
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"],
+                             ids=["bad-json", "not-an-object"])
+    def test_config_with_bad_json_exits_3(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        proc = self._run("--config", str(cfg), "evaluate")
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert str(cfg) in proc.stderr
+
+
 class TestConvertSpan:
     def test_end_to_end(self, tmp_path):
         spans = tmp_path / "spans.jsonl"
@@ -184,3 +226,56 @@ class TestTrainEmbeddings:
         assert rc == 0
         first = out.read_text().splitlines()[0].split(" ")
         assert len(first) == 7  # token + 6 components
+
+
+class TestPredict:
+    # verses 2 and 4 are identical, so their scores tie
+    VERSES = ["f1 f2 k3 f4", "f5 f6 f7", "k1 f2", "f5 f6 f7",
+              "m2 f9 f10 f11", "f3"]
+    QUESTION = "f8 f12 k3"
+
+    @pytest.fixture
+    def paths(self, tmp_path, embeddings_txt):
+        bible = tmp_path / "chapter.tsv"
+        bible.write_text("".join(f"WEB\tMatthew\t1\t{v}\t{text}\n"
+                                 for v, text in enumerate(self.VERSES, start=1)))
+        ckpt = tmp_path / "rnn.ckpt"
+        ckpt.write_bytes(save_checkpoint(RnnPairModel(8, d_h=4, seed=3)))
+        return str(bible), str(ckpt), embeddings_txt
+
+    def _predict(self, paths, capsys, top):
+        bible, ckpt, emb = paths
+        rc = cli.main(["predict", "--checkpoint", ckpt, "--bible", bible,
+                       "--question", self.QUESTION, "--book", "Matthew",
+                       "--chapter", "1", "--top", str(top),
+                       "--embeddings", emb, "--dim", "8"])
+        assert rc == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_sorted_by_score_with_ties_to_lower_verse(self, paths, capsys):
+        ranked = self._predict(paths, capsys, top=len(self.VERSES))
+        assert sorted(r["verse"] for r in ranked) == list(range(1, 7))
+        keys = [(-r["score"], r["verse"]) for r in ranked]
+        assert keys == sorted(keys)
+        order = [r["verse"] for r in ranked]
+        assert order.index(2) + 1 == order.index(4)
+        for r in ranked:
+            assert r["text"] == self.VERSES[r["verse"] - 1]
+
+    def test_top_truncates(self, paths, capsys):
+        full = self._predict(paths, capsys, top=len(self.VERSES))
+        assert self._predict(paths, capsys, top=3) == full[:3]
+
+    def test_scores_equal_score_groups(self, paths, capsys):
+        ranked = self._predict(paths, capsys, top=len(self.VERSES))
+        _bible, ckpt, emb_path = paths
+        with open(ckpt, "rb") as f:
+            model = model_from_checkpoint(load_checkpoint(f.read()))
+        with open(emb_path, encoding="utf-8") as f:
+            emb = load_pretrained(f, 8)
+        group = QuestionGroup(qid=0, translation="WEB", question=self.QUESTION,
+                              candidates=[Candidate(text=t, label=0)
+                                          for t in self.VERSES])
+        (preds,) = score_groups(model, [group], emb).values()
+        for r in ranked:
+            assert r["score"] == preds[r["verse"] - 1].score

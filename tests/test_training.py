@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -114,10 +116,8 @@ class TestTrain:
     def test_patience_stops_after_ten_worse_epochs(self, tiny_embedding, monkeypatch):
         # strictly increasing validation loss from epoch 1 onward
         losses = iter(float(x) for x in range(1, 100))
-        monkeypatch.setattr("verseqa.training._eval_pairs",
-                            lambda model, pairs: next(losses))
-        monkeypatch.setattr("verseqa.training._val_f1",
-                            lambda model, groups, emb, cfg: 0.0)
+        monkeypatch.setattr("verseqa.training._validate",
+                            lambda model, groups, emb, cfg: (next(losses), 0.0))
         train_g, val_g = small_task()
         model = RnnPairModel(16, d_h=4, seed=0)
         result = train(model, train_g, val_g, tiny_embedding,
@@ -127,13 +127,13 @@ class TestTrain:
         assert len(result.history) == 11
 
     def test_best_epoch_weights_restored(self, tiny_embedding):
-        from verseqa.training import _eval_pairs, _pairs
+        from verseqa.training import _validate
         train_g, val_g = small_task()
         model = RnnPairModel(16, d_h=4, seed=0)
         cfg = self._cfg(max_epochs=6)
         result = train(model, train_g, val_g, tiny_embedding, cfg)
-        val_pairs = _pairs(val_g, tiny_embedding, cfg)
-        assert _eval_pairs(model, val_pairs) == pytest.approx(result.best_val_loss)
+        val_loss, _f1 = _validate(model, val_g, tiny_embedding, cfg)
+        assert val_loss == pytest.approx(result.best_val_loss)
         assert result.best_val_loss == min(r.val_loss for r in result.history)
 
     def test_same_seed_bitwise_identical(self, tiny_embedding):
@@ -202,6 +202,48 @@ class TestCheckpoint:
         once = load_checkpoint(blob)
         model.params.load_values(once.tensors)
         assert save_checkpoint(model, dtype="f4") == blob
+
+
+def _blob(manifest, payload: bytes = b"") -> bytes:
+    mbytes = json.dumps(manifest).encode("utf-8")
+    return b"BQAC" + struct.pack("<II", 1, len(mbytes)) + mbytes + payload
+
+
+_ENTRY = {"name": "w", "shape": [2], "dtype": "f8"}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("manifest", [
+        ["not", "an", "object"],
+        {"config": {}, "tensors": []},
+        {"model_kind": "rnn", "tensors": []},
+        {"model_kind": "rnn", "config": {}},
+        {"model_kind": 7, "config": {}, "tensors": []},
+        {"model_kind": "rnn", "config": [], "tensors": []},
+        {"model_kind": "rnn", "config": {}, "tensors": {}},
+    ], ids=["list", "no-kind", "no-config", "no-tensors", "kind-type",
+            "config-type", "tensors-type"])
+    def test_bad_top_level(self, manifest):
+        with pytest.raises(ManifestMismatchError):
+            load_checkpoint(_blob(manifest))
+
+    @pytest.mark.parametrize("missing", ["name", "shape", "dtype"])
+    def test_tensor_entry_missing_key(self, missing):
+        entry = {k: v for k, v in _ENTRY.items() if k != missing}
+        manifest = {"model_kind": "rnn", "config": {}, "tensors": [entry]}
+        with pytest.raises(ManifestMismatchError):
+            load_checkpoint(_blob(manifest, b"\x00" * 16))
+
+    def test_negative_dimension(self):
+        entry = dict(_ENTRY, shape=[-1, 2])
+        manifest = {"model_kind": "rnn", "config": {}, "tensors": [entry]}
+        with pytest.raises(ManifestMismatchError, match="negative"):
+            load_checkpoint(_blob(manifest, b"\x00" * 16))
+
+    def test_well_formed_blob_still_loads(self):
+        manifest = {"model_kind": "rnn", "config": {}, "tensors": [_ENTRY]}
+        ckpt = load_checkpoint(_blob(manifest, b"\x00" * 16))
+        np.testing.assert_array_equal(ckpt.tensors["w"], [0.0, 0.0])
 
 
 class TestTransfer:
