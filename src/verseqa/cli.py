@@ -108,8 +108,7 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_convert_span(args) -> int:
-    records = [json.loads(line) for line in _read_lines(args.input) if line.strip()]
-    result = data.convert_span_dataset(records)
+    result = data.convert_span_dataset(data.parse_span_records(_read_lines(args.input)))
     payload = "".join(data.group_to_json(g) + "\n" for g in result.groups)
     _atomic_write(args.out, payload)
     logger.info("wrote %d groups (%d records dropped: answer crossed a "
@@ -177,8 +176,8 @@ def cmd_evaluate(args) -> int:
     if args.model == "baseline":
         preds = evaluation.random_baseline(groups, args.seed)
     else:
-        if not args.checkpoint:
-            raise CliValidationError("evaluate with a trained model needs --checkpoint")
+        if not (args.checkpoint and args.embeddings):
+            raise CliValidationError("a trained model needs --checkpoint and --embeddings")
         with open(_require_file(args.checkpoint), "rb") as f:
             model = training.model_from_checkpoint(training.load_checkpoint(f.read()))
         emb = _load_embedding(args)
@@ -194,6 +193,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.top < 1:
+        raise CliUsageError(f"--top must be >= 1, got {args.top}")
     with open(_require_file(args.checkpoint), "rb") as f:
         model = training.model_from_checkpoint(training.load_checkpoint(f.read()))
     emb = _load_embedding(args)
@@ -224,8 +225,8 @@ def cmd_nearest(args) -> int:
 
 # ---- argument plumbing -------------------------------------------------------
 
-def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embeddings", required=True, help="pretrained vector file")
+def _add_embedding_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--embeddings", required=required, help="pretrained vector file")
     p.add_argument("--dim", type=int, default=100, help="embedding dimension")
     p.add_argument("--concat-embeddings", dest="concat_embeddings",
                    help="second vector file concatenated onto the first")
@@ -289,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(models.MODEL_KINDS) + ["baseline"])
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint")
-    p.add_argument("--embeddings")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--concat-embeddings", dest="concat_embeddings")
-    p.add_argument("--concat-dim", dest="concat_dim", type=int, default=200)
+    _add_embedding_flags(p, required=False)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -336,6 +334,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise CliValidationError(f"config file {path}: expected a JSON object")
     injected: list[str] = []
     for key, value in file_cfg.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise CliValidationError(f"config file {path}: {key}: expected a string "
+                                     f"or a number, got {json.dumps(value)}")
         flag = "--" + key.replace("_", "-")
         if flag not in argv:
             injected += [flag, str(value)]
@@ -352,17 +353,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(argv))
+        _echo_config(args)
+        return args.func(args)
     except CliUsageError as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
-    except CliValidationError as exc:
-        logger.error("%s", exc)
-        return EXIT_VALIDATION
-    _echo_config(args)
-    try:
-        return args.func(args)
     except (CliValidationError, data.ParseError, data.ValidationError,
             embeddings.EmbeddingError, training.CheckpointError,
             training.TransferError, FileNotFoundError) as exc:

@@ -43,14 +43,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, order=True)
-class VerseRef:
-    translation: str
-    book: str
-    chapter: int
-    verse: int
-
-
 @dataclass
 class BibleCorpus:
     # translation -> book -> chapter -> ordered verse texts (index 0 = verse 1)
@@ -59,17 +51,14 @@ class BibleCorpus:
     def translations(self) -> list[str]:
         return sorted(self.chapters)
 
-    def verse(self, ref: VerseRef) -> str:
-        return self.chapters[ref.translation][ref.book][ref.chapter][ref.verse - 1]
-
     def chapter(self, translation: str, book: str, chapter: int) -> list[str]:
-        return self.chapters[translation][book][chapter]
+        try:
+            return self.chapters[translation][book][chapter]
+        except KeyError:
+            raise ValidationError(f"no such chapter: {translation} {book} {chapter}") from None
 
     def has_ref(self, translation: str, book: str, chapter: int, verse: int) -> bool:
-        try:
-            verses = self.chapters[translation][book][chapter]
-        except KeyError:
-            return False
+        verses = self.chapters.get(translation, {}).get(book, {}).get(chapter, [])
         return 1 <= verse <= len(verses)
 
 
@@ -300,6 +289,26 @@ class SpanConversion:
     dropped: int = 0  # answers crossing a sentence boundary
 
 
+def parse_span_records(lines: Iterable[str]) -> list[dict]:
+    """Read span-format JSON-lines, checking each record's field types."""
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if not (isinstance(rec, dict) and isinstance(rec.get("context"), str)
+                and isinstance(rec.get("question"), str)
+                and isinstance(rec.get("answer_text", ""), str)
+                and type(rec.get("answer_start")) is int):
+            raise ParseError(f"line {lineno}: expected an object with string context, "
+                             "question and answer_text and an integer answer_start")
+        records.append(rec)
+    return records
+
+
 def convert_span_dataset(records: Iterable[dict]) -> SpanConversion:
     """Turn span-annotated (context, question, answer) records into groups.
 
@@ -379,7 +388,19 @@ def group_to_json(g: QuestionGroup) -> str:
 
 
 def group_from_json(line: str) -> QuestionGroup:
-    rec = json.loads(line)
+    """One dataset line as a group; ParseError unless it has the emitted shape."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    if not (isinstance(rec, dict) and type(rec.get("qid")) is int
+            and isinstance(rec.get("translation"), str)
+            and isinstance(rec.get("question"), str)
+            and isinstance(rec.get("candidates"), list) and rec["candidates"]
+            and all(isinstance(c, dict) and isinstance(c.get("text"), str)
+                    and c.get("label") in (0, 1) for c in rec["candidates"])):
+        raise ParseError("expected an object with an int qid, str translation and question, "
+                         "and a non-empty candidates list of {text: str, label: 0/1}")
     return QuestionGroup(
         qid=rec["qid"], translation=rec["translation"], question=rec["question"],
         candidates=[Candidate(text=c["text"], label=c["label"], book=c.get("book"),
@@ -394,5 +415,12 @@ def write_groups(path, groups: Sequence[QuestionGroup]) -> None:
 
 
 def read_groups(path) -> list[QuestionGroup]:
+    groups = []
     with open(path, encoding="utf-8") as f:
-        return [group_from_json(line) for line in f if line.strip()]
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    groups.append(group_from_json(line))
+                except ParseError as exc:
+                    raise ParseError(f"{path} line {lineno}: {exc}") from None
+    return groups

@@ -78,9 +78,6 @@ class EmbeddingMatrix:
                 f"table shape {self.table.shape} does not match "
                 f"|V|={len(self.vocab)}, dim={self.dim}")
 
-    def vector(self, token: str) -> np.ndarray:
-        return self.table[self.vocab.index(token)]
-
 
 @dataclass
 class CbowConfig:
@@ -100,10 +97,11 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
     """Parse `token v1 .. vd` lines into an embedding matrix.
 
     PAD and UNK rows are prepended; UNK is the mean of all loaded vectors.
-    Duplicate tokens keep the first occurrence.
+    Duplicate tokens keep the first occurrence; a nan or inf is an error.
     """
     vocab = Vocabulary()
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -123,10 +121,14 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
             continue
         vocab.add(token)
         rows.append(vec)
+        linenos.append(lineno)
 
     table = np.zeros((len(vocab), expected_dim), dtype=np.float64)
     if rows:
         loaded = np.stack(rows)
+        finite = np.isfinite(loaded).all(axis=1)
+        if not finite.all():
+            raise EmbeddingError(f"line {linenos[np.argmin(finite)]}: non-finite component")
         table[2:] = loaded
         table[UNK_INDEX] = loaded.mean(axis=0)
     return EmbeddingMatrix(vocab=vocab, dim=expected_dim, table=table)

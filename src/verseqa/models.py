@@ -33,19 +33,23 @@ class LstmCell:
     GATES = ("i", "f", "o", "c")
 
     def __init__(self, d_in: int, d_h: int, params: ParameterSet, prefix: str,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
         self.d_in = d_in
         self.d_h = d_h
+        self.prefix = prefix
         self.W: dict[str, Tensor] = {}
         self.b: dict[str, Tensor] = {}
         for g in self.GATES:
-            w = _xavier(rng, d_in + d_h, d_h) if rng is not None \
-                else np.zeros((d_in + d_h, d_h))
             bias = np.zeros((1, d_h))
             if g == "f":
                 bias += 1.0  # open forget gate at init
-            self.W[g] = params.add(f"{prefix}.W_{g}", Tensor(w))
+            self.W[g] = params.add(f"{prefix}.W_{g}", Tensor(_xavier(rng, d_in + d_h, d_h)))
             self.b[g] = params.add(f"{prefix}.b_{g}", Tensor(bias))
+
+    def input_layout(self) -> dict[str, tuple[int, int]]:
+        """(input blocks, trailing rows) of each gate weight: [x | h] is one
+        block of d_in input rows, then d_h recurrent rows."""
+        return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
     def zero_state(self) -> tuple[Tensor, Tensor]:
         return Tensor(np.zeros((1, self.d_h))), Tensor(np.zeros((1, self.d_h)))
@@ -83,16 +87,14 @@ class LstmCell:
 class RnnPairModel:
     kind = "rnn"
 
-    def __init__(self, d_in: int, d_h: int = 100, seed: int = 0,
-                 zero_init: bool = False):
+    def __init__(self, d_in: int, d_h: int = 100, seed: int = 0):
         self.d_in = d_in
         self.d_h = d_h
         self.params = ParameterSet()
-        rng = None if zero_init else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.q_cell = LstmCell(d_in, d_h, self.params, "q_cell", rng)
         self.a_cell = LstmCell(d_in, d_h, self.params, "a_cell", rng)
-        w = np.zeros((2 * d_h, 1)) if zero_init else _xavier(rng, 2 * d_h, 1)
-        self.w_out = self.params.add("out.W", Tensor(w))
+        self.w_out = self.params.add("out.W", Tensor(_xavier(rng, 2 * d_h, 1)))
         self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
 
     def config(self) -> dict:
@@ -105,19 +107,15 @@ class RnnPairModel:
         m = concat([h_q, h_a], axis=1)
         return (m @ self.w_out + self.b_out).sigmoid()
 
-    def input_layout(self) -> dict[str, tuple]:
-        layout = {}
-        for prefix in ("q_cell", "a_cell"):
-            for g in LstmCell.GATES:
-                layout[f"{prefix}.W_{g}"] = ("lstm_input", self.d_h)
-        return layout
+    def input_layout(self) -> dict[str, tuple[int, int]]:
+        return {**self.q_cell.input_layout(), **self.a_cell.input_layout()}
 
 
 class CnnPairModel:
     kind = "cnn"
 
     def __init__(self, d_in: int, n_filters: int = 100, window: int = 3,
-                 dropout: float = 0.5, seed: int = 0, zero_init: bool = False):
+                 dropout: float = 0.5, seed: int = 0):
         if window < 1:
             raise ValueError("window must be >= 1")
         if not (0.0 <= dropout < 1.0):
@@ -127,13 +125,10 @@ class CnnPairModel:
         self.window = window
         self.dropout = dropout
         self.params = ParameterSet()
-        rng = None if zero_init else np.random.default_rng(seed)
-        w = np.zeros((window * d_in, n_filters)) if zero_init \
-            else _xavier(rng, window * d_in, n_filters)
-        self.w_conv = self.params.add("conv.W", Tensor(w))
+        rng = np.random.default_rng(seed)
+        self.w_conv = self.params.add("conv.W", Tensor(_xavier(rng, window * d_in, n_filters)))
         self.b_conv = self.params.add("conv.b", Tensor(np.zeros((1, n_filters))))
-        wo = np.zeros((2 * n_filters, 1)) if zero_init else _xavier(rng, 2 * n_filters, 1)
-        self.w_out = self.params.add("out.W", Tensor(wo))
+        self.w_out = self.params.add("out.W", Tensor(_xavier(rng, 2 * n_filters, 1)))
         self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
 
     def config(self) -> dict:
@@ -164,8 +159,9 @@ class CnnPairModel:
         m = concat([q_v, a_v], axis=1)
         return (m @ self.w_out + self.b_out).sigmoid()
 
-    def input_layout(self) -> dict[str, tuple]:
-        return {"conv.W": ("conv_input", self.window)}
+    def input_layout(self) -> dict[str, tuple[int, int]]:
+        """(input blocks, trailing rows) of conv.W: one d_in block per position."""
+        return {"conv.W": (self.window, 0)}
 
 
 def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor
@@ -209,20 +205,18 @@ class BidafModel:
     kind = "bidaf"
 
     def __init__(self, d_in: int, d_h: int = 100, seed: int = 0,
-                 zero_init: bool = False, readout: str = "final"):
+                 readout: str = "final"):
         if readout not in ("final", "maxpool"):
             raise ValueError(f"unknown readout: {readout}")
         self.d_in = d_in
         self.d_h = d_h
         self.readout = readout
         self.params = ParameterSet()
-        rng = None if zero_init else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.enc_cell = LstmCell(d_in, d_h, self.params, "enc_cell", rng)
-        wa = np.zeros((3 * d_h, 1)) if zero_init else _xavier(rng, 3 * d_h, 1)
-        self.w_alpha = self.params.add("attn.w", Tensor(wa))
+        self.w_alpha = self.params.add("attn.w", Tensor(_xavier(rng, 3 * d_h, 1)))
         self.model_cell = LstmCell(4 * d_h, d_h, self.params, "model_cell", rng)
-        wo = np.zeros((d_h, 1)) if zero_init else _xavier(rng, d_h, 1)
-        self.w_out = self.params.add("out.W", Tensor(wo))
+        self.w_out = self.params.add("out.W", Tensor(_xavier(rng, d_h, 1)))
         self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
 
     def config(self) -> dict:
@@ -240,8 +234,8 @@ class BidafModel:
             m = states.max(axis=0).reshape(1, self.d_h)
         return (m @ self.w_out + self.b_out).sigmoid()
 
-    def input_layout(self) -> dict[str, tuple]:
-        return {f"enc_cell.W_{g}": ("lstm_input", self.d_h) for g in LstmCell.GATES}
+    def input_layout(self) -> dict[str, tuple[int, int]]:
+        return self.enc_cell.input_layout()
 
 
 MODEL_KINDS = {

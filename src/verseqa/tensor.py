@@ -69,9 +69,7 @@ class Tensor:
     # ---- arithmetic ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad += g  # backward() zeroed every reachable grad first
 
     @staticmethod
     def _binary_shapes(a: "Tensor", b: "Tensor", op: str) -> None:
@@ -335,15 +333,6 @@ class ParameterSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def names(self) -> list[str]:
-        return sorted(self._items)
 
     def items(self) -> Iterator[Tuple[str, Tensor]]:
         for name in sorted(self._items):

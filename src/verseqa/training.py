@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -77,11 +78,10 @@ def bce_loss(p: Tensor, y: Sequence[float]) -> Tensor:
 
 
 class AdaGradState:
-    """Per-parameter accumulated squared gradients plus a step counter."""
+    """Per-parameter accumulated squared gradients."""
 
     def __init__(self, params: ParameterSet):
         self.accum = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.step_count = 0
 
 
 def adagrad_step(params: ParameterSet, grads: dict[str, np.ndarray],
@@ -95,7 +95,6 @@ def adagrad_step(params: ParameterSet, grads: dict[str, np.ndarray],
         acc = state.accum[name]
         acc += g * g
         t.data -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
-    state.step_count += 1
 
 
 @dataclass
@@ -199,19 +198,16 @@ class Checkpoint:
     model_kind: str
     config: dict
     tensors: dict[str, np.ndarray]
-    dtype: str = "f8"
 
 
-def save_checkpoint(model, dtype: str = "f8") -> bytes:
+def save_checkpoint(model) -> bytes:
     """Serialize model kind, config, and parameters.
 
     Layout: magic, u32 version, u32 manifest length, JSON manifest, then
-    raw little-endian arrays in manifest order. ``dtype`` "f8" round-trips
-    float64 parameters bitwise; "f4" halves the size for transport.
+    raw little-endian float64 arrays in manifest order, so parameters
+    round-trip bitwise. ``load_checkpoint`` also reads "f4" entries.
     """
-    if dtype not in _DTYPES:
-        raise CheckpointError(f"unsupported dtype: {dtype}")
-    entries = [{"name": name, "shape": list(t.data.shape), "dtype": dtype}
+    entries = [{"name": name, "shape": list(t.data.shape), "dtype": "f8"}
                for name, t in model.params.items()]
     manifest = {"model_kind": model.kind, "config": model.config(),
                 "tensors": entries}
@@ -222,7 +218,7 @@ def save_checkpoint(model, dtype: str = "f8") -> bytes:
     blob += struct.pack("<I", len(mbytes))
     blob += mbytes
     for _name, t in model.params.items():
-        blob += t.data.astype(_DTYPES[dtype]).tobytes(order="C")
+        blob += t.data.astype(_DTYPES["f8"]).tobytes(order="C")
     return bytes(blob)
 
 
@@ -240,9 +236,9 @@ def _check_manifest(manifest) -> None:
                 and isinstance(entry.get("shape"), list)
                 and all(type(d) is int for d in entry["shape"])):
             raise ManifestMismatchError(f"malformed tensor entry: {entry!r}")
-        if any(d < 0 for d in entry["shape"]):
-            raise ManifestMismatchError(
-                f"tensor {entry['name']}: negative dimension in shape {entry['shape']}")
+        if any(d < 1 for d in entry["shape"]):  # parameters are never empty
+            raise ManifestMismatchError(f"tensor {entry['name']}: negative or zero "
+                                        f"dimension in shape {entry['shape']}")
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
@@ -263,31 +259,41 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 
     tensors: dict[str, np.ndarray] = {}
     offset = 12 + mlen
-    dtypes = set()
     for entry in manifest["tensors"]:
-        dt = _DTYPES.get(entry["dtype"])
+        name, dt = entry["name"], _DTYPES.get(entry["dtype"])
         if dt is None:
             raise ManifestMismatchError(f"unknown dtype {entry['dtype']!r}")
-        dtypes.add(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
+        if name in tensors:
+            raise ManifestMismatchError(f"tensor {name} listed twice")
+        count = math.prod(entry["shape"])  # exact: no overflow on huge shapes
         nbytes = count * dt.itemsize
         if offset + nbytes > len(data):
             raise TruncatedCheckpointError(
-                f"tensor {entry['name']}: blob holds fewer than {count} values")
+                f"tensor {name}: blob holds fewer than {count} values")
         arr = np.frombuffer(data, dtype=dt, count=count, offset=offset)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ManifestMismatchError(f"tensor {name}: non-finite values")
+        tensors[name] = arr.reshape(entry["shape"]).astype(np.float64)
         offset += nbytes
     if offset != len(data):
         raise ManifestMismatchError(
             f"{len(data) - offset} trailing bytes beyond manifest contents")
     return Checkpoint(model_kind=manifest["model_kind"],
-                      config=manifest["config"], tensors=tensors,
-                      dtype=next(iter(dtypes)) if len(dtypes) == 1 else "f8")
+                      config=manifest["config"], tensors=tensors)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, seed: int = 0):
-    model = models_mod.build_model(ckpt.model_kind, seed=seed, **ckpt.config)
+    """The model a checkpoint describes; ManifestMismatchError if it cannot be built."""
+    try:
+        model = models_mod.build_model(ckpt.model_kind, seed=seed, **ckpt.config)
+    except (TypeError, ValueError) as exc:  # unknown kind or config key, bad value
+        raise ManifestMismatchError(f"cannot build a {ckpt.model_kind!r} model from "
+                                    f"config {ckpt.config}: {exc}") from exc
+    want = {name: t.data.shape for name, t in model.params.items()}
+    got = {name: a.shape for name, a in ckpt.tensors.items()}
+    if got != want:  # a tensor missing, extra or misshapen
+        raise ManifestMismatchError(f"tensors {sorted(got.items() - want.items())} "
+                                    f"do not fit {sorted(want.items() - got.items())}")
     model.params.load_values(ckpt.tensors)
     return model
 
@@ -300,40 +306,29 @@ class TransferReport:
     extended: list[str] = field(default_factory=list)
 
 
-def _extend_lstm_input(src: np.ndarray, dst_shape: tuple, d_h: int) -> np.ndarray:
-    # rows: [d_in input dims | d_h recurrent dims]; new input dims zeroed
-    d_in_old = src.shape[0] - d_h
-    d_in_new = dst_shape[0] - d_h
-    if src.shape[1] != dst_shape[1] or d_in_new < d_in_old or d_in_old < 0:
-        raise TransferError(f"cannot extend lstm input block {src.shape} "
-                            f"to {dst_shape}")
+def _extend_input_rows(src: np.ndarray, dst_shape: tuple, blocks: int,
+                       tail: int) -> np.ndarray:
+    """Rows are ``blocks`` input blocks of d_in rows, then ``tail`` other rows;
+    each block keeps its old rows and zero-fills the new ones."""
+    d_old, r_old = divmod(src.shape[0] - tail, blocks)
+    d_new, r_new = divmod(dst_shape[0] - tail, blocks)
+    if src.shape[1] != dst_shape[1] or r_old or r_new or not 0 <= d_old <= d_new:
+        raise TransferError(f"cannot extend input rows {src.shape} to {dst_shape}")
     out = np.zeros(dst_shape)
-    out[:d_in_old] = src[:d_in_old]
-    out[d_in_new:] = src[d_in_old:]
-    return out
-
-
-def _extend_conv_input(src: np.ndarray, dst_shape: tuple, window: int) -> np.ndarray:
-    # rows: window blocks of d_in each; per block, new input dims zeroed
-    if src.shape[0] % window or dst_shape[0] % window or src.shape[1] != dst_shape[1]:
-        raise TransferError(f"cannot extend conv block {src.shape} to {dst_shape}")
-    d_old = src.shape[0] // window
-    d_new = dst_shape[0] // window
-    if d_new < d_old:
-        raise TransferError(f"conv input dim shrank: {d_old} -> {d_new}")
-    out = np.zeros(dst_shape)
-    for j in range(window):
+    for j in range(blocks):
         out[j * d_new:j * d_new + d_old] = src[j * d_old:(j + 1) * d_old]
+    out[blocks * d_new:] = src[blocks * d_old:]
     return out
 
 
 def transfer_weights(source: Checkpoint, target) -> TransferReport:
     """Copy checkpoint tensors into ``target`` (same model kind).
 
-    Equal shapes copy exactly. Input-adjacent matrices whose embedding
-    dimension grew copy the old input rows and zero-fill the new ones, so
-    the transferred model computes the same function while the extra
-    embedding dims are zero. Any other mismatch is an error.
+    Equal shapes copy exactly. Input-adjacent matrices (the target's
+    ``input_layout``) whose embedding dimension grew copy the old input
+    rows and zero-fill the new ones, so the transferred model computes the
+    same function while the extra embedding dims are zero. Any other
+    mismatch is an error.
     """
     if source.model_kind != target.kind:
         raise TransferError(f"model kind mismatch: checkpoint is "
@@ -349,17 +344,10 @@ def transfer_weights(source: Checkpoint, target) -> TransferReport:
             new_values[name] = src.copy()
             report.copied.append(name)
             continue
-        tag = layout.get(name)
-        if tag is None:
+        if name not in layout or src.ndim != 2:
             raise TransferError(f"parameter {name}: shape {src.shape} does not "
-                                f"match {t.data.shape} and is not input-adjacent")
-        kind, arg = tag
-        if kind == "lstm_input":
-            new_values[name] = _extend_lstm_input(src, t.data.shape, arg)
-        elif kind == "conv_input":
-            new_values[name] = _extend_conv_input(src, t.data.shape, arg)
-        else:
-            raise TransferError(f"unknown layout tag {kind!r} for {name}")
+                                f"match {t.data.shape} and is not an input block")
+        new_values[name] = _extend_input_rows(src, t.data.shape, *layout[name])
         report.extended.append(name)
     target.params.load_values(new_values)
     return report

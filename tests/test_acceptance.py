@@ -232,7 +232,8 @@ def test_criterion_8_embedding_quality():
     assert losses[-1] < losses[0]
 
     def mean_cos(pairs):
-        return np.mean([cosine(emb.vector(a), emb.vector(b)) for a, b in pairs])
+        return np.mean([cosine(emb.table[emb.vocab.index(a)], emb.table[emb.vocab.index(b)])
+                        for a, b in pairs])
 
     within = mean_cos([(a, b) for g in clusters
                        for a in g for b in g if a < b])

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -11,7 +12,7 @@ from verseqa import cli
 from verseqa.data import Candidate, QuestionGroup, read_groups, write_groups
 from verseqa.embeddings import load_pretrained, save_embedding
 from verseqa.evaluation import score_groups
-from verseqa.models import RnnPairModel
+from verseqa.models import CnnPairModel, RnnPairModel
 from verseqa.training import load_checkpoint, model_from_checkpoint, save_checkpoint
 
 
@@ -46,6 +47,10 @@ def embeddings_txt(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("\n".join(save_embedding(make_embedding(dim=8))) + "\n")
     return str(path)
+
+
+def _errors(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestBuildDataset:
@@ -89,6 +94,43 @@ class TestEvaluate:
                        "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
                        "--dim", "8"])
         assert rc == 3
+
+    def test_unbuildable_checkpoint_exits_3(self, dataset_jsonl, embeddings_txt,
+                                            tmp_path, caplog):
+        blob = save_checkpoint(RnnPairModel(8, d_h=2, seed=0))
+        blob = blob.replace(b'"d_h": 2', b'"d_x": 2')  # same length, unknown key
+        ckpt = tmp_path / "unknown-key.ckpt"
+        ckpt.write_bytes(blob)
+        rc = cli.main(["evaluate", "--model", "rnn", "--data", dataset_jsonl,
+                       "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
+                       "--dim", "8"])
+        assert rc == 3
+        assert "d_x" in " ".join(_errors(caplog))
+
+    def test_trained_model_needs_embeddings(self, dataset_jsonl, tmp_path, caplog):
+        ckpt = tmp_path / "cnn.ckpt"
+        ckpt.write_bytes(save_checkpoint(CnnPairModel(8, n_filters=2, window=2, seed=0)))
+        rc = cli.main(["evaluate", "--model", "cnn", "--checkpoint", str(ckpt),
+                       "--data", dataset_jsonl])
+        assert rc == 3
+        assert "--embeddings" in " ".join(_errors(caplog))
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"qid": 1, "translation": "KJV", "question": "q?", "candidates": [',
+        '{"qid": 1, "question": "q?", "candidates": [{"text": "a", "label": 1}]}',
+        '{"qid": 1, "translation": "KJV", "question": 5, '
+        '"candidates": [{"text": "a", "label": 1}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", "candidates": ["a", "b"]}',
+    ], ids=["bad-json", "missing-translation", "question-not-string",
+            "candidates-not-objects"])
+    def test_malformed_dataset_line_exits_3(self, tmp_path, caplog, bad_line):
+        good = json.dumps({"qid": 0, "translation": "KJV", "question": "q?",
+                           "candidates": [{"text": "a", "label": 1}]})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + bad_line + "\n")
+        rc = cli.main(["evaluate", "--model", "baseline", "--data", str(path)])
+        assert rc == 3
+        assert "line 2" in " ".join(_errors(caplog))
 
 
 class TestTrain:
@@ -150,6 +192,14 @@ class TestNearest:
         # key tokens share a direction, so neighbors of a key are keys
         assert all(line.split("\t")[0].startswith(("k", "m")) for line in lines)
 
+    def test_non_finite_vector_exits_3(self, tmp_path, caplog):
+        path = tmp_path / "nan.txt"
+        path.write_text("a 1 0\nb nan 1\nc 0 1\n")
+        rc = cli.main(["nearest", "--embeddings", str(path), "--dim", "2",
+                       "--word", "a", "-k", "1"])
+        assert rc == 3
+        assert "line 2" in " ".join(_errors(caplog))
+
     def test_unknown_word_exits_3(self, embeddings_txt):
         assert cli.main(["nearest", "--embeddings", embeddings_txt, "--dim", "8",
                          "--word", "zzz"]) == 3
@@ -177,6 +227,18 @@ class TestUsageAndConfig:
         assert report["seed"] == 9  # CLI beats the file
         assert report["model"] == "baseline"
 
+
+    @pytest.mark.parametrize("value", [["KJV", "WEB"], {"KJV": 1}, True, None],
+                             ids=["list", "object", "bool", "null"])
+    def test_config_value_not_string_or_number_exits_3(self, bible_tsv, trivia_tsv,
+                                                       tmp_path, caplog, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"translations": value}))
+        rc = cli.main(["--config", str(cfg), "build-dataset", "--bible", bible_tsv,
+                       "--trivia", trivia_tsv, "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 3
+        (message,) = _errors(caplog)
+        assert "translations" in message and "string or a number" in message
 
     @staticmethod
     def _run(*argv):
@@ -216,6 +278,15 @@ class TestConvertSpan:
         (g,) = read_groups(out)
         assert [c.label for c in g.candidates] == [0, 1, 0]
 
+    def test_record_without_context_exits_3(self, tmp_path, caplog):
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text("\n" + json.dumps({"question": "Where?", "answer_text": "x",
+                                            "answer_start": 0}) + "\n")
+        rc = cli.main(["convert-span", "--in", str(spans), "--out",
+                       str(tmp_path / "out.jsonl")])
+        assert rc == 3
+        assert "line 2" in " ".join(_errors(caplog))
+
 
 class TestTrainEmbeddings:
     def test_writes_vectors(self, bible_tsv, tmp_path):
@@ -243,14 +314,28 @@ class TestPredict:
         ckpt.write_bytes(save_checkpoint(RnnPairModel(8, d_h=4, seed=3)))
         return str(bible), str(ckpt), embeddings_txt
 
-    def _predict(self, paths, capsys, top):
+    def _argv(self, paths, top=5, translation="WEB", book="Matthew", chapter=1):
         bible, ckpt, emb = paths
-        rc = cli.main(["predict", "--checkpoint", ckpt, "--bible", bible,
-                       "--question", self.QUESTION, "--book", "Matthew",
-                       "--chapter", "1", "--top", str(top),
-                       "--embeddings", emb, "--dim", "8"])
+        return ["predict", "--checkpoint", ckpt, "--bible", bible,
+                "--question", self.QUESTION, "--translation", translation,
+                "--book", book, "--chapter", str(chapter), "--top", str(top),
+                "--embeddings", emb, "--dim", "8"]
+
+    def _predict(self, paths, capsys, top):
+        rc = cli.main(self._argv(paths, top=top))
         assert rc == 0
         return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_is_usage_error(self, paths, caplog, top):
+        assert cli.main(self._argv(paths, top=top)) == 2
+        assert "--top" in " ".join(_errors(caplog))
+
+    @pytest.mark.parametrize("ref", [dict(translation="KJV"), dict(book="Nope"),
+                                     dict(chapter=2)], ids=["translation", "book", "chapter"])
+    def test_missing_chapter_exits_3(self, paths, caplog, ref):
+        assert cli.main(self._argv(paths, **ref)) == 3
+        assert "no such chapter" in " ".join(_errors(caplog))
 
     def test_sorted_by_score_with_ties_to_lower_verse(self, paths, capsys):
         ranked = self._predict(paths, capsys, top=len(self.VERSES))

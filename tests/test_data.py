@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseqa.data import (Candidate, DatasetSpec, ParseError, QuestionGroup,
                           TriviaQuestion, ValidationError, build_bibleqa,
@@ -48,6 +52,12 @@ class TestParseBible:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_bible(["KJV\tMatthew\t1\t1\tok", "broken line"])
+
+    def test_missing_chapter_is_validation_error(self):
+        corpus = parse_bible(bible_lines([(1, "In the beginning.")]))
+        for ref in [("WEB", "Matthew", 1), ("KJV", "Nope", 1), ("KJV", "Matthew", 2)]:
+            with pytest.raises(ValidationError):
+                corpus.chapter(*ref)
 
 
 def tiny_corpus(n_verses=25, translations=("KJV", "ASV", "YLT", "WEB")):
@@ -229,3 +239,23 @@ class TestJsonRoundTrip:
         assert again.question_tokens == g.question_tokens
         assert [(c.text, c.label) for c in again.candidates] == \
                [(c.text, c.label) for c in g.candidates]
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                     max_leaves=8)
+_GROUP_LIKE = st.fixed_dictionaries(
+    {"qid": _JSON, "translation": _JSON, "question": _JSON,
+     "candidates": _JSON | st.lists(_JSON | st.fixed_dictionaries(
+         {"text": _JSON, "label": _JSON | st.sampled_from([0, 1])}), max_size=3)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON | _GROUP_LIKE)
+def test_group_from_json_raises_only_parse_error(value):
+    try:
+        group = group_from_json(json.dumps(value))
+    except ParseError:
+        return
+    assert isinstance(group, QuestionGroup) and group.candidates

@@ -26,6 +26,11 @@ class TestLoadPretrained:
         with pytest.raises(EmbeddingError, match="line 2"):
             load_pretrained(["a 1 2", "b 1 2 3"], expected_dim=2)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_line(self, bad):
+        with pytest.raises(EmbeddingError, match="line 3"):
+            load_pretrained(["a 1 2", "", f"b 1 {bad}"], expected_dim=2)
+
     def test_duplicate_keeps_first(self, caplog):
         m = load_pretrained(["cat 1 1", "cat 9 9"], expected_dim=2)
         np.testing.assert_array_equal(m.table[m.vocab.index("cat")], [1.0, 1.0])
@@ -62,9 +67,9 @@ class TestTrainCbow:
         within, across = [], []
         for i, u in enumerate(a):
             for v in a[i + 1:]:
-                within.append(cosine(m.vector(u), m.vector(v)))
+                within.append(cosine(m.table[m.vocab.index(u)], m.table[m.vocab.index(v)]))
             for v in b:
-                across.append(cosine(m.vector(u), m.vector(v)))
+                across.append(cosine(m.table[m.vocab.index(u)], m.table[m.vocab.index(v)]))
         assert np.mean(within) - np.mean(across) >= 0.2
 
     def test_deterministic_per_seed(self):

@@ -202,7 +202,7 @@ def test_forward_bitwise_deterministic():
 class TestParameterSet:
     def test_lexicographic_iteration(self):
         ps = ParameterSet({"b": Tensor([1.0]), "a": Tensor([2.0]), "c": Tensor([3.0])})
-        assert ps.names() == ["a", "b", "c"]
+        assert [n for n, _ in ps.items()] == ["a", "b", "c"]
 
     def test_rejects_bad_names(self):
         ps = ParameterSet()

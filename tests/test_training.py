@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_separable_groups
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
 from verseqa.tensor import ParameterSet, ShapeError, Tensor
 from verseqa.training import (AdaGradState, BadMagicError, Checkpoint,
-                              ManifestMismatchError, TrainConfig,
+                              CheckpointError, ManifestMismatchError, TrainConfig,
                               TransferError, TruncatedCheckpointError,
                               UnsupportedVersionError, adagrad_step, bce_loss,
                               load_checkpoint, model_from_checkpoint,
@@ -196,12 +198,13 @@ class TestCheckpoint:
         with pytest.raises(ManifestMismatchError):
             load_checkpoint(blob + b"\x00" * 8)
 
-    def test_float32_dtype_round_trips_through_bytes(self):
-        model = RnnPairModel(3, d_h=2, seed=3)
-        blob = save_checkpoint(model, dtype="f4")
-        once = load_checkpoint(blob)
-        model.params.load_values(once.tensors)
-        assert save_checkpoint(model, dtype="f4") == blob
+    def test_float32_entry_loads_as_float64(self):
+        values = np.array([[0.1, -2.5], [3.0, 1e-3]], dtype="<f4")
+        manifest = {"model_kind": "rnn", "config": {},
+                    "tensors": [{"name": "w", "shape": [2, 2], "dtype": "f4"}]}
+        ckpt = load_checkpoint(_blob(manifest, values.tobytes()))
+        assert ckpt.tensors["w"].dtype == np.float64
+        np.testing.assert_array_equal(ckpt.tensors["w"], values.astype(np.float64))
 
 
 def _blob(manifest, payload: bytes = b"") -> bytes:
@@ -246,12 +249,74 @@ class TestMalformedManifest:
         np.testing.assert_array_equal(ckpt.tensors["w"], [0.0, 0.0])
 
 
+def _small_rnn_blob(edit=lambda manifest, values: None) -> bytes:
+    """A small rnn checkpoint, re-packed after ``edit`` changed its parts."""
+    model = RnnPairModel(3, d_h=2, seed=0)
+    manifest = {"model_kind": "rnn", "config": model.config(),
+                "tensors": [{"name": n, "shape": list(t.data.shape), "dtype": "f8"}
+                            for n, t in model.params.items()]}
+    values = model.params.copy_values()
+    edit(manifest, values)
+    return _blob(manifest, b"".join(values[e["name"]].astype("<f8").tobytes()
+                                    for e in manifest["tensors"]))
+
+
+def _transpose_first(manifest, values):
+    entry = manifest["tensors"][0]
+    entry["shape"] = entry["shape"][::-1]
+    values[entry["name"]] = values[entry["name"]].T
+
+
+class TestUnbuildableCheckpoint:
+    @pytest.mark.parametrize("edit,error", [
+        (lambda m, v: m.update(model_kind="gru"), ManifestMismatchError),
+        (lambda m, v: m["config"].update(layers=2), ManifestMismatchError),
+        (lambda m, v: m["config"].update(d_h="2"), ManifestMismatchError),
+        (lambda m, v: m.update(model_kind="cnn", config={
+            "d_in": 3, "n_filters": 2, "window": 0, "dropout": 0.0}), ManifestMismatchError),
+        (lambda m, v: m["tensors"].pop(), ManifestMismatchError),
+        (_transpose_first, ManifestMismatchError),
+        (lambda m, v: (m["tensors"].append({"name": "extra", "shape": [1], "dtype": "f8"}),
+                       v.update(extra=np.zeros(1))), ManifestMismatchError),
+        (lambda m, v: v["out.b"].fill(np.nan), ManifestMismatchError),
+        (lambda m, v: m["tensors"].append(dict(m["tensors"][0])), ManifestMismatchError),
+        (lambda m, v: m["tensors"][0].update(shape=[2 ** 62, 4]), TruncatedCheckpointError),
+        (lambda m, v: m["tensors"][0].update(shape=[0, 2 ** 62]), ManifestMismatchError),
+    ], ids=["unknown-kind", "unknown-config-key", "mistyped-config-value", "window-0",
+            "missing-tensor", "misshapen-tensor", "extra-tensor", "nan-values",
+            "duplicate-tensor", "huge-shape", "empty-huge-shape"])
+    def test_raises_typed_error(self, edit, error):
+        with pytest.raises(error):
+            model_from_checkpoint(load_checkpoint(_small_rnn_blob(edit)))
+
+    def test_unedited_blob_builds(self):
+        model = model_from_checkpoint(load_checkpoint(_small_rnn_blob()))
+        assert model.kind == "rnn" and model.d_h == 2
+
+
+_VALID_BLOB = _small_rnn_blob()
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, len(_VALID_BLOB) - 1), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       cut=st.integers(0, len(_VALID_BLOB)))
+def test_mutated_blob_raises_only_checkpoint_errors(edits, cut):
+    blob = bytearray(_VALID_BLOB)
+    for i, byte in edits:
+        blob[i] = byte
+    try:
+        model_from_checkpoint(load_checkpoint(bytes(blob[:cut])))
+    except CheckpointError:
+        pass
+
+
 class TestTransfer:
     def test_identical_shapes_bitwise_copy(self):
         src = RnnPairModel(5, d_h=3, seed=4)
         dst = RnnPairModel(5, d_h=3, seed=9)
         report = transfer_weights(load_checkpoint(save_checkpoint(src)), dst)
-        assert sorted(report.copied) == src.params.names()
+        assert sorted(report.copied) == [n for n, _ in src.params.items()]
         assert report.extended == []
         for name, t in src.params.items():
             np.testing.assert_array_equal(dst.params[name].data, t.data)
@@ -261,6 +326,12 @@ class TestTransfer:
         dst = CnnPairModel(5, n_filters=3, window=2, seed=4)
         with pytest.raises(TransferError, match="kind"):
             transfer_weights(load_checkpoint(save_checkpoint(src)), dst)
+
+    def test_scalar_input_tensor_is_error(self):
+        ckpt = load_checkpoint(save_checkpoint(RnnPairModel(5, d_h=3, seed=4)))
+        ckpt.tensors["q_cell.W_i"] = np.array(1.0)
+        with pytest.raises(TransferError):
+            transfer_weights(ckpt, RnnPairModel(5, d_h=3, seed=9))
 
     def test_output_layer_mismatch_is_error(self):
         src = RnnPairModel(5, d_h=3, seed=4)
@@ -291,6 +362,20 @@ class TestTransfer:
                                           w_src[j * 2:(j + 1) * 2])
             np.testing.assert_array_equal(w_dst[j * 5 + 2:(j + 1) * 5],
                                           np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("kind,src_kw,dst_kw", [
+        ("rnn", dict(d_in=6, d_h=3), dict(d_in=4, d_h=3)),
+        ("cnn", dict(d_in=6, n_filters=3, window=2), dict(d_in=4, n_filters=3, window=2)),
+        ("bidaf", dict(d_in=6, d_h=3), dict(d_in=4, d_h=3)),
+    ])
+    def test_shrinking_input_dim_is_error(self, kind, src_kw, dst_kw):
+        src = build_model(kind, seed=6, **src_kw)
+        dst = build_model(kind, seed=11, **dst_kw)
+        before = dst.params.copy_values()
+        with pytest.raises(TransferError):
+            transfer_weights(load_checkpoint(save_checkpoint(src)), dst)
+        for name, t in dst.params.items():  # nothing was half-copied
+            np.testing.assert_array_equal(t.data, before[name])
 
     @pytest.mark.parametrize("kind,src_kw,dst_kw", [
         ("rnn", dict(d_in=4, d_h=3), dict(d_in=10, d_h=3)),
