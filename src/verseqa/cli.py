@@ -205,14 +205,15 @@ def cmd_predict(args) -> int:
                                candidates=[data.Candidate(text=text, label=0)
                                            for text in verses])
     (preds,) = evaluation.score_groups(model, [group], emb).values()
-    scored = [{"verse": p.index + 1, "score": p.score, "text": verses[p.index]}
-              for p in preds]
-    scored.sort(key=lambda r: (-r["score"], r["verse"]))
-    print(json.dumps(scored[:args.top], indent=2))
+    top = evaluation.rank_order([p.score for p in preds])[:args.top]
+    print(json.dumps([{"verse": i + 1, "score": preds[i].score, "text": verses[i]}
+                      for i in top], indent=2))
     return EXIT_OK
 
 
 def cmd_nearest(args) -> int:
+    if args.k < 1:
+        raise CliUsageError(f"-k must be >= 1, got {args.k}")
     emb = embeddings.load_pretrained(_read_lines(args.embeddings), args.dim)
     try:
         neighbors = embeddings.nearest_neighbors(args.word, emb, args.k)

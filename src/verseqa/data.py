@@ -175,11 +175,15 @@ def parse_trivia(lines: Iterable[str],
         if line.lstrip().startswith("{"):
             try:
                 rec = json.loads(line)
-                q = TriviaQuestion(qid=len(questions), question=rec["question"],
-                                   answer=rec["answer"], book=rec["book"],
-                                   chapter=int(rec["chapter"]), verse=int(rec["verse"]))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if not (all(isinstance(rec.get(k), str) for k in ("question", "answer", "book"))
+                    and type(rec.get("chapter")) is int and type(rec.get("verse")) is int):
+                raise ParseError(f"line {lineno}: expected string question, answer and "
+                                 "book and integer chapter and verse")
+            q = TriviaQuestion(qid=len(questions), question=rec["question"],
+                               answer=rec["answer"], book=rec["book"],
+                               chapter=rec["chapter"], verse=rec["verse"])
         else:
             parts = line.split("\t")
             if len(parts) != 5:
@@ -401,6 +405,9 @@ def group_from_json(line: str) -> QuestionGroup:
                     and c.get("label") in (0, 1) for c in rec["candidates"])):
         raise ParseError("expected an object with an int qid, str translation and question, "
                          "and a non-empty candidates list of {text: str, label: 0/1}")
+    positives = sum(c["label"] for c in rec["candidates"])
+    if positives != 1:
+        raise ParseError(f"expected exactly one candidate with label 1, got {positives}")
     return QuestionGroup(
         qid=rec["qid"], translation=rec["translation"], question=rec["question"],
         candidates=[Candidate(text=c["text"], label=c["label"], book=c.get("book"),

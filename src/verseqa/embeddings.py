@@ -99,6 +99,8 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
     PAD and UNK rows are prepended; UNK is the mean of all loaded vectors.
     Duplicate tokens keep the first occurrence; a nan or inf is an error.
     """
+    if expected_dim < 1:
+        raise EmbeddingError(f"dimension must be >= 1, got {expected_dim}")
     vocab = Vocabulary()
     rows: list[np.ndarray] = []
     linenos: list[int] = []
@@ -266,14 +268,13 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def nearest_neighbors(word: str, m: EmbeddingMatrix, k: int) -> list[tuple[str, float]]:
-    """Top-k tokens by cosine similarity to ``word``, descending.
+    """Top-k tokens by cosine similarity to ``word``, descending; every
+    candidate when there are fewer than k.
 
     The query itself, PAD, and UNK are excluded; ties break by vocab index.
     """
     if word not in m.vocab:
         raise KeyError(f"token not in vocabulary: {word!r}")
-    if k >= len(m.vocab):
-        raise ValueError(f"k={k} must be smaller than |V|={len(m.vocab)}")
     q = m.table[m.vocab.index(word)]
     scored = []
     for idx in range(2, len(m.vocab)):

@@ -1,9 +1,11 @@
-"""Candidate ranking, answer selection, F1/MRR metrics, random baseline.
+"""Candidate ranking, F1/MRR metrics, random baseline.
 
-The F1 here is top-1 selection F1: the single argmax candidate per
-question is the predicted positive, so with exactly one gold per question
-F1 = precision = recall = top-1 accuracy. A 0.5-threshold binary F1 is
-also reported as an auxiliary diagnostic.
+``rank_order`` is the one ranking rule: descending score, ties to the
+lower position. Each question has exactly one gold candidate and its
+top-ranked candidate is the predicted positive, so top-1 F1 = precision =
+recall = top-1 accuracy, exactly: the share of golds ranked first. MRR
+comes from the same gold ranks. A 0.5-threshold binary F1 is also
+reported as an auxiliary diagnostic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .embeddings import (EmbeddingMatrix, MAX_ANSWER_TOKENS,
 
 @dataclass
 class Prediction:
-    index: int
     score: float
     label: int
 
@@ -56,44 +57,17 @@ class EvalReport:
         }, sort_keys=True)
 
 
+def rank_order(scores: Sequence[float]) -> list[int]:
+    """Candidate positions best first; a stable sort keeps ties in order."""
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
+
+
 def rank_candidates(preds: Sequence[Prediction]) -> int:
-    """1-based rank of the gold candidate under stable descending sort."""
-    if not preds:
-        raise ValueError("no candidates")
-    gold = next(i for i, p in enumerate(preds) if p.label == 1)
-    score = preds[gold].score
-    rank = 1
-    for i, p in enumerate(preds):
-        if p.score > score or (p.score == score and i < gold):
-            rank += 1
-    return rank
-
-
-def select_answer(scores: Sequence[float]) -> int:
-    """Lowest index among maximal scores."""
-    if not scores:
-        raise ValueError("no candidates")
-    best = 0
-    for i, s in enumerate(scores):
-        if s > scores[best]:
-            best = i
-    return best
-
-
-def f1_top1(preds: dict[int, list[Prediction]]) -> tuple[float, float, float]:
-    """Top-1 selection F1: one prediction and one gold per question."""
-    if not preds:
-        raise ValueError("empty prediction set")
-    tp = 0
-    for plist in preds.values():
-        chosen = select_answer([p.score for p in plist])
-        if plist[chosen].label == 1:
-            tp += 1
-    n = len(preds)
-    precision = tp / n
-    recall = tp / n
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return f1, precision, recall
+    """1-based rank of the gold candidate under ``rank_order``."""
+    golds = [i for i, p in enumerate(preds) if p.label == 1]
+    if len(golds) != 1:
+        raise ValueError(f"expected exactly one gold candidate, got {len(golds)}")
+    return rank_order([p.score for p in preds]).index(golds[0]) + 1
 
 
 def threshold_f1(preds: dict[int, list[Prediction]], threshold: float = 0.5) -> float:
@@ -118,12 +92,6 @@ def threshold_f1(preds: dict[int, list[Prediction]], threshold: float = 0.5) -> 
     return 2 * precision * recall / (precision + recall)
 
 
-def mrr(preds: dict[int, list[Prediction]]) -> float:
-    if not preds:
-        raise ValueError("empty prediction set")
-    return sum(1.0 / rank_candidates(plist) for plist in preds.values()) / len(preds)
-
-
 def gold_ranks(preds: dict[int, list[Prediction]]) -> list[int]:
     return [rank_candidates(preds[qid]) for qid in sorted(preds)]
 
@@ -133,8 +101,8 @@ def random_baseline(groups, seed: int) -> dict[int, list[Prediction]]:
     rng = np.random.default_rng(seed)
     preds: dict[int, list[Prediction]] = {}
     for key, g in enumerate(groups):
-        preds[key] = [Prediction(index=i, score=float(rng.random()), label=c.label)
-                      for i, c in enumerate(g.candidates)]
+        preds[key] = [Prediction(score=float(rng.random()), label=c.label)
+                      for c in g.candidates]
     return preds
 
 
@@ -151,9 +119,9 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
     for key, g in enumerate(groups):
         q_emb = embed_sequence(g.question_tokens, embedding, max_question_tokens)
         plist = []
-        for i, c in enumerate(g.candidates):
+        for c in g.candidates:
             a_emb = embed_sequence(c.tokens, embedding, max_answer_tokens)
-            plist.append(Prediction(index=i, score=model.forward(q_emb, a_emb).item(),
+            plist.append(Prediction(score=model.forward(q_emb, a_emb).item(),
                                     label=c.label))
         preds[key] = plist
     return preds
@@ -162,8 +130,12 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
 def evaluate(preds: dict[int, list[Prediction]], model: str = "",
              dataset: str = "", translation: str = "",
              seed: int | None = None) -> EvalReport:
-    f1, precision, recall = f1_top1(preds)
-    return EvalReport(n=len(preds), f1=f1, precision=precision, recall=recall,
-                      mrr=mrr(preds), ranks=gold_ranks(preds), seed=seed,
+    if not preds:
+        raise ValueError("empty prediction set")
+    ranks = gold_ranks(preds)
+    n = len(ranks)
+    top1 = ranks.count(1) / n
+    return EvalReport(n=n, f1=top1, precision=top1, recall=top1,
+                      mrr=sum(1.0 / r for r in ranks) / n, ranks=ranks, seed=seed,
                       model=model, dataset=dataset, translation=translation,
                       threshold_f1=threshold_f1(preds))

@@ -121,7 +121,7 @@ def _validate(model, groups, embedding: EmbeddingMatrix,
     scored = [p for plist in preds.values() for p in plist]
     probs = Tensor(np.array([[p.score] for p in scored]))
     loss = bce_loss(probs, [p.label for p in scored]).item()
-    return loss, evaluation.f1_top1(preds)[0]
+    return loss, evaluation.evaluate(preds).f1
 
 
 def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,

@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic separable ranking tasks and tiny embeddings.
+"""Shared fixtures: synthetic separable ranking tasks, tiny embeddings and
+a finite-difference gradient check.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -8,11 +9,14 @@ learnable by construction.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import pytest
 
 from verseqa.data import Candidate, QuestionGroup
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary
+from verseqa.tensor import GraphError, ParameterSet, Tensor
 
 KEYS = [f"k{i}" for i in range(15)]
 FILLERS = [f"f{i}" for i in range(30)]
@@ -65,3 +69,34 @@ def make_embedding(dim: int = 16, seed: int = 0,
 @pytest.fixture(scope="session")
 def tiny_embedding() -> EmbeddingMatrix:
     return make_embedding()
+
+
+def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
+               eps: float = 1e-5) -> float:
+    """Compare analytic gradients of ``f`` against central finite differences.
+
+    Returns the max over all coordinates of
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    out = f(params)
+    if not isinstance(out, Tensor) or out.data.size != 1:
+        raise GraphError("grad_check requires f to return a scalar tensor")
+    out.backward()
+    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+                for name, t in params.items()}
+
+    worst = 0.0
+    for name, t in params.items():
+        flat = t.data.reshape(-1)
+        a_flat = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = f(params).item()
+            flat[i] = orig - eps
+            f_minus = f(params).item()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            denom = max(1e-8, abs(a_flat[i]) + abs(numeric))
+            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    return worst

@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SHIFTED_KEYS, make_embedding, make_separable_groups
+from conftest import SHIFTED_KEYS, grad_check, make_embedding, make_separable_groups
 from verseqa import cli
 from verseqa.data import (DatasetSpec, TriviaQuestion, build_bibleqa,
                           parse_bible, write_groups)
 from verseqa.embeddings import cosine, save_embedding, train_cbow, CbowConfig
-from verseqa.evaluation import (Prediction, f1_top1, mrr, random_baseline,
+from verseqa.evaluation import (Prediction, evaluate, random_baseline,
                                 score_groups)
 from verseqa.models import build_model
-from verseqa.tensor import ParameterSet, Tensor, concat, grad_check, matmul
+from verseqa.tensor import ParameterSet, Tensor, concat, matmul
 from verseqa.training import (TrainConfig, load_checkpoint,
                               model_from_checkpoint, save_checkpoint, train,
                               transfer_weights)
@@ -58,7 +58,7 @@ def _train_cfg(lr=0.1, epochs=10, seed=0, batch=32):
 
 
 def _test_f1(model, groups):
-    return f1_top1(score_groups(model, groups, EMB, Q_TOK, A_TOK))[0]
+    return evaluate(score_groups(model, groups, EMB, Q_TOK, A_TOK)).f1
 
 
 @_report(1, "gradient checks: every op < 1e-6, every model < 1e-4, < 60 s")
@@ -99,13 +99,13 @@ def test_criterion_1_gradients():
             "10-cand MRR 0.293/F1 0.10, all ± 0.02")
 def test_criterion_2_random_baseline():
     three = random_baseline(make_separable_groups(5000, seed=1), seed=3)
-    assert mrr(three) == pytest.approx(11 / 18, abs=0.02)
-    assert f1_top1(three)[0] == pytest.approx(1 / 3, abs=0.02)
+    assert evaluate(three).mrr == pytest.approx(11 / 18, abs=0.02)
+    assert evaluate(three).f1 == pytest.approx(1 / 3, abs=0.02)
     ten = random_baseline(make_separable_groups(5000, seed=2, n_candidates=10),
                           seed=4)
-    assert mrr(ten) == pytest.approx(sum(1 / k for k in range(1, 11)) / 10,
-                                     abs=0.02)
-    assert f1_top1(ten)[0] == pytest.approx(0.10, abs=0.02)
+    assert evaluate(ten).mrr == pytest.approx(sum(1 / k for k in range(1, 11)) / 10,
+                                              abs=0.02)
+    assert evaluate(ten).f1 == pytest.approx(0.10, abs=0.02)
 
 
 @_report(3, "learnability: every model reaches test F1 >= 0.9 on the "
@@ -120,7 +120,7 @@ def test_criterion_3_learnability():
         train(model, train_g, val_g, EMB, _train_cfg(epochs=10))
         f1 = _test_f1(model, test_g)
         assert f1 >= 0.9, f"{kind}: test F1 {f1}"
-    baseline = f1_top1(random_baseline(test_g, seed=5))[0]
+    baseline = evaluate(random_baseline(test_g, seed=5)).f1
     assert baseline == pytest.approx(1 / 3, abs=0.05)
     assert time.perf_counter() - start < 300
 
@@ -180,7 +180,7 @@ def test_criterion_6_metric_oracles():
             if n_c > 1 and rng.random() < 0.5:
                 scores[int(rng.integers(n_c))] = scores[int(rng.integers(n_c))]
             gold = int(rng.integers(n_c))
-            preds[q] = [Prediction(index=i, score=float(s),
+            preds[q] = [Prediction(score=float(s),
                                    label=int(i == gold))
                         for i, s in enumerate(scores)]
         # brute force: explicit stable sort, count top hits and ranks
@@ -192,8 +192,8 @@ def test_criterion_6_metric_oracles():
             hits += labels[0]
             rr.append(1.0 / (labels.index(1) + 1))
         acc = hits / len(preds)
-        assert f1_top1(preds)[0] == pytest.approx(acc, abs=1e-12)
-        assert mrr(preds) == pytest.approx(sum(rr) / len(rr), abs=1e-12)
+        assert evaluate(preds).f1 == pytest.approx(acc, abs=1e-12)
+        assert evaluate(preds).mrr == pytest.approx(sum(rr) / len(rr), abs=1e-12)
 
 
 @_report(7, "checkpoints round-trip bitwise; transfer reproduces outputs "

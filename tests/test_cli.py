@@ -64,6 +64,22 @@ class TestBuildDataset:
         assert all(len(g.candidates) == 3 for g in groups)
         assert all(sum(c.label for c in g.candidates) == 1 for g in groups)
 
+    @pytest.mark.parametrize("field", [
+        '"question": 5', '"book": ["Gen"]', '"chapter": Infinity', '"chapter": 1.7'],
+        ids=["question-int", "book-list", "chapter-inf", "chapter-float"])
+    def test_mistyped_trivia_json_exits_3(self, bible_tsv, tmp_path, caplog, field):
+        rec = {"question": '"Q?"', "answer": '"A"', "book": '"Matthew"',
+               "chapter": "1", "verse": "2"}
+        key, value = field.split(": ", 1)
+        rec[key.strip('"')] = value
+        trivia = tmp_path / "trivia.jsonl"
+        trivia.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
+        rc = cli.main(["build-dataset", "--bible", bible_tsv, "--trivia", str(trivia),
+                       "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 3
+        assert "line 1" in " ".join(_errors(caplog))
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_missing_input_exits_3(self, trivia_tsv, tmp_path):
         rc = cli.main(["build-dataset", "--bible", "nope.tsv",
                        "--trivia", trivia_tsv, "--out", str(tmp_path / "x")])
@@ -121,8 +137,12 @@ class TestEvaluate:
         '{"qid": 1, "translation": "KJV", "question": 5, '
         '"candidates": [{"text": "a", "label": 1}]}',
         '{"qid": 1, "translation": "KJV", "question": "q?", "candidates": ["a", "b"]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 0}, {"text": "b", "label": 0}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1}, {"text": "b", "label": 1}]}',
     ], ids=["bad-json", "missing-translation", "question-not-string",
-            "candidates-not-objects"])
+            "candidates-not-objects", "no-positive", "two-positives"])
     def test_malformed_dataset_line_exits_3(self, tmp_path, caplog, bad_line):
         good = json.dumps({"qid": 0, "translation": "KJV", "question": "q?",
                            "candidates": [{"text": "a", "label": 1}]})
@@ -203,6 +223,32 @@ class TestNearest:
     def test_unknown_word_exits_3(self, embeddings_txt):
         assert cli.main(["nearest", "--embeddings", embeddings_txt, "--dim", "8",
                          "--word", "zzz"]) == 3
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_usage_error(self, embeddings_txt, capsys, caplog, k):
+        rc = cli.main(["nearest", "--embeddings", embeddings_txt, "--dim", "8",
+                       "--word", "k0", "-k", str(k)])
+        assert rc == 2
+        assert "-k" in " ".join(_errors(caplog))
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("k", [3, 5, 9])
+    def test_k_beyond_neighbours_prints_all(self, tmp_path, capsys, k):
+        path = tmp_path / "four.txt"
+        path.write_text("a 1 0\nb 2 0\nc 0 1\nd 1 1\n")
+        rc = cli.main(["nearest", "--embeddings", str(path), "--dim", "2",
+                       "--word", "a", "-k", str(k)])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["b", "d", "c"]
+
+    def test_negative_dim_exits_3(self, tmp_path, caplog):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        rc = cli.main(["nearest", "--embeddings", str(path), "--dim", "-1",
+                       "--word", "a"])
+        assert rc == 3
+        assert "dimension" in " ".join(_errors(caplog))
 
 
 class TestUsageAndConfig:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verseqa.data import (Candidate, DatasetSpec, ParseError, QuestionGroup,
-                          TriviaQuestion, ValidationError, build_bibleqa,
+from verseqa.data import (BibleCorpus, Candidate, DatasetSpec, ParseError,
+                          QuestionGroup, TriviaQuestion, ValidationError, build_bibleqa,
                           convert_span_dataset, group_from_json,
                           group_to_json, parse_bible, parse_trivia,
                           split_dataset, split_sentences, tokenize)
@@ -86,6 +86,24 @@ class TestParseTrivia:
 
     def test_empty_stream(self):
         assert parse_trivia([]) == []
+
+    @pytest.mark.parametrize("field", [
+        '"question": 5', '"answer": null', '"book": ["Gen"]', '"chapter": Infinity',
+        '"chapter": 1.7', '"chapter": true', '"verse": "2"', '"verse": 1e400'],
+        ids=["question-int", "answer-null", "book-list", "chapter-inf",
+             "chapter-float", "chapter-bool", "verse-string", "verse-overflow"])
+    def test_jsonl_field_types(self, field):
+        rec = {"question": '"Q?"', "answer": '"A"', "book": '"Matthew"',
+               "chapter": "1", "verse": "2"}
+        key, value = field.split(": ", 1)
+        rec[key.strip('"')] = value
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}"
+        with pytest.raises(ParseError, match="line 2"):
+            parse_trivia(["Q?\tA\tMatthew\t1\t2", line])
+
+    def test_jsonl_missing_field(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_trivia(['{"question": "Q?", "answer": "A", "book": "Matthew", "chapter": 1}'])
 
 
 class TestBuildBibleqa:
@@ -259,3 +277,43 @@ def test_group_from_json_raises_only_parse_error(value):
     except ParseError:
         return
     assert isinstance(group, QuestionGroup) and group.candidates
+
+
+# Fields that are sometimes valid, so fuzzed lines also reach the checks
+# past the field count: numbering, duplicates, gaps and references.
+_FIELD = (st.sampled_from(["KJV", "WEB", "Matthew", "", " 1", "0", "1", "2", "3", "-1",
+                           "1.5", "9" * 30])
+          | st.integers(-2, 4).map(str) | st.text(max_size=6))
+_TSV_LINE = st.lists(_FIELD, max_size=6).map("\t".join) | st.text(max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_TSV_LINE, max_size=6))
+def test_parse_bible_raises_only_parse_error(lines):
+    try:
+        corpus = parse_bible(lines)
+    except ParseError:
+        return
+    assert isinstance(corpus, BibleCorpus)
+
+
+_TRIVIA_JSON = st.fixed_dictionaries(
+    {k: _JSON | _FIELD for k in ("question", "answer", "book")}
+    | {k: _JSON | st.integers(-2, 4) for k in ("chapter", "verse")}).map(json.dumps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_TSV_LINE | _TRIVIA_JSON | _JSON.map(json.dumps), max_size=4),
+       with_corpus=st.booleans())
+def test_parse_trivia_raises_only_typed_errors(lines, with_corpus):
+    corpus = tiny_corpus(n_verses=3, translations=("KJV",)) if with_corpus else None
+    try:
+        questions = parse_trivia(lines, corpus)
+    except ParseError:
+        return
+    except ValidationError:
+        assert with_corpus
+        return
+    for q in questions:
+        assert all(isinstance(x, str) for x in (q.question, q.answer, q.book))
+        assert type(q.chapter) is int and type(q.verse) is int

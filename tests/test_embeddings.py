@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseqa.embeddings import (CbowConfig, EmbeddingError, EmbeddingMatrix,
                                 PAD_INDEX, UNK_INDEX, Vocabulary, _sigmoid,
@@ -39,6 +41,26 @@ class TestLoadPretrained:
         m = load_pretrained(["cat 0.125 -1.5", "dog 2.0 0.25"], expected_dim=2)
         again = load_pretrained(save_embedding(m), expected_dim=2)
         np.testing.assert_array_equal(again.table, m.table)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one(self, dim):
+        with pytest.raises(EmbeddingError, match="dimension"):
+            load_pretrained([], expected_dim=dim)
+
+
+_VECTOR_LINE = (st.lists(st.text(max_size=4) | st.floats(width=32).map(repr)
+                         | st.integers(-5, 5).map(str), max_size=4).map(" ".join)
+                | st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_VECTOR_LINE, max_size=5), dim=st.integers(-2, 3))
+def test_load_pretrained_raises_only_embedding_error(lines, dim):
+    try:
+        m = load_pretrained(lines, expected_dim=dim)
+    except EmbeddingError:
+        return
+    assert m.table.shape == (len(m.vocab), dim)
 
 
 def _two_cluster_corpus(n_sentences=300, seed=0):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_separable_groups
-from verseqa.evaluation import (Prediction, evaluate, f1_top1, gold_ranks,
-                                mrr, random_baseline, rank_candidates,
-                                select_answer, threshold_f1)
+from verseqa.evaluation import (Prediction, evaluate, gold_ranks,
+                                random_baseline, rank_candidates, rank_order,
+                                threshold_f1)
 
 
 def plist(scores, gold):
-    return [Prediction(index=i, score=s, label=int(i == gold))
+    return [Prediction(score=s, label=int(i == gold))
             for i, s in enumerate(scores)]
 
 
@@ -28,33 +28,52 @@ class TestRankCandidates:
         scores[4] = 0.99
         assert rank_candidates(plist(scores, gold=4)) == 1
 
+    @pytest.mark.parametrize("labels", [[0, 0, 0], [1, 0, 1], []],
+                             ids=["no-gold", "two-golds", "no-candidates"])
+    def test_needs_exactly_one_gold(self, labels):
+        preds = [Prediction(score=0.5, label=y) for y in labels]
+        with pytest.raises(ValueError, match="exactly one gold"):
+            rank_candidates(preds)
+
 
 class TestSelectAnswer:
     def test_tie_takes_lowest_index(self):
-        assert select_answer([0.2, 0.8, 0.8]) == 1
+        assert rank_order([0.2, 0.8, 0.8])[0] == 1
 
     def test_single_candidate(self):
-        assert select_answer([0.4]) == 0
+        assert rank_order([0.4])[0] == 0
 
     def test_strictly_increasing(self):
-        assert select_answer([0.1, 0.2, 0.3, 0.4, 0.5]) == 4
+        assert rank_order([0.1, 0.2, 0.3, 0.4, 0.5])[0] == 4
+
+
+def test_rank_order_is_descending_with_ties_in_position_order():
+    assert rank_order([0.2, 0.8, 0.1, 0.8, 0.2]) == [1, 3, 0, 4, 2]
 
 
 class TestF1Top1:
     def test_perfect(self):
         preds = {q: plist([0.1, 0.9], gold=1) for q in range(5)}
-        assert f1_top1(preds) == (1.0, 1.0, 1.0)
+        report = evaluate(preds)
+        assert (report.f1, report.precision, report.recall) == (1.0, 1.0, 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            f1_top1({})
+            evaluate({})
 
     def test_f1_equals_precision_equals_recall(self):
         rng = np.random.default_rng(0)
         preds = {q: plist(rng.random(4).tolist(), gold=int(rng.integers(4)))
                  for q in range(50)}
-        f1, p, r = f1_top1(preds)
+        report = evaluate(preds)
+        f1, p, r = report.f1, report.precision, report.recall
         assert f1 == p == r
+
+    def test_one_hit_in_five_is_exactly_one_fifth(self):
+        preds = {q: plist([0.9, 0.1], gold=int(q > 0)) for q in range(5)}
+        report = evaluate(preds)
+        assert report.ranks == [1, 2, 2, 2, 2]
+        assert report.f1 == report.precision == report.recall == 0.2
 
 
 class TestMrr:
@@ -64,12 +83,12 @@ class TestMrr:
             1: plist([0.9, 0.5, 0.1, 0.1], gold=1),   # rank 2
             2: plist([0.9, 0.5, 0.4, 0.3], gold=3),   # rank 4
         }
-        assert mrr(preds) == pytest.approx((1 + 0.5 + 0.25) / 3)
-        assert mrr(preds) == pytest.approx(0.58333, abs=1e-5)
+        assert evaluate(preds).mrr == pytest.approx((1 + 0.5 + 0.25) / 3)
+        assert evaluate(preds).mrr == pytest.approx(0.58333, abs=1e-5)
 
     def test_always_first(self):
         preds = {q: plist([0.9, 0.1], gold=0) for q in range(4)}
-        assert mrr(preds) == 1.0
+        assert evaluate(preds).mrr == 1.0
 
 
 def brute_force_metrics(preds):
@@ -100,8 +119,8 @@ def test_metrics_match_brute_force_on_randomized_inputs():
                 scores[rng.integers(n_c)] = scores[rng.integers(n_c)]
             preds[q] = plist(scores.tolist(), gold=int(rng.integers(n_c)))
         bf_f1, bf_mrr = brute_force_metrics(preds)
-        assert f1_top1(preds)[0] == pytest.approx(bf_f1, abs=1e-12)
-        assert mrr(preds) == pytest.approx(bf_mrr, abs=1e-12)
+        assert evaluate(preds).f1 == pytest.approx(bf_f1, abs=1e-12)
+        assert evaluate(preds).mrr == pytest.approx(bf_mrr, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -115,8 +134,8 @@ def test_metrics_invariant_under_monotone_transform(seed, scale, shift):
         gold = int(rng.integers(5))
         preds[q] = plist(scores.tolist(), gold=gold)
         warped[q] = plist((scale * scores + shift).tolist(), gold=gold)
-    assert f1_top1(preds) == f1_top1(warped)
-    assert mrr(preds) == pytest.approx(mrr(warped), abs=1e-12)
+    assert evaluate(preds).f1 == evaluate(warped).f1
+    assert evaluate(preds).mrr == pytest.approx(evaluate(warped).mrr, abs=1e-12)
 
 
 class TestRandomBaseline:
@@ -130,15 +149,15 @@ class TestRandomBaseline:
     def test_three_candidate_statistics(self):
         groups = make_separable_groups(5000, seed=1)
         preds = random_baseline(groups, seed=3)
-        assert mrr(preds) == pytest.approx(11 / 18, abs=0.02)
-        assert f1_top1(preds)[0] == pytest.approx(1 / 3, abs=0.02)
+        assert evaluate(preds).mrr == pytest.approx(11 / 18, abs=0.02)
+        assert evaluate(preds).f1 == pytest.approx(1 / 3, abs=0.02)
 
     def test_ten_candidate_statistics(self):
         groups = make_separable_groups(5000, seed=2, n_candidates=10)
         preds = random_baseline(groups, seed=4)
         h10 = sum(1 / k for k in range(1, 11))
-        assert mrr(preds) == pytest.approx(h10 / 10, abs=0.02)
-        assert f1_top1(preds)[0] == pytest.approx(0.10, abs=0.02)
+        assert evaluate(preds).mrr == pytest.approx(h10 / 10, abs=0.02)
+        assert evaluate(preds).f1 == pytest.approx(0.10, abs=0.02)
 
 
 class TestEvalReport:

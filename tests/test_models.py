@@ -4,7 +4,8 @@ import pytest
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
                             bidaf_attention, build_model)
-from verseqa.tensor import ParameterSet, ShapeError, Tensor, grad_check
+from conftest import grad_check
+from verseqa.tensor import ParameterSet, ShapeError, Tensor
 
 
 def zero_cell(d_in, d_h):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grad_check
 from verseqa.tensor import (GraphError, InvalidAxisError, ParameterSet,
-                            ShapeError, Tensor, concat, grad_check, matmul)
+                            ShapeError, Tensor, concat, matmul)
 
 
 class TestUnaryOps:
