@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -37,6 +38,8 @@ class CliUsageError(ValueError):
 
 
 def _atomic_write(path: str, payload: bytes | str) -> None:
+    if os.path.isdir(path):
+        raise CliValidationError(f"output path is a directory: {path}")
     mode = "wb" if isinstance(payload, bytes) else "w"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-verseqa-")
@@ -118,12 +121,9 @@ def cmd_convert_span(args) -> int:
 
 def cmd_train_embeddings(args) -> int:
     corpus = data.parse_bible(_read_lines(args.bible))
-    sentences = []
-    for translation in corpus.translations():
-        for book in sorted(corpus.chapters[translation]):
-            for chapter in sorted(corpus.chapters[translation][book]):
-                for verse in corpus.chapter(translation, book, chapter):
-                    sentences.append(data.tokenize(verse))
+    sentences = [data.tokenize(verse) for t in corpus.translations()
+                 for _book, chapters in sorted(corpus.chapters[t].items())
+                 for _chapter, verses in sorted(chapters.items()) for verse in verses]
     cfg = embeddings.CbowConfig(window=args.window, dim=args.dim,
                                 epochs=args.epochs, seed=args.seed,
                                 learning_rate=args.learning_rate)
@@ -193,8 +193,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.top < 1:
-        raise CliUsageError(f"--top must be >= 1, got {args.top}")
     with open(_require_file(args.checkpoint), "rb") as f:
         model = training.model_from_checkpoint(training.load_checkpoint(f.read()))
     emb = _load_embedding(args)
@@ -212,8 +210,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_nearest(args) -> int:
-    if args.k < 1:
-        raise CliUsageError(f"-k must be >= 1, got {args.k}")
     emb = embeddings.load_pretrained(_read_lines(args.embeddings), args.dim)
     try:
         neighbors = embeddings.nearest_neighbors(args.word, emb, args.k)
@@ -225,6 +221,23 @@ def cmd_nearest(args) -> int:
 
 
 # ---- argument plumbing -------------------------------------------------------
+
+def _checked(kind: type, ok, rule: str):
+    """An argparse type: a ``kind`` value for which ``ok`` holds, else exit 2."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
+_RATE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_DROPOUT = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
 
 def _add_embedding_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--embeddings", required=required, help="pretrained vector file")
@@ -238,13 +251,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=sorted(models.MODEL_KINDS))
     p.add_argument("--data", required=True, help="JSON-lines dataset")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--hidden", type=int, default=100)
-    p.add_argument("--conv-window", dest="conv_window", type=int, default=3)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--hidden", type=_COUNT, default=100)
+    p.add_argument("--conv-window", dest="conv_window", type=_COUNT, default=3)
+    p.add_argument("--dropout", type=_DROPOUT, default=0.5)
+    p.add_argument("--learning-rate", dest="learning_rate", type=_RATE)
+    p.add_argument("--batch-size", dest="batch_size", type=_COUNT, default=32)
+    p.add_argument("--max-epochs", dest="max_epochs", type=_COUNT, default=100)
+    p.add_argument("--patience", type=_COUNT, default=10)
     _add_embedding_flags(p)
 
 
@@ -271,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-embeddings", help="train CBOW vectors on a Bible TSV")
     p.add_argument("--bible", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=200)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
+    p.add_argument("--dim", type=_COUNT, default=200)
+    p.add_argument("--window", type=_COUNT, default=5)
+    p.add_argument("--epochs", type=_COUNT, default=5)
+    p.add_argument("--learning-rate", dest="learning_rate", type=_RATE, default=0.05)
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("train", help="train a model")
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", default="WEB")
     p.add_argument("--book", required=True)
     p.add_argument("--chapter", type=int, required=True)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_COUNT, default=5)
     _add_embedding_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -310,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--dim", type=int, default=200)
     p.add_argument("--word", required=True)
-    p.add_argument("-k", type=int, default=10)
+    p.add_argument("-k", type=_COUNT, default=10)
     p.set_defaults(func=cmd_nearest)
 
     for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_SEED, default=0)
     return parser
 
 
@@ -329,7 +342,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     with open(_require_file(path), encoding="utf-8") as f:
         try:
             file_cfg = json.load(f)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
             raise CliValidationError(f"config file {path}: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise CliValidationError(f"config file {path}: expected a JSON object")
@@ -362,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (CliValidationError, data.ParseError, data.ValidationError,
             embeddings.EmbeddingError, training.CheckpointError,
-            training.TransferError, FileNotFoundError) as exc:
+            training.TransferError, FileNotFoundError, UnicodeDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 1

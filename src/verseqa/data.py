@@ -175,7 +175,7 @@ def parse_trivia(lines: Iterable[str],
         if line.lstrip().startswith("{"):
             try:
                 rec = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # bad or too deeply nested
                 raise ParseError(f"line {lineno}: {exc}") from exc
             if not (all(isinstance(rec.get(k), str) for k in ("question", "answer", "book"))
                     and type(rec.get("chapter")) is int and type(rec.get("verse")) is int):
@@ -301,7 +301,7 @@ def parse_span_records(lines: Iterable[str]) -> list[dict]:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # bad or too deeply nested
             raise ParseError(f"line {lineno}: {exc}") from exc
         if not (isinstance(rec, dict) and isinstance(rec.get("context"), str)
                 and isinstance(rec.get("question"), str)
@@ -395,7 +395,7 @@ def group_from_json(line: str) -> QuestionGroup:
     """One dataset line as a group; ParseError unless it has the emitted shape."""
     try:
         rec = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested
         raise ParseError(str(exc)) from exc
     if not (isinstance(rec, dict) and type(rec.get("qid")) is int
             and isinstance(rec.get("translation"), str)

@@ -26,6 +26,7 @@ UNK_INDEX = 1
 # Defaults sized so nearly all verses fit untruncated.
 MAX_QUESTION_TOKENS = 30
 MAX_ANSWER_TOKENS = 60
+NEGATIVE_SAMPLES = 5  # noise words drawn per CBOW example
 
 
 class EmbeddingError(ValueError):
@@ -83,7 +84,6 @@ class EmbeddingMatrix:
 class CbowConfig:
     window: int = 5
     dim: int = 200
-    negative_samples: int = 5
     epochs: int = 5
     learning_rate: float = 0.05
     seed: int = 0
@@ -97,7 +97,8 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
     """Parse `token v1 .. vd` lines into an embedding matrix.
 
     PAD and UNK rows are prepended; UNK is the mean of all loaded vectors.
-    Duplicate tokens keep the first occurrence; a nan or inf is an error.
+    Duplicate tokens keep the first occurrence; a nan or inf, in a vector
+    or in their mean, is an error.
     """
     if expected_dim < 1:
         raise EmbeddingError(f"dimension must be >= 1, got {expected_dim}")
@@ -132,7 +133,10 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
         if not finite.all():
             raise EmbeddingError(f"line {linenos[np.argmin(finite)]}: non-finite component")
         table[2:] = loaded
-        table[UNK_INDEX] = loaded.mean(axis=0)
+        with np.errstate(over="ignore"):  # the sum of large finite vectors may overflow
+            table[UNK_INDEX] = loaded.mean(axis=0)
+        if not np.isfinite(table[UNK_INDEX]).all():
+            raise EmbeddingError("the mean of the vectors (the UNK row) is not finite")
     return EmbeddingMatrix(vocab=vocab, dim=expected_dim, table=table)
 
 
@@ -201,7 +205,7 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
                     continue
                 h = w_in[context].mean(axis=0)
 
-                negs = rng.choice(nv, size=cfg.negative_samples, p=noise)
+                negs = rng.choice(nv, size=NEGATIVE_SAMPLES, p=noise)
                 outs = np.concatenate([[center], negs])
                 labels = np.zeros(len(outs))
                 labels[0] = 1.0

@@ -4,9 +4,9 @@ Values are float64 numpy arrays in row-major order. Differentiation is
 tape-free: every op records its operands and a backward closure, and
 ``backward()`` walks the implicit graph in reverse topological order.
 
-There is no broadcasting except scalar-with-tensor; mismatched shapes
-raise :class:`ShapeError`. Reductions use numpy's fixed left-to-right
-summation, so forward results are bitwise deterministic.
+There is no broadcasting: the operands of ``+`` and ``*`` must be tensors
+of equal shape, else :class:`ShapeError`. Reductions use numpy's fixed
+left-to-right summation, so forward results are bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ class GraphError(RuntimeError):
     """Backward called on something that is not a scalar graph output."""
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.size == 0:
-        raise ShapeError("empty tensor is not allowed")
-    return arr
-
-
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
@@ -43,7 +36,9 @@ class Tensor:
 
     def __init__(self, data, _parents: Tuple["Tensor", ...] = (),
                  _backward: Callable[[np.ndarray], None] | None = None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
+        if self.data.size == 0:
+            raise ShapeError("empty tensor is not allowed")
         self.grad: np.ndarray | None = None
         self._parents = _parents
         self._backward = _backward
@@ -71,59 +66,32 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         self.grad += g  # backward() zeroed every reachable grad first
 
-    @staticmethod
-    def _binary_shapes(a: "Tensor", b: "Tensor", op: str) -> None:
-        if a.shape == b.shape or a.data.size == 1 or b.data.size == 1:
-            return
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ "
-                         "(only scalar-with-tensor broadcasting is allowed)")
+    def _same_shape(self, other, op: str) -> None:
+        if not (isinstance(other, Tensor) and other.shape == self.shape):
+            raise ShapeError(f"{op}: operands {self.shape} and {getattr(other, 'shape', other)}"
+                             " differ (there is no broadcasting)")
 
-    @staticmethod
-    def _reduce_to(g: np.ndarray, t: "Tensor") -> np.ndarray:
-        # scalar operand broadcast against a tensor: fold the gradient back
-        if g.shape == t.shape:
-            return g
-        return np.sum(g).reshape(t.shape)
-
-    def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(np.float64(other))
-        Tensor._binary_shapes(self, other, "add")
+    def __add__(self, other: "Tensor") -> "Tensor":
+        self._same_shape(other, "add")
         out = Tensor(self.data + other.data, (self, other))
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(Tensor._reduce_to(g, self))
-            other._accumulate(Tensor._reduce_to(g, other))
+            self._accumulate(g)
+            other._accumulate(g)
 
         out._backward = backward
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, (self,))
-        out._backward = lambda g: self._accumulate(-g)
-        return out
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(np.float64(other))
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(np.float64(other))
-        Tensor._binary_shapes(self, other, "mul")
+    def __mul__(self, other: "Tensor") -> "Tensor":
+        self._same_shape(other, "mul")
         out = Tensor(self.data * other.data, (self, other))
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(Tensor._reduce_to(g * other.data, self))
-            other._accumulate(Tensor._reduce_to(g * self.data, other))
+            self._accumulate(g * other.data)
+            other._accumulate(g * self.data)
 
         out._backward = backward
         return out
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
@@ -179,19 +147,6 @@ class Tensor:
         out._backward = lambda g: self._accumulate(g * (1.0 - val * val))
         return out
 
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
-        return out
-
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        """Clip values to [lo, hi]; gradient passes only where unclipped."""
-        val = np.clip(self.data, lo, hi)
-        inside = (self.data > lo) & (self.data < hi)
-        out = Tensor(val, (self,))
-        out._backward = lambda g: self._accumulate(g * inside)
-        return out
-
     def softmax(self) -> "Tensor":
         """Softmax over the last axis, numerically stabilized."""
         if self.shape[-1] < 1:
@@ -210,28 +165,10 @@ class Tensor:
 
     # ---- reductions ----------------------------------------------------------
 
-    def _check_axis(self, axis: int) -> None:
-        if not (0 <= axis < self.ndim):
-            raise InvalidAxisError(f"axis {axis} out of range for shape {self.shape}")
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        if axis is None:
-            out = Tensor(np.sum(self.data).reshape(()), (self,))
-            out._backward = lambda g: self._accumulate(np.full_like(self.data, float(g)))
-            return out
-        self._check_axis(axis)
-        out = Tensor(np.sum(self.data, axis=axis), (self,))
-        out._backward = lambda g: self._accumulate(
-            np.repeat(np.expand_dims(g, axis), self.shape[axis], axis=axis))
-        return out
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis) * (1.0 / n)
-
     def max(self, axis: int = 0) -> "Tensor":
         """Max along ``axis``; on ties the gradient goes to the lowest index."""
-        self._check_axis(axis)
+        if not (0 <= axis < self.ndim):
+            raise InvalidAxisError(f"axis {axis} out of range for shape {self.shape}")
         out = Tensor(np.max(self.data, axis=axis), (self,))
         argmax = np.argmax(self.data, axis=axis)  # first maximal index
 

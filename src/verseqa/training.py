@@ -62,19 +62,30 @@ class TrainConfig:
 
 
 def bce_loss(p: Tensor, y: Sequence[float]) -> Tensor:
-    """Mean binary cross-entropy of probabilities ``p`` against 0/1 labels."""
-    labels = np.asarray(y, dtype=np.float64).reshape(-1)
-    if labels.size == 0:
-        raise ValueError("bce_loss on zero examples")
+    """Mean binary cross-entropy of probabilities ``p`` against 0/1 labels.
+
+    One graph node. Probabilities are clipped to [BCE_EPS, 1 - BCE_EPS];
+    the gradient is zero where the clip is active.
+    """
+    labels = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    flat = p.reshape(p.data.size, 1)
-    if flat.shape[0] != labels.size:
-        raise ShapeError(f"{flat.shape[0]} probabilities vs {labels.size} labels")
-    yt = Tensor(labels.reshape(-1, 1))
-    pc = flat.clamp(BCE_EPS, 1.0 - BCE_EPS)
-    ll = yt * pc.log() + (1.0 - yt) * (1.0 - pc).log()
-    return -ll.mean()
+    n = p.data.size
+    if n != labels.size:  # also rejects zero labels: a tensor is never empty
+        raise ShapeError(f"{n} probabilities vs {labels.size} labels")
+    flat = p.data.reshape(n, 1)
+    pc = np.clip(flat, BCE_EPS, 1.0 - BCE_EPS)
+    inside = (flat > BCE_EPS) & (flat < 1.0 - BCE_EPS)
+    ll = labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)
+    out = Tensor(-(np.sum(ll) * (1.0 / n)), (p,))
+
+    def backward(g: np.ndarray) -> None:
+        d = -g * (1.0 / n)
+        dp = (d * labels) / pc - (d * (1.0 - labels)) / (1.0 - pc)
+        p._accumulate((dp * inside).reshape(p.shape))
+
+    out._backward = backward
+    return out
 
 
 class AdaGradState:
@@ -253,7 +264,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         raise TruncatedCheckpointError("manifest truncated")
     try:
         manifest = json.loads(data[12:12 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
         raise ManifestMismatchError(f"unreadable manifest: {exc}") from exc
     _check_manifest(manifest)
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: synthetic separable ranking tasks, tiny embeddings and
-a finite-difference gradient check.
+"""Shared fixtures: synthetic separable ranking tasks, tiny embeddings, a
+finite-difference gradient check and a scalar reduction for it.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -69,6 +69,12 @@ def make_embedding(dim: int = 16, seed: int = 0,
 @pytest.fixture(scope="session")
 def tiny_embedding() -> EmbeddingMatrix:
     return make_embedding()
+
+
+def total(x: Tensor) -> Tensor:
+    """Sum of all entries as a [1, 1] tensor: one row times a ones column."""
+    n = x.data.size
+    return x.reshape(1, n) @ Tensor(np.ones((n, 1)))
 
 
 def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,

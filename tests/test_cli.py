@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_embedding, make_separable_groups
 from verseqa import cli
@@ -225,12 +228,14 @@ class TestNearest:
                          "--word", "zzz"]) == 3
 
     @pytest.mark.parametrize("k", [0, -1])
-    def test_k_below_one_is_usage_error(self, embeddings_txt, capsys, caplog, k):
-        rc = cli.main(["nearest", "--embeddings", embeddings_txt, "--dim", "8",
-                       "--word", "k0", "-k", str(k)])
-        assert rc == 2
-        assert "-k" in " ".join(_errors(caplog))
-        assert capsys.readouterr().out == ""
+    def test_k_below_one_is_usage_error(self, embeddings_txt, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nearest", "--embeddings", embeddings_txt, "--dim", "8",
+                      "--word", "k0", "-k", str(k)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "argument -k: must be >= 1" in err
+        assert out == ""
 
     @pytest.mark.parametrize("k", [3, 5, 9])
     def test_k_beyond_neighbours_prints_all(self, tmp_path, capsys, k):
@@ -373,9 +378,11 @@ class TestPredict:
         return json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("top", [0, -1])
-    def test_top_below_one_is_usage_error(self, paths, caplog, top):
-        assert cli.main(self._argv(paths, top=top)) == 2
-        assert "--top" in " ".join(_errors(caplog))
+    def test_top_below_one_is_usage_error(self, paths, capsys, top):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self._argv(paths, top=top))
+        assert exc.value.code == 2
+        assert "argument --top: must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ref", [dict(translation="KJV"), dict(book="Nope"),
                                      dict(chapter=2)], ids=["translation", "book", "chapter"])
@@ -410,3 +417,187 @@ class TestPredict:
         (preds,) = score_groups(model, [group], emb).values()
         for r in ranked:
             assert r["score"] == preds[r["verse"] - 1].score
+
+
+class TestNumericFlags:
+    @pytest.fixture
+    def base(self, bible_tsv, dataset_jsonl, embeddings_txt, tmp_path):
+        return {
+            "train-embeddings": ["train-embeddings", "--bible", bible_tsv, "--dim", "4",
+                                 "--out", str(tmp_path / "vec.txt")],
+            "train": ["train", "--model", "rnn", "--data", dataset_jsonl,
+                      "--embeddings", embeddings_txt, "--dim", "8", "--hidden", "2",
+                      "--max-epochs", "1", "--out", str(tmp_path / "model.ckpt")],
+            "evaluate": ["evaluate", "--model", "baseline", "--data", dataset_jsonl],
+        }
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train-embeddings", ["--epochs", "0"]),
+        ("train-embeddings", ["--window", "0"]),
+        ("train-embeddings", ["--learning-rate", "0"]),
+        ("train", ["--batch-size", "0"]),
+        ("train", ["--hidden", "0"]),
+        ("train", ["--model", "cnn", "--dropout", "1.0"]),
+        ("train", ["--learning-rate", "-1"]),
+        ("train", ["--learning-rate", "nan"]),
+        ("train", ["--patience", "0"]),
+        ("train", ["--model", "cnn", "--conv-window", "0"]),
+        ("evaluate", ["--seed", "-1"]),
+    ], ids=["epochs", "window", "cbow-rate", "batch-size", "hidden", "dropout",
+            "rate-negative", "rate-nan", "patience", "conv-window", "seed"])
+    def test_out_of_range_is_usage_error(self, base, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base[command] + flags)
+        assert exc.value.code == 2
+        assert f"argument {flags[-2]}: must be" in capsys.readouterr().err
+
+
+_DEEP_JSON = '{"a": ' + "[" * 100_000
+
+
+@pytest.mark.parametrize("site", ["dataset", "trivia", "span", "config", "manifest"])
+def test_deeply_nested_json_exits_3(bible_tsv, dataset_jsonl, embeddings_txt, tmp_path,
+                                    caplog, site):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON + "\n")
+    ckpt = tmp_path / "deep.ckpt"
+    manifest = _DEEP_JSON.encode()
+    ckpt.write_bytes(b"BQAC" + struct.pack("<II", 1, len(manifest)) + manifest)
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "dataset": ["evaluate", "--model", "baseline", "--data", str(deep)],
+        "trivia": ["build-dataset", "--bible", bible_tsv, "--trivia", str(deep),
+                   "--out", out],
+        "span": ["convert-span", "--in", str(deep), "--out", out],
+        "config": ["--config", str(deep), "evaluate"],
+        "manifest": ["evaluate", "--model", "rnn", "--data", dataset_jsonl,
+                     "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
+                     "--dim", "8"],
+    }[site]
+    assert cli.main(argv) == 3
+    (message,) = _errors(caplog)
+    assert "recursion" in message
+
+
+def test_output_path_that_is_a_directory_exits_3(dataset_jsonl, tmp_path, caplog):
+    rc = cli.main(["evaluate", "--model", "baseline", "--data", dataset_jsonl,
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    assert "directory" in " ".join(_errors(caplog))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "nearest"])
+def test_undecodable_input_exits_3(tmp_path, caplog, command):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe not utf-8\n")
+    argv = {"evaluate": ["evaluate", "--model", "baseline", "--data", str(binary)],
+            "nearest": ["nearest", "--embeddings", str(binary), "--dim", "2",
+                        "--word", "a"]}[command]
+    assert cli.main(argv) == 3
+    assert "utf-8" in " ".join(_errors(caplog))
+
+
+# ---- argv fuzz -----------------------------------------------------------------
+
+_FLAGS = {name: {a.option_strings[-1]: a for a in sp._actions if a.option_strings
+                 and a.option_strings[-1] != "--help"}
+          for action in cli.build_parser()._actions
+          if isinstance(action, argparse._SubParsersAction)
+          for name, sp in action.choices.items()}
+_TEXT = {"--question": ["who is k0?", ""], "--translation": ["WEB", "XYZ"],
+         "--book": ["Matthew", "Nope"], "--word": ["k0", "zzz"],
+         "--mode": ["window-3", "chapter", "window-0", "bogus"],
+         "--translations": ["WEB", "KJV,WEB", "XYZ", ""]}
+_NUMBERS = {"int": ["-1", "0", "1", "2", "3", "x"],
+            "float": ["-1", "0", "0.01", "0.5", "1", "nan", "inf", "x"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Tiny inputs of every kind, a directory, and paths that do not exist."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "bible.tsv").write_text("".join(f"{t}\tMatthew\t1\t{v}\tk{v} f{v} f1 here\n"
+                                         for t in ("KJV", "WEB") for v in range(1, 13)))
+    (d / "trivia.tsv").write_text("".join(f"Who k{i + 1}?\tanswer\tMatthew\t1\t{i + 1}\n"
+                                          for i in range(11)))
+    write_groups(d / "data.jsonl", make_separable_groups(15, seed=0))
+    (d / "vectors.txt").write_text("\n".join(save_embedding(make_embedding(dim=8))) + "\n")
+    (d / "rnn.ckpt").write_bytes(save_checkpoint(RnnPairModel(8, d_h=2, seed=0)))
+    (d / "spans.jsonl").write_text(json.dumps({
+        "context": "One here. The k1 answer. Last.", "question": "Where is k1?",
+        "answer_text": "k1", "answer_start": 14}) + "\n")
+    (d / "config.json").write_text(json.dumps({"seed": 1}))
+    (d / "adir").mkdir()
+    inputs = [str(d / n) for n in ("bible.tsv", "trivia.tsv", "data.jsonl", "vectors.txt",
+                                   "rnn.ckpt", "spans.jsonl", "config.json", "adir",
+                                   "missing.txt")]
+    outs = [str(d / "out"), str(d / "adir"), str(d / "no-such-dir" / "out")]
+    return {"inputs": inputs, "outs": outs, **{p.rsplit("/", 1)[1]: p for p in inputs},
+            "out": outs[0]}
+
+
+def _base(paths) -> dict[str, dict[str, str]]:
+    """Per subcommand, flags that make a run succeed."""
+    model = {"--model": "rnn", "--data": paths["data.jsonl"],
+             "--embeddings": paths["vectors.txt"], "--dim": "8", "--out": paths["out"]}
+    return {
+        "build-dataset": {"--bible": paths["bible.tsv"], "--trivia": paths["trivia.tsv"],
+                          "--out": paths["out"]},
+        "convert-span": {"--in": paths["spans.jsonl"], "--out": paths["out"]},
+        "train-embeddings": {"--bible": paths["bible.tsv"], "--out": paths["out"],
+                             "--dim": "4", "--epochs": "1"},
+        "train": model,
+        "transfer-train": {**model, "--pretrained": paths["rnn.ckpt"]},
+        "evaluate": {"--model": "baseline", "--data": paths["data.jsonl"]},
+        "predict": {"--checkpoint": paths["rnn.ckpt"], "--bible": paths["bible.tsv"],
+                    "--question": "who is k3?", "--book": "Matthew", "--chapter": "1",
+                    "--embeddings": paths["vectors.txt"], "--dim": "8"},
+        "nearest": {"--embeddings": paths["vectors.txt"], "--dim": "8", "--word": "k0"},
+    }
+
+
+def _pool(flag: str, action, paths) -> list[str]:
+    if action.choices:
+        return list(action.choices) + ["bogus"]
+    kind = getattr(action.type, "__name__", "str")
+    if kind in _NUMBERS:
+        return _NUMBERS[kind]
+    if flag == "--out":
+        return paths["outs"]
+    return _TEXT.get(flag, paths["inputs"])
+
+
+@st.composite
+def _argv(draw, paths):
+    """A working argv of one subcommand with up to three flags changed or
+    dropped, sometimes behind a ``--config`` file."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = dict(_base(paths)[command])
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS[command])), max_size=3)):
+        if flag == "--max-epochs":
+            continue
+        if flag != "--hidden" and draw(st.booleans()):  # no --hidden is the paper size
+            flags.pop(flag, None)
+        else:
+            flags[flag] = draw(st.sampled_from(_pool(flag, _FLAGS[command][flag], paths)))
+    if command in ("train", "transfer-train"):
+        flags["--max-epochs"] = "1"
+        flags.setdefault("--hidden", "2")
+    argv = []
+    if draw(st.integers(0, 3)) == 0:
+        argv = ["--config", draw(st.sampled_from(paths["inputs"]))]
+    return argv + [command] + [part for item in flags.items() for part in item]
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exits_only_0_2_or_3(fuzz_paths, data):
+    argv = data.draw(_argv(fuzz_paths))
+    assert _exit_code(argv) in (0, 2, 3), argv

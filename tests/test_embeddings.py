@@ -19,6 +19,14 @@ class TestLoadPretrained:
         np.testing.assert_allclose(m.table[UNK_INDEX], [0.2, 0.3])  # mean row
         np.testing.assert_array_equal(m.table[PAD_INDEX], [0.0, 0.0])
 
+    def test_overflowing_unk_mean_is_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingError, match="UNK"):
+                load_pretrained(["a 1e308", "b 1e308"], 1)
+            m = load_pretrained(["a 1e308", "b -1e308"], 1)
+        assert m.table[UNK_INDEX, 0] == 0.0
+
     def test_empty_stream(self):
         m = load_pretrained([], expected_dim=3)
         assert len(m.vocab) == 2

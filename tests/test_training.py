@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_separable_groups
+from conftest import grad_check, make_separable_groups
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
 from verseqa.tensor import ParameterSet, ShapeError, Tensor
 from verseqa.training import (AdaGradState, BadMagicError, Checkpoint,
@@ -42,6 +42,19 @@ class TestBceLoss:
         assert loss.item() >= 0
         loss.backward()
         assert p.grad is not None and p.grad.shape == (3, 1)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        params = ParameterSet({"p": Tensor(rng.uniform(0.05, 0.95, size=(6, 1)))})
+        assert grad_check(lambda ps: bce_loss(ps["p"], [1, 0, 0, 1, 1, 0]), params) < 1e-6
+
+    def test_clipped_probabilities_give_finite_loss_and_zero_gradient(self):
+        p = Tensor([[0.0], [1.0], [0.0], [1.0], [0.5]])
+        loss = bce_loss(p, [1, 0, 0, 1, 1])
+        assert math.isfinite(loss.item())
+        loss.backward()
+        np.testing.assert_array_equal(p.grad[:4], np.zeros((4, 1)))
+        assert p.grad[4, 0] == pytest.approx(-2.0 / 5)
 
 
 class TestAdagrad:

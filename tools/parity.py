@@ -1,0 +1,84 @@
+"""Print one digest line per model, to compare two checkouts bit for bit.
+
+For rnn, cnn and bidaf at paper sizes (d=200, hidden 100) on the bench
+corpus of seed 3 (``bench/corpus.generate``, read only), the line holds:
+
+* ``history``: per-epoch (train loss, validation loss, validation F1) as
+  float hex, after 2 epochs on 16 train and 8 validation window-3 groups
+  (AdaGrad, lr 0.005, batch 32);
+* ``ckpt``: sha256 of the trained model's ``save_checkpoint`` bytes;
+* ``scores``: sha256 of the ``score_groups`` scores, as float hex, on the
+  12 chapter groups of the first 3 questions (328 candidates);
+* ``report``: sha256 of ``evaluate(...).to_json()`` on those scores;
+* ``transfer``: sha256 of the checkpoint of a model with ``d_in=250``
+  after ``transfer_weights`` from the trained one.
+
+Run it from a checkout: ``python tools/parity.py``. It imports verseqa
+from that checkout's ``src``, and pins BLAS to one thread. An exact
+change prints the same lines as its parent.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+from corpus import DIM, generate  # noqa: E402
+from verseqa import data, embeddings, evaluation, models, training  # noqa: E402
+
+SEED = 3
+HIDDEN = 100
+TRANSFER_DIM = 250
+
+
+def _sha(payload: bytes | str) -> str:
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _config(kind: str, d_in: int) -> dict:
+    if kind == "cnn":
+        return {"d_in": d_in, "n_filters": HIDDEN, "window": 3, "dropout": 0.5}
+    return {"d_in": d_in, "d_h": HIDDEN}
+
+
+def digest(kind: str, window_groups, chapter_groups, emb) -> str:
+    model = models.build_model(kind, seed=0, **_config(kind, DIM))
+    cfg = training.TrainConfig(learning_rate=0.005, batch_size=32, max_epochs=2,
+                               patience=2, seed=0)
+    result = training.train(model, window_groups[:16], window_groups[16:24], emb, cfg)
+    history = ",".join(f"{r.train_loss.hex()}/{r.val_loss.hex()}/{r.val_f1.hex()}"
+                       for r in result.history)
+    blob = training.save_checkpoint(model)
+    preds = evaluation.score_groups(model, chapter_groups, emb)
+    scores = ",".join(p.score.hex() for plist in preds.values() for p in plist)
+    report = evaluation.evaluate(preds, model=kind).to_json()
+    target = models.build_model(kind, seed=0, **_config(kind, TRANSFER_DIM))
+    training.transfer_weights(training.load_checkpoint(blob), target)
+    return (f"{kind} history={history} ckpt={_sha(blob)} scores={_sha(scores)} "
+            f"report={_sha(report)} transfer={_sha(training.save_checkpoint(target))}")
+
+
+def main() -> None:
+    corpus = generate(SEED)
+    bible = data.parse_bible(corpus.bible_lines)
+    questions = data.parse_trivia(corpus.trivia_lines, bible)
+    window = data.build_bibleqa(bible, questions, data.DatasetSpec(context_mode="window-3"))
+    chapter = [g for g in data.build_bibleqa(bible, questions,
+                                             data.DatasetSpec(context_mode="chapter"))
+               if g.qid < 3]
+    emb = embeddings.load_pretrained(corpus.vector_lines, DIM)
+    for kind in ("rnn", "cnn", "bidaf"):
+        print(digest(kind, window, chapter, emb), flush=True)
+
+
+if __name__ == "__main__":
+    main()
