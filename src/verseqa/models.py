@@ -13,13 +13,14 @@ probability in (0, 1):
 
 All LSTMs are unidirectional. Sequences arrive unpadded, one row per
 token, and every row is encoded: the row count is the sequence length.
+An LSTM pass and a conv-pool are each one graph node per sequence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ParameterSet, ShapeError, Tensor, concat
+from .tensor import ParameterSet, ShapeError, Tensor, concat, logistic
 
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -51,37 +52,59 @@ class LstmCell:
         block of d_in input rows, then d_h recurrent rows."""
         return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
-    def zero_state(self) -> tuple[Tensor, Tensor]:
-        return Tensor(np.zeros((1, self.d_h))), Tensor(np.zeros((1, self.d_h)))
-
-    def step(self, state: tuple[Tensor, Tensor], x: Tensor) -> tuple[Tensor, Tensor]:
-        """One recurrence step: gates sigmoid, candidate tanh."""
-        c_prev, h_prev = state
-        if x.shape != (1, self.d_in):
-            raise ShapeError(f"expected input shape (1, {self.d_in}), got {x.shape}")
-        z = concat([x, h_prev], axis=1)
-        i = (z @ self.W["i"] + self.b["i"]).sigmoid()
-        f = (z @ self.W["f"] + self.b["f"]).sigmoid()
-        o = (z @ self.W["o"] + self.b["o"]).sigmoid()
-        c_tilde = (z @ self.W["c"] + self.b["c"]).tanh()
-        c = f * c_prev + i * c_tilde
-        h = o * c.tanh()
-        return c, h
-
-    def _hidden_states(self, seq: Tensor):
-        state = self.zero_state()
+    def _states(self, seq: Tensor) -> Tensor:
+        """All hidden states [rows, d_h] as one graph node. Each step takes
+        the four per-gate products ``[x_t | h_{t-1}] @ W_g + b_g``: they round
+        as a per-step graph does, and one fused [d_in+d_h, 4*d_h] product
+        does not at every width. The backward is backprop through time."""
+        if seq.ndim != 2 or seq.shape[1] != self.d_in:
+            raise ShapeError(f"expected input shape (rows, {self.d_in}), got {seq.shape}")
+        W = [self.W[g].data for g in self.GATES]
+        b = [self.b[g].data for g in self.GATES]
+        c = h = np.zeros((1, self.d_h))
+        steps = []
         for t in range(seq.shape[0]):
-            state = self.step(state, seq.rows(t, t + 1))
-            yield state[1]
+            z = np.concatenate([seq.data[t:t + 1], h], axis=1)
+            i, f, o = (logistic(z @ w + bias) for w, bias in zip(W[:3], b[:3]))
+            c_tilde = np.tanh(z @ W[3] + b[3])
+            c_prev, c = c, f * c + i * c_tilde
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            steps.append((z, c_prev, i, f, o, c_tilde, tanh_c, h))
+        z, c_prev, i, f, o, c_tilde, tanh_c, h = (np.concatenate(a) for a in zip(*steps))
+        out = Tensor(h, (seq, *self.W.values(), *self.b.values()))
+
+        def backward(g: np.ndarray) -> None:
+            # d(gate pre-activation) per unit of dc (gates i, f, c) or of dh (o)
+            k = np.concatenate([c_tilde * i * (1.0 - i), c_prev * f * (1.0 - f),
+                                tanh_c * o * (1.0 - o), i * (1.0 - c_tilde * c_tilde)], axis=1)
+            dc_dh = o * (1.0 - tanh_c * tanh_c)
+            w_h = np.concatenate([w[self.d_in:] for w in W], axis=1)  # [d_h, 4*d_h]
+            d_a = np.empty_like(k)
+            dh_next = dc_next = np.zeros(self.d_h)
+            for t in reversed(range(len(h))):
+                dh = g[t] + dh_next
+                dc = dh * dc_dh[t] + dc_next
+                d_a[t] = np.concatenate([dc, dc, dh, dc]) * k[t]
+                dh_next = w_h @ d_a[t]
+                dc_next = dc * f[t]
+            for n, gate in enumerate(self.GATES):
+                d_gate = d_a[:, n * self.d_h:(n + 1) * self.d_h]
+                self.W[gate]._accumulate(z.T @ d_gate)
+                self.b[gate]._accumulate(d_gate.sum(axis=0, keepdims=True))
+                seq._accumulate(d_gate @ W[n][:self.d_in].T)
+
+        out._backward = backward
+        return out
 
     def encode(self, seq: Tensor) -> Tensor:
         """Final hidden state after one step per row of ``seq``."""
-        *_, h = self._hidden_states(seq)
-        return h
+        n = seq.shape[0]
+        return self._states(seq).rows(n - 1, n)
 
     def encode_states(self, seq: Tensor) -> Tensor:
         """All hidden states as a [rows, d_h] tensor."""
-        return concat(list(self._hidden_states(seq)), axis=0)
+        return self._states(seq)
 
 
 class RnnPairModel:
@@ -136,14 +159,34 @@ class CnnPairModel:
                 "window": self.window, "dropout": self.dropout}
 
     def _pool(self, seq: Tensor) -> Tensor:
-        if seq.shape[0] < self.window:  # zero-pad up to one window
-            pad = np.zeros((self.window - seq.shape[0], self.d_in))
-            seq = concat([seq, Tensor(pad)], axis=0)
-        feats = []
-        for i in range(seq.shape[0] - self.window + 1):
-            win = seq.rows(i, i + self.window).reshape(1, self.window * self.d_in)
-            feats.append((win @ self.w_conv + self.b_conv).relu())
-        return concat(feats, axis=0).max(axis=0).reshape(1, self.n_filters)
+        """Max over window positions of relu(window @ conv.W + conv.b), as
+        one graph node; on ties the gradient goes to the first position."""
+        w, d = self.window, self.d_in
+        W, b = self.w_conv.data, self.b_conv.data
+        rows = seq.data
+        if rows.shape[0] < w:  # zero-pad up to one window
+            rows = np.concatenate([rows, np.zeros((w - rows.shape[0], d))])
+        n_win = rows.shape[0] - w + 1
+        win = np.concatenate([rows[k:k + n_win] for k in range(w)], axis=1)
+        # one product per window: a single [n_win, w*d] product rounds differently
+        act = np.maximum(0.0, np.concatenate([win[k:k + 1] @ W + b for k in range(n_win)]))
+        first, cols = np.argmax(act, axis=0), np.arange(self.n_filters)
+        pooled = act[first, cols]
+        out = Tensor(pooled.reshape(1, self.n_filters), (seq, self.w_conv, self.b_conv))
+
+        def backward(g: np.ndarray) -> None:
+            d_pre = np.zeros((n_win, self.n_filters))  # one nonzero per column: sums are exact
+            d_pre[first, cols] = g[0] * (pooled > 0.0)
+            self.w_conv._accumulate(win.T @ d_pre)
+            self.b_conv._accumulate(d_pre.sum(axis=0, keepdims=True))
+            d_win = d_pre @ W.T
+            d_rows = np.zeros((n_win + w - 1, d))
+            for k in range(w):
+                d_rows[k:k + n_win] += d_win[:, k * d:(k + 1) * d]
+            seq._accumulate(d_rows[:seq.shape[0]])
+
+        out._backward = backward
+        return out
 
     def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:

@@ -130,21 +130,9 @@ class Tensor:
     # ---- nonlinearities ----------------------------------------------------
 
     def sigmoid(self) -> "Tensor":
-        with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
-            val = 1.0 / (1.0 + np.exp(-self.data))
+        val = logistic(self.data)
         out = Tensor(val, (self,))
         out._backward = lambda g: self._accumulate(g * val * (1.0 - val))
-        return out
-
-    def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(0.0, self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * (self.data > 0.0))
-        return out
-
-    def tanh(self) -> "Tensor":
-        val = np.tanh(self.data)
-        out = Tensor(val, (self,))
-        out._backward = lambda g: self._accumulate(g * (1.0 - val * val))
         return out
 
     def softmax(self) -> "Tensor":
@@ -212,6 +200,12 @@ class Tensor:
 
 
 # ---- free functions --------------------------------------------------------
+
+
+def logistic(a: np.ndarray) -> np.ndarray:
+    """The sigmoid of a numpy array; every sigmoid in verseqa is this one."""
+    with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
+        return 1.0 / (1.0 + np.exp(-a))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic separable ranking tasks, tiny embeddings, a
-finite-difference gradient check and a scalar reduction for it.
+finite-difference gradient check and a scalar reduction for it, and plain
+numpy references of the LSTM recurrence and the conv-pool layer.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -106,3 +107,35 @@ def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
             denom = max(1e-8, abs(a_flat[i]) + abs(numeric))
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
     return worst
+
+
+def lstm_reference(cell, seq: np.ndarray) -> np.ndarray:
+    """Hidden states [rows, d_h] of ``cell`` on ``seq``, one recurrence step
+    per row as a per-step graph computes it: a fresh [1, d_in+d_h] row
+    ``[x_t | h_{t-1}]`` times each gate's own weights."""
+    W = {g: cell.W[g].data for g in cell.GATES}
+    b = {g: cell.b[g].data for g in cell.GATES}
+    c = h = np.zeros((1, cell.d_h))
+    hs = []
+    for t in range(seq.shape[0]):
+        z = np.concatenate([seq[t:t + 1].copy(), h], axis=1)
+        with np.errstate(over="ignore"):
+            i, f, o = (1.0 / (1.0 + np.exp(-(z @ W[g] + b[g]))) for g in "ifo")
+        c_tilde = np.tanh(z @ W["c"] + b["c"])
+        c = f * c + i * c_tilde
+        h = o * np.tanh(c)
+        hs.append(h)
+    return np.concatenate(hs)
+
+
+def pool_reference(model, seq: np.ndarray) -> np.ndarray:
+    """Max over positions of relu(window @ conv.W + conv.b) [1, n_filters],
+    one fresh flattened window row per position, zero-padded up to one
+    window."""
+    w = model.window
+    if seq.shape[0] < w:
+        seq = np.vstack([seq, np.zeros((w - seq.shape[0], seq.shape[1]))])
+    feats = [np.maximum(0.0, seq[k:k + w].copy().reshape(1, -1) @ model.w_conv.data
+                        + model.b_conv.data)
+             for k in range(seq.shape[0] - w + 1)]
+    return np.concatenate(feats).max(axis=0).reshape(1, -1)

@@ -76,10 +76,13 @@ def test_criterion_1_gradients():
 
     w = Tensor(rng.normal(size=(4, 2)))
     labels = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
+    lstm = build_model("rnn", seed=1, d_in=4, d_h=2).q_cell
+    conv = build_model("cnn", seed=1, d_in=4, n_filters=3, window=2, dropout=0.0)
     for op in (lambda x: total(x + x * x),
                lambda x: bce_loss(x.sigmoid(), labels),
-               lambda x: total(matmul(x, w).tanh()),
-               lambda x: total(x.relu()),
+               lambda x: total(matmul(x, w).sigmoid()),
+               lambda x: total(lstm.encode_states(x)),
+               lambda x: total(conv._pool(x)),
                lambda x: total(x.softmax().max(axis=1)),
                lambda x: total(concat([x, x], axis=0).transpose()),
                lambda x: total(x.reshape(12, 1).rows(2, 9))):

@@ -4,7 +4,7 @@ import pytest
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
                             bidaf_attention, build_model)
-from conftest import grad_check, total
+from conftest import grad_check, lstm_reference, pool_reference, total
 from verseqa.tensor import ParameterSet, ShapeError, Tensor
 
 
@@ -16,22 +16,25 @@ def zero_cell(d_in, d_h):
 
 
 class TestLstmStep:
+    """The recurrence step, seen through ``encode`` and ``encode_states``."""
+
     def test_zero_fixed_point(self):
         cell = zero_cell(3, 2)
         cell.b["f"].data[:] = 0.0  # remove the forget-bias-1 init
-        c, h = cell.step(cell.zero_state(), Tensor([[5.0, -1.0, 2.0]]))
-        np.testing.assert_array_equal(c.data, np.zeros((1, 2)))
-        np.testing.assert_array_equal(h.data, np.zeros((1, 2)))
+        h = cell.encode_states(Tensor([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]]))
+        np.testing.assert_array_equal(h.data, np.zeros((2, 2)))
 
     def test_hand_computed_carry(self):
-        # all weights and biases zero: every gate is 0.5, candidate is 0
+        # all weights and gate biases zero: every gate is 0.5; the candidate
+        # bias makes the candidate 2/3, so c_1 = 1/3 and c_2 = c_1/2 + 1/3
         cell = zero_cell(1, 1)
         cell.b["f"].data[:] = 0.0
-        state = (Tensor([[1.0]]), Tensor([[0.0]]))
-        c, h = cell.step(state, Tensor([[0.7]]))
-        assert c.item() == pytest.approx(0.5)
-        assert h.item() == pytest.approx(0.5 * np.tanh(0.5), abs=1e-5)
-        assert h.item() == pytest.approx(0.23106, abs=1e-4)
+        cell.b["c"].data[:] = np.arctanh(2.0 / 3.0)
+        h = cell.encode_states(Tensor([[0.7], [-0.4]]))
+        assert h.data[0, 0] == pytest.approx(0.5 * np.tanh(1.0 / 3.0))
+        assert h.data[1, 0] == pytest.approx(0.5 * np.tanh(0.5))
+        assert h.data[1, 0] == pytest.approx(0.23106, abs=1e-4)
+        assert cell.encode(Tensor([[0.7], [-0.4]])).item() == h.data[1, 0]
 
     def test_forget_bias_initialized_to_one(self):
         cell = zero_cell(2, 3)
@@ -39,20 +42,16 @@ class TestLstmStep:
 
     def test_shape_mismatch(self):
         cell = zero_cell(3, 2)
-        with pytest.raises(ShapeError):
-            cell.step(cell.zero_state(), Tensor([[1.0, 2.0]]))
+        for encode in (cell.encode, cell.encode_states):
+            with pytest.raises(ShapeError):
+                encode(Tensor([[1.0, 2.0]]))
 
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
         params = ParameterSet()
         cell = LstmCell(3, 2, params, "cell", rng)
-        x = Tensor(rng.normal(size=(1, 3)))
-
-        def f(p):
-            c, h = cell.step(cell.zero_state(), x)
-            return total(c + h)
-
-        assert grad_check(f, params) < 1e-6
+        x = Tensor(rng.normal(size=(2, 3)))
+        assert grad_check(lambda p: total(cell.encode_states(x)), params) < 1e-6
 
 
 class TestEncodeLstm:
@@ -62,9 +61,7 @@ class TestEncodeLstm:
     def test_length_one_equals_single_step(self):
         cell = self._cell()
         x = np.array([[0.3, -0.2, 0.9]])
-        via_encode = cell.encode(Tensor(x))
-        _, via_step = cell.step(cell.zero_state(), Tensor(x))
-        np.testing.assert_array_equal(via_encode.data, via_step.data)
+        np.testing.assert_array_equal(cell.encode(Tensor(x)).data, lstm_reference(cell, x))
 
     def test_trailing_zero_rows_encoded(self):
         # every row is a token: trailing all-zero rows still step the cell
@@ -187,6 +184,66 @@ class TestCnnSpecifics:
         q, a = _random_pair(np.random.default_rng(5), 3)
         with pytest.raises(ValueError):
             model.forward(q, a, training=True)
+
+
+class TestSequenceNodesExact:
+    """The one-node LSTM and conv-pool layers against plain numpy references
+    of the per-step and per-window computations: forward bit for bit, and
+    gradients, including the one into the input rows, by finite differences."""
+
+    # at (3, 2) and (7, 50) the columns of one fused gate product round
+    # differently from the four per-gate products
+    @pytest.mark.parametrize("d_in,d_h", [(200, 100), (400, 100), (16, 16), (3, 2), (7, 50)])
+    def test_encode_states_bitwise(self, d_in, d_h):
+        rng = np.random.default_rng(d_in + d_h)
+        cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
+        for rows in (1, 39, *rng.integers(2, 39, size=4)):
+            seq = rng.normal(size=(rows, d_in))
+            np.testing.assert_array_equal(cell.encode_states(Tensor(seq)).data,
+                                          lstm_reference(cell, seq))
+            np.testing.assert_array_equal(cell.encode(Tensor(seq)).data,
+                                          lstm_reference(cell, seq)[-1:])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 11])
+    def test_pool_bitwise(self, rows):
+        model = CnnPairModel(5, n_filters=4, window=3, dropout=0.0, seed=rows)
+        seq = np.random.default_rng(rows).normal(size=(rows, 5))
+        np.testing.assert_array_equal(model._pool(Tensor(seq)).data, pool_reference(model, seq))
+
+    def test_all_negative_preactivations_pool_to_zero(self):
+        model = CnnPairModel(5, n_filters=4, window=2, dropout=0.0, seed=1)
+        model.b_conv.data[:] = -100.0
+        seq = Tensor(np.random.default_rng(2).normal(size=(6, 5)))
+        out = model._pool(seq)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(out.data, pool_reference(model, seq.data))
+        total(out).backward()
+        assert not seq.grad.any() and not model.w_conv.grad.any()
+
+    def test_tied_maxima_send_gradient_to_first_window(self):
+        model = CnnPairModel(3, n_filters=4, window=2, dropout=0.0, seed=3)
+        model.b_conv.data[:] = 1.0  # every filter positive on every window
+        seq = Tensor(np.tile(np.random.default_rng(4).normal(size=(1, 3)), (5, 1)))
+        out = model._pool(seq)
+        np.testing.assert_array_equal(out.data, pool_reference(model, seq.data))
+        total(out).backward()
+        assert seq.grad[:2].all() and not seq.grad[2:].any()
+
+    def test_lstm_gradient_with_input(self):
+        rng = np.random.default_rng(5)
+        params = ParameterSet()
+        cell = LstmCell(4, 3, params, "cell", rng)
+        params.add("x", Tensor(rng.normal(size=(6, 4))))
+        weights = Tensor(rng.normal(size=(6, 3)))
+        assert grad_check(lambda p: total(cell.encode_states(p["x"]) * weights), params) < 1e-6
+
+    def test_pool_gradient_with_input(self):
+        rng = np.random.default_rng(6)
+        model = CnnPairModel(4, n_filters=3, window=2, dropout=0.0, seed=6)
+        params = ParameterSet(dict(model.params.items()))
+        params.add("x", Tensor(rng.normal(size=(7, 4))))
+        weights = Tensor(rng.normal(size=(1, 3)))
+        assert grad_check(lambda p: total(model._pool(p["x"]) * weights), params) < 1e-6
 
 
 class TestBidafAttention:

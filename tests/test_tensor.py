@@ -23,9 +23,6 @@ class TestUnaryOps:
         np.testing.assert_array_equal(out.data, [0.0, 1.0])
         np.testing.assert_array_equal(t.grad, [0.0, 0.0])
 
-    def test_relu(self):
-        np.testing.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
-
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(Tensor([0.0, 0.0]).softmax().data, [0.5, 0.5])
 
@@ -166,7 +163,7 @@ class TestBackward:
         y = Tensor(rng.normal(size=(1, 2)))
 
         def f(p):
-            h = (x @ p["w1"]).tanh() @ p["w2"] + p["b"]
+            h = (x @ p["w1"]).sigmoid() @ p["w2"] + p["b"]
             return total(h.sigmoid().softmax() * y) * Tensor([[-1.0]])
 
         assert grad_check(f, params) < 1e-6
@@ -193,7 +190,7 @@ def test_ops_match_finite_differences_on_random_shapes(rows, cols, seed):
 
     def f(p):
         w = p["w"]
-        return total((w @ v).tanh().sigmoid() + (w.relu() @ v) * Tensor(np.full((rows, 1), 0.1))) \
+        return total((w @ v).sigmoid().sigmoid() + ((w * w) @ v) * Tensor(np.full((rows, 1), 0.1))) \
             + total(w.softmax().max(axis=1)) * Tensor([[0.5]])
 
     assert grad_check(f, params) < 1e-4

@@ -3,6 +3,8 @@
 For rnn, cnn and bidaf at paper sizes (d=200, hidden 100) on the bench
 corpus of seed 3 (``bench/corpus.generate``, read only), the line holds:
 
+* ``forward``: sha256 of the untrained seed-0 model's ``score_groups``
+  scores, as float hex, on the chapter groups described under ``scores``;
 * ``history``: per-epoch (train loss, validation loss, validation F1) as
   float hex, after 2 epochs on 16 train and 8 validation window-3 groups
   (AdaGrad, lr 0.005, batch 32);
@@ -50,8 +52,13 @@ def _config(kind: str, d_in: int) -> dict:
     return {"d_in": d_in, "d_h": HIDDEN}
 
 
+def _hex_scores(preds) -> str:
+    return ",".join(p.score.hex() for plist in preds.values() for p in plist)
+
+
 def digest(kind: str, window_groups, chapter_groups, emb) -> str:
     model = models.build_model(kind, seed=0, **_config(kind, DIM))
+    forward = _hex_scores(evaluation.score_groups(model, chapter_groups, emb))
     cfg = training.TrainConfig(learning_rate=0.005, batch_size=32, max_epochs=2,
                                patience=2, seed=0)
     result = training.train(model, window_groups[:16], window_groups[16:24], emb, cfg)
@@ -59,12 +66,13 @@ def digest(kind: str, window_groups, chapter_groups, emb) -> str:
                        for r in result.history)
     blob = training.save_checkpoint(model)
     preds = evaluation.score_groups(model, chapter_groups, emb)
-    scores = ",".join(p.score.hex() for plist in preds.values() for p in plist)
+    scores = _hex_scores(preds)
     report = evaluation.evaluate(preds, model=kind).to_json()
     target = models.build_model(kind, seed=0, **_config(kind, TRANSFER_DIM))
     training.transfer_weights(training.load_checkpoint(blob), target)
-    return (f"{kind} history={history} ckpt={_sha(blob)} scores={_sha(scores)} "
-            f"report={_sha(report)} transfer={_sha(training.save_checkpoint(target))}")
+    return (f"{kind} forward={_sha(forward)} history={history} ckpt={_sha(blob)} "
+            f"scores={_sha(scores)} report={_sha(report)} "
+            f"transfer={_sha(training.save_checkpoint(target))}")
 
 
 def main() -> None:
