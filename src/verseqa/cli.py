@@ -264,7 +264,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verseqa",
-        description="Score candidate Bible verses against questions.")
+        description="Score candidate Bible verses against questions.",
+        allow_abbrev=False)  # _apply_config_file reads only the full --config
     parser.add_argument("--config", help="JSON config file; CLI flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,13 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend config-file entries as flags so explicit CLI flags win."""
-    if "--config" not in argv:
+    """Prepend config-file entries as flags so explicit CLI flags win. The
+    path comes as ``--config PATH`` or ``--config=PATH``."""
+    idx = next((i for i, arg in enumerate(argv)
+                if arg == "--config" or arg.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        raise CliUsageError("--config needs a path")
-    path = argv[idx + 1]
+    if argv[idx] == "--config":
+        if idx + 1 == len(argv):
+            raise CliUsageError("--config needs a path")
+        path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+    else:
+        path, rest = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
     with open(_require_file(path), encoding="utf-8") as f:
         try:
             file_cfg = json.load(f)
@@ -355,7 +361,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if flag not in argv:
             injected += [flag, str(value)]
     # flags after the subcommand, which must be argv[0] after --config removal
-    rest = argv[:idx] + argv[idx + 2:]
     if not rest:
         return rest
     return [rest[0]] + injected + rest[1:]

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, logistic
 
 logger = logging.getLogger(__name__)
 
@@ -149,11 +149,6 @@ def save_embedding(m: EmbeddingMatrix) -> list[str]:
     return out
 
 
-def _sigmoid(x):
-    with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
                loss_history: list[float] | None = None) -> EmbeddingMatrix:
     """Train CBOW word vectors: predict each center word from its window.
@@ -209,7 +204,7 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
                 outs = np.concatenate([[center], negs])
                 labels = np.zeros(len(outs))
                 labels[0] = 1.0
-                scores = _sigmoid(w_out[outs] @ h)
+                scores = logistic(w_out[outs] @ h)
                 epoch_loss += -(np.log(np.clip(scores[0], 1e-12, None)) +
                                 np.sum(np.log(np.clip(1.0 - scores[1:], 1e-12, None))))
                 derr = scores - labels

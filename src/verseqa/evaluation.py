@@ -70,15 +70,18 @@ def rank_candidates(preds: Sequence[Prediction]) -> int:
     return rank_order([p.score for p in preds]).index(golds[0]) + 1
 
 
-def threshold_f1(preds: dict[int, list[Prediction]], threshold: float = 0.5) -> float:
-    """Binary F1 where every candidate scoring above the threshold is a
+THRESHOLD = 0.5
+
+
+def threshold_f1(preds: dict[int, list[Prediction]]) -> float:
+    """Binary F1 where every candidate scoring above ``THRESHOLD`` is a
     predicted positive. Diagnostic only."""
     if not preds:
         raise ValueError("empty prediction set")
     tp = fp = fn = 0
     for plist in preds.values():
         for p in plist:
-            positive = p.score > threshold
+            positive = p.score > THRESHOLD
             if positive and p.label == 1:
                 tp += 1
             elif positive:

@@ -9,11 +9,12 @@ probability in (0, 1):
   pooling per side, dropout on the pooled vectors during training.
 * ``BidafModel`` — shared encoding LSTM, bidirectional attention between
   the two sequences, a modeling LSTM over the combined representation,
-  sigmoid readout.
+  sigmoid readout of its final state.
 
 All LSTMs are unidirectional. Sequences arrive unpadded, one row per
 token, and every row is encoded: the row count is the sequence length.
-An LSTM pass and a conv-pool are each one graph node per sequence.
+An LSTM pass and a conv-pool are each one graph node per sequence, and
+BiDAF attention is one graph node per pair.
 """
 
 from __future__ import annotations
@@ -207,41 +208,58 @@ class CnnPairModel:
         return {"conv.W": (self.window, 0)}
 
 
-def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor
-                    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Bidirectional attention between a candidate and a question encoding.
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax of each row, shifted by the row maximum."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor) -> Tensor:
+    """Bidirectional attention between a candidate and a question encoding,
+    as one graph node.
 
     Similarity: S[j, k] = w . [a_j | q_k | a_j*q_k].  Per-candidate-word
     attention averages question vectors with softmax rows of S; the reverse
-    direction pools candidate words with softmax over per-row maxima and
-    tiles the result. Returns (S, attended_q, tiled_a, combined) where
-    combined[j] = [a_j | attq_j | a_j*attq_j | a_j*tila_j].
+    direction pools candidate words with softmax over per-row maxima. Returns
+    combined [t_a, 4*d_h], combined[j] = [a_j | attq_j | a_j*attq_j | a_j*pool_a].
+    On ties in a row maximum the gradient goes to the first column.
     """
     t_a, d_h = a_enc.shape
-    t_q = q_enc.shape[0]
     if q_enc.shape[1] != d_h:
         raise ShapeError(f"encoding dims differ: {q_enc.shape} vs {a_enc.shape}")
     if w_alpha.shape != (3 * d_h, 1):
         raise ShapeError(f"similarity weights must be ({3 * d_h}, 1), got {w_alpha.shape}")
+    A, Q = a_enc.data, q_enc.data
+    w1, w2, w3 = (w_alpha.data[k * d_h:(k + 1) * d_h] for k in range(3))
+    q_t = Q.T.copy()  # a product with the transposed view rounds differently
+    aw3 = A * w3.T
+    sim = (A @ w1 + (Q @ w2).T) + aw3 @ q_t          # [t_a, t_q]
+    p_q = _softmax_rows(sim)
+    att_q = p_q @ Q                                  # [t_a, d_h]
+    first = np.argmax(sim, axis=1)                   # first maximal column
+    p_a = _softmax_rows(sim[np.arange(t_a), first].reshape(1, t_a))
+    pooled_a = p_a @ A                               # [1, d_h]
+    out = Tensor(np.concatenate([A, att_q, A * att_q, A * pooled_a], axis=1),
+                 (q_enc, a_enc, w_alpha))
 
-    w1 = w_alpha.rows(0, d_h)
-    w2 = w_alpha.rows(d_h, 2 * d_h)
-    w3 = w_alpha.rows(2 * d_h, 3 * d_h)
-    ones_a = Tensor(np.ones((t_a, 1)))
-    ones_q = Tensor(np.ones((1, t_q)))
+    def backward(g: np.ndarray) -> None:
+        g_a, g_att, g_prod, g_pool = np.split(g, 4, axis=1)
+        d_att = g_att + g_prod * A
+        d_pooled = np.sum(g_pool * A, axis=0, keepdims=True)
+        d_p_q = d_att @ Q.T
+        d_sim = p_q * (d_p_q - np.sum(d_p_q * p_q, axis=1, keepdims=True))
+        d_p_a = d_pooled @ A.T
+        d_sim[np.arange(t_a), first] += (p_a * (d_p_a - np.sum(d_p_a * p_a)))[0]
+        d_row, d_col = d_sim.sum(axis=1, keepdims=True), d_sim.sum(axis=0)[:, None]
+        d_aw3 = d_sim @ Q
+        a_enc._accumulate(g_a + g_prod * att_q + g_pool * pooled_a + p_a.T @ d_pooled
+                          + d_row @ w1.T + d_aw3 * w3.T)
+        q_enc._accumulate(p_q.T @ d_att + d_col @ w2.T + d_sim.T @ aw3)
+        w_alpha._accumulate(np.concatenate([A.T @ d_row, Q.T @ d_col,
+                                            np.sum(d_aw3 * A, axis=0)[:, None]]))
 
-    s_a = (a_enc @ w1) @ ones_q                      # a-term tiled over columns
-    s_q = ones_a @ (q_enc @ w2).transpose()          # q-term tiled over rows
-    s_prod = (a_enc * (ones_a @ w3.transpose())) @ q_enc.transpose()
-    sim = s_a + s_q + s_prod                         # [t_a, t_q]
-
-    att_q = sim.softmax() @ q_enc                    # [t_a, d_h]
-    row_max = sim.max(axis=1).reshape(1, t_a)
-    pooled_a = row_max.softmax() @ a_enc             # [1, d_h]
-    til_a = ones_a @ pooled_a                        # [t_a, d_h]
-
-    combined = concat([a_enc, att_q, a_enc * att_q, a_enc * til_a], axis=1)
-    return sim, att_q, til_a, combined
+    out._backward = backward
+    return out
 
 
 class BidafModel:
@@ -249,11 +267,10 @@ class BidafModel:
 
     def __init__(self, d_in: int, d_h: int = 100, seed: int = 0,
                  readout: str = "final"):
-        if readout not in ("final", "maxpool"):
+        if readout != "final":  # the key every bidaf checkpoint carries
             raise ValueError(f"unknown readout: {readout}")
         self.d_in = d_in
         self.d_h = d_h
-        self.readout = readout
         self.params = ParameterSet()
         rng = np.random.default_rng(seed)
         self.enc_cell = LstmCell(d_in, d_h, self.params, "enc_cell", rng)
@@ -263,18 +280,13 @@ class BidafModel:
         self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
 
     def config(self) -> dict:
-        return {"d_in": self.d_in, "d_h": self.d_h, "readout": self.readout}
+        return {"d_in": self.d_in, "d_h": self.d_h, "readout": "final"}
 
     def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         q_enc = self.enc_cell.encode_states(q_emb)
         a_enc = self.enc_cell.encode_states(a_emb)
-        _, _, _, combined = bidaf_attention(q_enc, a_enc, self.w_alpha)
-        if self.readout == "final":
-            m = self.model_cell.encode(combined)
-        else:
-            states = self.model_cell.encode_states(combined)
-            m = states.max(axis=0).reshape(1, self.d_h)
+        m = self.model_cell.encode(bidaf_attention(q_enc, a_enc, self.w_alpha))
         return (m @ self.w_out + self.b_out).sigmoid()
 
     def input_layout(self) -> dict[str, tuple[int, int]]:

@@ -4,9 +4,14 @@ Values are float64 numpy arrays in row-major order. Differentiation is
 tape-free: every op records its operands and a backward closure, and
 ``backward()`` walks the implicit graph in reverse topological order.
 
+The ops are ``+``, ``*``, ``matmul``, ``rows``, ``sigmoid`` and ``concat``.
+Larger layers (the LSTM pass, the conv-pool, BiDAF attention, the BCE loss)
+are each one node with a hand-written backward, next to the code that uses
+them.
+
 There is no broadcasting: the operands of ``+`` and ``*`` must be tensors
-of equal shape, else :class:`ShapeError`. Reductions use numpy's fixed
-left-to-right summation, so forward results are bitwise deterministic.
+of equal shape, else :class:`ShapeError`. Forward results are bitwise
+deterministic.
 """
 
 from __future__ import annotations
@@ -98,20 +103,6 @@ class Tensor:
 
     # ---- shape manipulation ----------------------------------------------------
 
-    def reshape(self, *shape: int) -> "Tensor":
-        if int(np.prod(shape)) != self.data.size:
-            raise ShapeError(f"cannot reshape {self.shape} to {shape}")
-        out = Tensor(self.data.reshape(shape), (self,))
-        out._backward = lambda g: self._accumulate(g.reshape(self.shape))
-        return out
-
-    def transpose(self) -> "Tensor":
-        if self.ndim != 2:
-            raise ShapeError(f"transpose requires rank 2, got shape {self.shape}")
-        out = Tensor(self.data.T.copy(), (self,))
-        out._backward = lambda g: self._accumulate(g.T)
-        return out
-
     def rows(self, start: int, stop: int) -> "Tensor":
         """Contiguous row slice [start, stop) along axis 0."""
         n = self.shape[0]
@@ -133,41 +124,6 @@ class Tensor:
         val = logistic(self.data)
         out = Tensor(val, (self,))
         out._backward = lambda g: self._accumulate(g * val * (1.0 - val))
-        return out
-
-    def softmax(self) -> "Tensor":
-        """Softmax over the last axis, numerically stabilized."""
-        if self.shape[-1] < 1:
-            raise ShapeError("softmax needs last-axis extent >= 1")
-        shifted = self.data - np.max(self.data, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        val = e / np.sum(e, axis=-1, keepdims=True)
-        out = Tensor(val, (self,))
-
-        def backward(g: np.ndarray) -> None:
-            dot = np.sum(g * val, axis=-1, keepdims=True)
-            self._accumulate(val * (g - dot))
-
-        out._backward = backward
-        return out
-
-    # ---- reductions ----------------------------------------------------------
-
-    def max(self, axis: int = 0) -> "Tensor":
-        """Max along ``axis``; on ties the gradient goes to the lowest index."""
-        if not (0 <= axis < self.ndim):
-            raise InvalidAxisError(f"axis {axis} out of range for shape {self.shape}")
-        out = Tensor(np.max(self.data, axis=axis), (self,))
-        argmax = np.argmax(self.data, axis=axis)  # first maximal index
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            idx = list(np.indices(out.shape))
-            idx.insert(axis, argmax)
-            full[tuple(idx)] = g
-            self._accumulate(full)
-
-        out._backward = backward
         return out
 
     # ---- backward ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic separable ranking tasks, tiny embeddings, a
 finite-difference gradient check and a scalar reduction for it, and plain
-numpy references of the LSTM recurrence and the conv-pool layer.
+numpy references of the LSTM recurrence, the conv-pool layer and BiDAF
+attention.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -73,9 +74,10 @@ def tiny_embedding() -> EmbeddingMatrix:
 
 
 def total(x: Tensor) -> Tensor:
-    """Sum of all entries as a [1, 1] tensor: one row times a ones column."""
-    n = x.data.size
-    return x.reshape(1, n) @ Tensor(np.ones((n, 1)))
+    """Sum of all entries of a rank-2 ``x`` as a [1, 1] tensor: a ones row
+    times ``x`` times a ones column."""
+    rows, cols = x.shape
+    return Tensor(np.ones((1, rows))) @ x @ Tensor(np.ones((cols, 1)))
 
 
 def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
@@ -139,3 +141,27 @@ def pool_reference(model, seq: np.ndarray) -> np.ndarray:
                         + model.b_conv.data)
              for k in range(seq.shape[0] - w + 1)]
     return np.concatenate(feats).max(axis=0).reshape(1, -1)
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def bidaf_reference(q: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """BiDAF attention's combined rows [t_a, 4*d_h], spelled out as the
+    composed graph computes them: ones-matrix tiling, fresh copies for
+    row slices and transposes, softmax rows and a row max."""
+    t_a, d_h = a.shape
+    t_q = q.shape[0]
+    w1, w2, w3 = (w[k * d_h:(k + 1) * d_h].copy() for k in range(3))
+    ones_a, ones_q = np.ones((t_a, 1)), np.ones((1, t_q))
+    s_a = (a @ w1) @ ones_q
+    s_q = ones_a @ (q @ w2).T.copy()
+    s_prod = (a * (ones_a @ w3.T.copy())) @ q.T.copy()
+    sim = s_a + s_q + s_prod
+    att_q = _softmax_rows(sim) @ q
+    pooled_a = _softmax_rows(np.max(sim, axis=1).reshape(1, t_a)) @ a
+    til_a = ones_a @ pooled_a
+    return np.concatenate([a, att_q, a * att_q, a * til_a], axis=1)

@@ -20,7 +20,7 @@ from verseqa.data import (DatasetSpec, TriviaQuestion, build_bibleqa,
 from verseqa.embeddings import cosine, save_embedding, train_cbow, CbowConfig
 from verseqa.evaluation import (Prediction, evaluate, random_baseline,
                                 score_groups)
-from verseqa.models import build_model
+from verseqa.models import bidaf_attention, build_model
 from verseqa.tensor import ParameterSet, Tensor, concat, matmul
 from verseqa.training import (TrainConfig, bce_loss, load_checkpoint,
                               model_from_checkpoint, save_checkpoint, train,
@@ -78,14 +78,14 @@ def test_criterion_1_gradients():
     labels = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
     lstm = build_model("rnn", seed=1, d_in=4, d_h=2).q_cell
     conv = build_model("cnn", seed=1, d_in=4, n_filters=3, window=2, dropout=0.0)
+    attn = build_model("bidaf", seed=1, d_in=4, d_h=4).w_alpha
     for op in (lambda x: total(x + x * x),
                lambda x: bce_loss(x.sigmoid(), labels),
                lambda x: total(matmul(x, w).sigmoid()),
                lambda x: total(lstm.encode_states(x)),
                lambda x: total(conv._pool(x)),
-               lambda x: total(x.softmax().max(axis=1)),
-               lambda x: total(concat([x, x], axis=0).transpose()),
-               lambda x: total(x.reshape(12, 1).rows(2, 9))):
+               lambda x: total(bidaf_attention(x.rows(0, 2), x, attn)),
+               lambda x: total(concat([x, x], axis=0).rows(2, 5))):
         check(op)
 
     for kind, hp in MODEL_SPECS:

@@ -15,7 +15,7 @@ from verseqa import cli
 from verseqa.data import Candidate, QuestionGroup, read_groups, write_groups
 from verseqa.embeddings import load_pretrained, save_embedding
 from verseqa.evaluation import score_groups
-from verseqa.models import CnnPairModel, RnnPairModel
+from verseqa.models import BidafModel, CnnPairModel, RnnPairModel
 from verseqa.training import load_checkpoint, model_from_checkpoint, save_checkpoint
 
 
@@ -125,6 +125,20 @@ class TestEvaluate:
                        "--dim", "8"])
         assert rc == 3
         assert "d_x" in " ".join(_errors(caplog))
+
+    def test_maxpool_readout_checkpoint_exits_3(self, dataset_jsonl, embeddings_txt,
+                                                tmp_path, caplog):
+        blob = save_checkpoint(BidafModel(8, d_h=2, seed=0))
+        (n,) = struct.unpack_from("<I", blob, 8)
+        manifest = blob[12:12 + n].replace(b'"readout": "final"', b'"readout": "maxpool"')
+        ckpt = tmp_path / "maxpool.ckpt"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(manifest)) + manifest
+                         + blob[12 + n:])
+        rc = cli.main(["evaluate", "--model", "bidaf", "--data", dataset_jsonl,
+                       "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
+                       "--dim", "8"])
+        assert rc == 3
+        assert "maxpool" in " ".join(_errors(caplog))
 
     def test_trained_model_needs_embeddings(self, dataset_jsonl, tmp_path, caplog):
         ckpt = tmp_path / "cnn.ckpt"
@@ -278,6 +292,29 @@ class TestUsageAndConfig:
         assert report["seed"] == 9  # CLI beats the file
         assert report["model"] == "baseline"
 
+    def test_config_equals_form_matches_separate_form(self, dataset_jsonl, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "baseline", "data": dataset_jsonl,
+                                   "seed": 5}))
+        reports = []
+        for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+            assert cli.main(flag + ["evaluate"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["seed"] == 5
+
+    def test_missing_config_in_equals_form_exits_3(self, tmp_path, caplog):
+        missing = tmp_path / "missing.json"
+        assert cli.main([f"--config={missing}", "evaluate"]) == 3
+        assert str(missing) in " ".join(_errors(caplog))
+
+    @pytest.mark.parametrize("flag", [["--conf", "cfg.json"], ["--conf=cfg.json"]],
+                             ids=["separate", "equals"])
+    def test_abbreviated_config_is_usage_error(self, dataset_jsonl, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(flag + ["evaluate", "--model", "baseline", "--data", dataset_jsonl])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("value", [["KJV", "WEB"], {"KJV": 1}, True, None],
                              ids=["list", "object", "bool", "null"])

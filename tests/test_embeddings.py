@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verseqa.embeddings import (CbowConfig, EmbeddingError, EmbeddingMatrix,
-                                PAD_INDEX, UNK_INDEX, Vocabulary, _sigmoid,
+                                PAD_INDEX, UNK_INDEX, Vocabulary,
                                 concat_embeddings, cosine, embed_sequence,
                                 load_pretrained, nearest_neighbors,
                                 save_embedding, train_cbow)
@@ -117,12 +117,6 @@ class TestTrainCbow:
     def test_insufficient_corpus(self):
         with pytest.raises(EmbeddingError):
             train_cbow([["one", "two"]], CbowConfig(window=5, dim=4))
-
-    def test_sigmoid_saturates_without_overflow_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = _sigmoid(np.array([-800.0, 0.0, 800.0]))
-        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
 class TestConcatEmbeddings:

@@ -4,8 +4,9 @@ import pytest
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
                             bidaf_attention, build_model)
-from conftest import grad_check, lstm_reference, pool_reference, total
-from verseqa.tensor import ParameterSet, ShapeError, Tensor
+from conftest import (bidaf_reference, grad_check, lstm_reference, pool_reference,
+                      total)
+from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat
 
 
 def zero_cell(d_in, d_h):
@@ -247,48 +248,106 @@ class TestSequenceNodesExact:
 
 
 class TestBidafAttention:
+    """The one-node attention against ``bidaf_reference``, the composed graph
+    spelled out in numpy: forward bit for bit, gradients by finite
+    differences."""
+
     def _inputs(self, t_q=5, t_a=3, d_h=4, seed=0):
+        """Encodings are LSTM hidden states, inside (-1, 1)."""
         rng = np.random.default_rng(seed)
-        return (Tensor(rng.normal(size=(t_q, d_h))),
-                Tensor(rng.normal(size=(t_a, d_h))),
+        return (Tensor(rng.uniform(-1.0, 1.0, size=(t_q, d_h))),
+                Tensor(rng.uniform(-1.0, 1.0, size=(t_a, d_h))),
                 Tensor(rng.normal(size=(3 * d_h, 1))))
 
     def test_shapes(self):
         q, a, w = self._inputs()
-        sim, att_q, til_a, combined = bidaf_attention(q, a, w)
-        assert sim.shape == (3, 5)
-        assert att_q.shape == (3, 4)
-        assert til_a.shape == (3, 4)
+        combined = bidaf_attention(q, a, w)
         assert combined.shape == (3, 16)
+        assert combined._parents == (q, a, w)
+
+    @pytest.mark.parametrize("d_h", [1, 2, 4, 7, 100])
+    def test_combined_bitwise(self, d_h):
+        rng = np.random.default_rng(d_h)
+        for t_q, t_a in ((1, 1), (1, 6), (5, 1), *rng.integers(2, 30, size=(4, 2))):
+            q, a, w = self._inputs(t_q, t_a, d_h, seed=int(t_q * 31 + t_a))
+            np.testing.assert_array_equal(bidaf_attention(q, a, w).data,
+                                          bidaf_reference(q.data, a.data, w.data))
 
     def test_attention_rows_sum_to_one(self):
+        # every question row the same vector v: each attention row averages
+        # copies of v, so the att_q block is v exactly when its weights sum to 1
         q, a, w = self._inputs()
-        sim, _, _, _ = bidaf_attention(q, a, w)
-        np.testing.assert_allclose(sim.softmax().data.sum(axis=1), 1.0,
-                                   atol=1e-10)
+        v = q.data[:1]
+        q = Tensor(np.repeat(v, 5, axis=0))
+        att_q = bidaf_attention(q, a, w).data[:, 4:8]
+        np.testing.assert_allclose(att_q, np.repeat(v, 3, axis=0), atol=1e-12)
 
     def test_zero_similarity_weights_average_question(self):
         q, a, _ = self._inputs()
         w = Tensor(np.zeros((12, 1)))
-        sim, att_q, _, _ = bidaf_attention(q, a, w)
-        np.testing.assert_array_equal(sim.data, np.zeros((3, 5)))
+        att_q = bidaf_attention(q, a, w).data[:, 4:8]
         mean_q = q.data.mean(axis=0)
         for j in range(3):
-            np.testing.assert_allclose(att_q.data[j], mean_q, atol=1e-12)
+            np.testing.assert_allclose(att_q[j], mean_q, atol=1e-12)
 
     def test_dim_mismatch(self):
         q, a, w = self._inputs()
         with pytest.raises(ShapeError):
             bidaf_attention(q, Tensor(np.ones((3, 5))), w)
+        with pytest.raises(ShapeError):
+            bidaf_attention(q, a, Tensor(np.ones((8, 1))))
+
+    @pytest.mark.parametrize("t_q,t_a", [(5, 3), (1, 4), (4, 1), (1, 1)])
+    def test_gradient(self, t_q, t_a):
+        # S reaches both softmaxes only up to a shift by a_j . w1 per row and
+        # by q_k . w2 per column: with one row (t_a = 1) w1 has no effect, with
+        # one column (t_q = 1) w2 has none, with both w3 has none either. Such a
+        # block's gradient is rounding noise that finite differences cannot
+        # check, so it is held fixed and checked to be ~0.
+        q, a, w = self._inputs(t_q, t_a, d_h=3, seed=t_q + 10 * t_a)
+        blocks = {f"w{k + 1}": Tensor(w.data[3 * k:3 * k + 3]) for k in range(3)}
+        live = {"w1": t_a > 1, "w2": t_q > 1, "w3": t_a > 1 or t_q > 1}
+        params = ParameterSet({"q": q, "a": a,
+                               **{n: t for n, t in blocks.items() if live[n]}})
+
+        def f(p):
+            return total(bidaf_attention(p["q"], p["a"], concat(blocks.values(), axis=0)))
+
+        assert grad_check(f, params) < 1e-6
+        for n, t in blocks.items():
+            assert live[n] or np.abs(t.grad).max() < 1e-12
+
+    def test_tied_row_max_sends_gradient_to_first_column(self):
+        # q rows 0 and 1 equal: every row of S ties at columns 0 and 1, and
+        # column 2 is lower; a and w are positive, so raising (lowering) every
+        # entry of q row 0 makes column 0 (1) win every row
+        q, a, w = self._inputs(t_q=3, t_a=2, d_h=2)
+        a.data[:] = np.abs(a.data)
+        w.data[:] = np.abs(w.data)
+        q.data[1] = q.data[0]
+        q.data[2] = q.data[0] - 1.0
+        weights = Tensor(np.random.default_rng(1).normal(size=(2, 8)))
+
+        def q_grad(shift):
+            q_s = Tensor(q.data.copy())
+            q_s.data[0] += shift
+            total(bidaf_attention(q_s, a, w) * weights).backward()
+            return q_s.grad
+
+        at_tie = q_grad(0.0)
+        np.testing.assert_allclose(at_tie, q_grad(1e-9), rtol=1e-6)
+        assert not np.allclose(at_tie, q_grad(-1e-9), rtol=1e-3)
+        # a and w move both tied columns alike: finite differences stay smooth
+        params = ParameterSet({"a": a, "w": w})
+        assert grad_check(lambda p: total(bidaf_attention(q, p["a"], p["w"]) * weights),
+                          params) < 1e-6
 
 
 class TestBidafModel:
-    def test_maxpool_readout_differs_from_final(self):
-        q = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        a = Tensor(np.random.default_rng(1).normal(size=(4, 4)))
-        final = BidafModel(4, d_h=3, seed=10, readout="final")
-        pooled = BidafModel(4, d_h=3, seed=10, readout="maxpool")
-        assert final.forward(q, a).item() != pooled.forward(q, a).item()
+    def test_maxpool_readout_rejected(self):
+        with pytest.raises(ValueError, match="maxpool"):
+            BidafModel(4, d_h=3, seed=10, readout="maxpool")
+        assert BidafModel(4, d_h=3, seed=10).config()["readout"] == "final"
 
     def test_alpha_dimension_enforced(self):
         model = BidafModel(4, d_h=3, seed=0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import grad_check, total
 from verseqa.tensor import (GraphError, InvalidAxisError, ParameterSet,
-                            ShapeError, Tensor, concat, matmul)
+                            ShapeError, Tensor, concat, logistic, matmul)
 
 
 class TestUnaryOps:
@@ -17,21 +17,13 @@ class TestUnaryOps:
     def test_sigmoid_saturates_without_overflow_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t = Tensor([-800.0, 800.0])
+            np.testing.assert_array_equal(logistic(np.array([-800.0, 0.0, 800.0])),
+                                          [0.0, 0.5, 1.0])
+            t = Tensor([[-800.0, 800.0]])
             out = t.sigmoid()
             total(out).backward()
-        np.testing.assert_array_equal(out.data, [0.0, 1.0])
-        np.testing.assert_array_equal(t.grad, [0.0, 0.0])
-
-    def test_softmax_symmetry(self):
-        np.testing.assert_allclose(Tensor([0.0, 0.0]).softmax().data, [0.5, 0.5])
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        t = Tensor(rng.normal(size=(5, 7)) * 10)
-        rows = t.softmax().data
-        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(rows > 0)
+        np.testing.assert_array_equal(out.data, [[0.0, 1.0]])
+        np.testing.assert_array_equal(t.grad, [[0.0, 0.0]])
 
     def test_empty_tensor_rejected(self):
         with pytest.raises(ShapeError):
@@ -51,20 +43,6 @@ class TestMatmul:
     def test_inner_dim_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
-
-
-class TestReduce:
-    def test_max(self):
-        assert Tensor([1.0, 5.0, 3.0]).max(axis=0).item() == 5.0
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(InvalidAxisError):
-            Tensor([1.0, 2.0]).max(axis=1)
-
-    def test_max_tie_gradient_goes_to_lowest_index(self):
-        t = Tensor([3.0, 3.0, 1.0])
-        t.max(axis=0).backward()
-        np.testing.assert_array_equal(t.grad, [1.0, 0.0, 0.0])
 
 
 class TestConcat:
@@ -132,9 +110,9 @@ class TestNoBroadcasting:
 
 class TestBackward:
     def test_square(self):
-        x = Tensor([3.0])
+        x = Tensor([[3.0]])
         total(x * x).backward()
-        np.testing.assert_allclose(x.grad, [6.0])
+        np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_sigmoid_chain(self):
         w = Tensor([[0.0]])
@@ -143,7 +121,7 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, [[0.25]])
 
     def test_grad_of_loss_wrt_itself_is_one(self):
-        x = Tensor([2.0])
+        x = Tensor([[2.0]])
         y = total(x * x)
         y.backward()
         assert y.grad == 1.0
@@ -160,11 +138,11 @@ class TestBackward:
             "b": Tensor(rng.normal(size=(1, 2))),
         })
         x = Tensor(rng.normal(size=(1, 3)))
-        y = Tensor(rng.normal(size=(1, 2)))
+        y = Tensor(rng.normal(size=(1, 4)))
 
         def f(p):
             h = (x @ p["w1"]).sigmoid() @ p["w2"] + p["b"]
-            return total(h.sigmoid().softmax() * y) * Tensor([[-1.0]])
+            return total(concat([h.sigmoid(), h * h], axis=1) * y) * Tensor([[-1.0]])
 
         assert grad_check(f, params) < 1e-6
 
@@ -190,8 +168,9 @@ def test_ops_match_finite_differences_on_random_shapes(rows, cols, seed):
 
     def f(p):
         w = p["w"]
+        joined = concat([w, w * w], axis=0)  # rows spanning both parts
         return total((w @ v).sigmoid().sigmoid() + ((w * w) @ v) * Tensor(np.full((rows, 1), 0.1))) \
-            + total(w.softmax().max(axis=1)) * Tensor([[0.5]])
+            + total(joined.rows(rows - 1, rows + 1).sigmoid()) * Tensor([[0.5]])
 
     assert grad_check(f, params) < 1e-4
 
@@ -200,9 +179,12 @@ def test_forward_bitwise_deterministic():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4))
-    r1 = total(matmul(Tensor(a), Tensor(b)).softmax()).item()
-    r2 = total(matmul(Tensor(a), Tensor(b)).softmax()).item()
-    assert r1 == r2
+
+    def run():
+        ta, tb = Tensor(a), Tensor(b)
+        return total(concat([matmul(ta, tb), ta * tb], axis=1).sigmoid()).item()
+
+    assert run() == run()
 
 
 class TestParameterSet:
