@@ -10,6 +10,7 @@ from verseqa.embeddings import (CbowConfig, EmbeddingError, EmbeddingMatrix,
                                 concat_embeddings, cosine, embed_sequence,
                                 load_pretrained, nearest_neighbors,
                                 save_embedding, train_cbow)
+from verseqa.tensor import logistic
 
 
 class TestLoadPretrained:
@@ -117,6 +118,13 @@ class TestTrainCbow:
     def test_insufficient_corpus(self):
         with pytest.raises(EmbeddingError):
             train_cbow([["one", "two"]], CbowConfig(window=5, dim=4))
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        # train_cbow scores its negative samples with tensor.logistic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logistic(np.array([-800.0, 0.0, 800.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
 class TestConcatEmbeddings:

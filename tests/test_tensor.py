@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import grad_check, total
 from verseqa.tensor import (GraphError, InvalidAxisError, ParameterSet,
-                            ShapeError, Tensor, concat, logistic, matmul)
+                            ShapeError, Tensor, concat, matmul)
 
 
 class TestUnaryOps:
@@ -17,8 +17,6 @@ class TestUnaryOps:
     def test_sigmoid_saturates_without_overflow_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            np.testing.assert_array_equal(logistic(np.array([-800.0, 0.0, 800.0])),
-                                          [0.0, 0.5, 1.0])
             t = Tensor([[-800.0, 800.0]])
             out = t.sigmoid()
             total(out).backward()
