@@ -115,16 +115,21 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
                  ) -> dict[int, list[Prediction]]:
     """Score every candidate of every group with a pair model.
 
-    Keys are group positions; each list follows the group's candidate order.
-    This is the one inference loop: validation and ``predict`` use it too.
+    Each group's question is encoded once (``model.encode_question``) and
+    every candidate is scored against that encoding (``model.score``), one
+    candidate at a time: the scores equal ``model.forward`` of each pair
+    bit for bit. Keys are group positions; each list follows the group's
+    candidate order. This is the one inference loop: validation and
+    ``predict`` use it too.
     """
     preds: dict[int, list[Prediction]] = {}
     for key, g in enumerate(groups):
         q_emb = embed_sequence(g.question_tokens, embedding, max_question_tokens)
+        q_state = model.encode_question(q_emb)
         plist = []
         for c in g.candidates:
             a_emb = embed_sequence(c.tokens, embedding, max_answer_tokens)
-            plist.append(Prediction(score=model.forward(q_emb, a_emb).item(),
+            plist.append(Prediction(score=model.score(q_state, a_emb).item(),
                                     label=c.label))
         preds[key] = plist
     return preds

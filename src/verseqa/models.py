@@ -11,6 +11,14 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout of its final state.
 
+Each model encodes the question without looking at the candidate:
+``encode_question(q_emb)`` returns the question's state (rnn: the final
+hidden state; cnn: the pooled vector; bidaf: all encoder states) and
+``score(q_state, a_emb)`` scores one candidate against it.
+``forward(q_emb, a_emb)`` is ``score(encode_question(q_emb), a_emb)``;
+training calls it, and ``score_groups`` encodes each question once per
+group, so both compute the same scores bit for bit.
+
 All LSTMs are unidirectional. Sequences arrive unpadded, one row per
 token, and every row is encoded: the row count is the sequence length.
 An LSTM pass and a conv-pool are each one graph node per sequence, and
@@ -19,9 +27,11 @@ BiDAF attention is one graph node per pair.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
-from .tensor import ParameterSet, ShapeError, Tensor, concat, logistic
+from .tensor import ParameterSet, ShapeError, Tensor, concat
 
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -48,6 +58,12 @@ class LstmCell:
             self.W[g] = params.add(f"{prefix}.W_{g}", Tensor(_xavier(rng, d_in + d_h, d_h)))
             self.b[g] = params.add(f"{prefix}.b_{g}", Tensor(bias))
 
+    @classmethod
+    def shapes(cls, prefix: str, d_in: int, d_h: int) -> dict[str, tuple[int, int]]:
+        """The parameter shapes of a cell, without allocating it."""
+        return {**{f"{prefix}.W_{g}": (d_in + d_h, d_h) for g in cls.GATES},
+                **{f"{prefix}.b_{g}": (1, d_h) for g in cls.GATES}}
+
     def input_layout(self) -> dict[str, tuple[int, int]]:
         """(input blocks, trailing rows) of each gate weight: [x | h] is one
         block of d_in input rows, then d_h recurrent rows."""
@@ -60,19 +76,36 @@ class LstmCell:
         does not at every width. The backward is backprop through time."""
         if seq.ndim != 2 or seq.shape[1] != self.d_in:
             raise ShapeError(f"expected input shape (rows, {self.d_in}), got {seq.shape}")
+        n, d_in, d_h = seq.shape[0], self.d_in, self.d_h
         W = [self.W[g].data for g in self.GATES]
-        b = [self.b[g].data for g in self.GATES]
-        c = h = np.zeros((1, self.d_h))
-        steps = []
-        for t in range(seq.shape[0]):
-            z = np.concatenate([seq.data[t:t + 1], h], axis=1)
-            i, f, o = (logistic(z @ w + bias) for w, bias in zip(W[:3], b[:3]))
-            c_tilde = np.tanh(z @ W[3] + b[3])
-            c_prev, c = c, f * c + i * c_tilde
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            steps.append((z, c_prev, i, f, o, c_tilde, tanh_c, h))
-        z, c_prev, i, f, o, c_tilde, tanh_c, h = (np.concatenate(a) for a in zip(*steps))
+        bias = np.concatenate([self.b[g].data[0] for g in self.GATES])
+        # row t is [x_t | h_{t-1}]; step t writes h_t into row t+1
+        z_all = np.empty((n + 1, d_in + d_h))
+        z_all[:n, :d_in] = seq.data
+        z_all[0, d_in:] = 0.0
+        gates = np.empty((n, 4 * d_h))  # activated i | f | o | c_tilde of each step
+        c_all = np.zeros((n + 1, d_h))  # row t+1 is c_t
+        tanh_c = np.empty((n, d_h))
+        cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
+        with np.errstate(over="ignore"):  # as in logistic: exp overflows to inf, 1/inf = 0
+            for t in range(n):
+                a = gates[t]
+                for col, w in zip(cols, W):
+                    np.dot(z_all[t], w, out=a[col])
+                a += bias
+                ifo = a[:3 * d_h]  # logistic in place: 1 / (1 + exp(-a))
+                np.negative(ifo, out=ifo)
+                np.exp(ifo, out=ifo)
+                ifo += 1.0
+                np.divide(1.0, ifo, out=ifo)
+                i, f, o, c_tilde = (a[col] for col in cols)
+                np.tanh(c_tilde, out=c_tilde)
+                c = c_all[t + 1]
+                np.add(np.multiply(f, c_all[t], out=c), i * c_tilde, out=c)
+                np.tanh(c, out=tanh_c[t])
+                np.multiply(o, tanh_c[t], out=z_all[t + 1, d_in:])
+        z, h, c_prev = z_all[:n], z_all[1:, d_in:].copy(), c_all[:n]
+        i, f, o, c_tilde = (gates[:, col] for col in cols)
         out = Tensor(h, (seq, *self.W.values(), *self.b.values()))
 
         def backward(g: np.ndarray) -> None:
@@ -108,7 +141,15 @@ class LstmCell:
         return self._states(seq)
 
 
-class RnnPairModel:
+class _PairModel:
+    """The ``forward`` every model shares: ``score`` of the encoded question."""
+
+    def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        return self.score(self.encode_question(q_emb), a_emb, training, rng)
+
+
+class RnnPairModel(_PairModel):
     kind = "rnn"
 
     def __init__(self, d_in: int, d_h: int = 100, seed: int = 0):
@@ -124,18 +165,25 @@ class RnnPairModel:
     def config(self) -> dict:
         return {"d_in": self.d_in, "d_h": self.d_h}
 
-    def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        h_q = self.q_cell.encode(q_emb)
-        h_a = self.a_cell.encode(a_emb)
-        m = concat([h_q, h_a], axis=1)
+    @staticmethod
+    def param_shapes(d_in: int, d_h: int = 100) -> dict[str, tuple[int, ...]]:
+        d_in, d_h = index(d_in), index(d_h)
+        return {**LstmCell.shapes("q_cell", d_in, d_h), **LstmCell.shapes("a_cell", d_in, d_h),
+                "out.W": (2 * d_h, 1), "out.b": (1, 1)}
+
+    def encode_question(self, q_emb: Tensor) -> Tensor:
+        return self.q_cell.encode(q_emb)
+
+    def score(self, h_q: Tensor, a_emb: Tensor, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+        m = concat([h_q, self.a_cell.encode(a_emb)], axis=1)
         return (m @ self.w_out + self.b_out).sigmoid()
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return {**self.q_cell.input_layout(), **self.a_cell.input_layout()}
 
 
-class CnnPairModel:
+class CnnPairModel(_PairModel):
     kind = "cnn"
 
     def __init__(self, d_in: int, n_filters: int = 100, window: int = 3,
@@ -159,6 +207,13 @@ class CnnPairModel:
         return {"d_in": self.d_in, "n_filters": self.n_filters,
                 "window": self.window, "dropout": self.dropout}
 
+    @staticmethod
+    def param_shapes(d_in: int, n_filters: int = 100, window: int = 3,
+                     dropout: float = 0.5) -> dict[str, tuple[int, ...]]:
+        d_in, n_filters, window = index(d_in), index(n_filters), index(window)
+        return {"conv.W": (window * d_in, n_filters), "conv.b": (1, n_filters),
+                "out.W": (2 * n_filters, 1), "out.b": (1, 1)}
+
     def _pool(self, seq: Tensor) -> Tensor:
         """Max over window positions of relu(window @ conv.W + conv.b), as
         one graph node; on ties the gradient goes to the first position."""
@@ -170,7 +225,11 @@ class CnnPairModel:
         n_win = rows.shape[0] - w + 1
         win = np.concatenate([rows[k:k + n_win] for k in range(w)], axis=1)
         # one product per window: a single [n_win, w*d] product rounds differently
-        act = np.maximum(0.0, np.concatenate([win[k:k + 1] @ W + b for k in range(n_win)]))
+        act = np.empty((n_win, self.n_filters))
+        for k in range(n_win):
+            np.dot(win[k], W, out=act[k])
+        act += b
+        np.maximum(0.0, act, out=act)
         first, cols = np.argmax(act, axis=0), np.arange(self.n_filters)
         pooled = act[first, cols]
         out = Tensor(pooled.reshape(1, self.n_filters), (seq, self.w_conv, self.b_conv))
@@ -189,9 +248,11 @@ class CnnPairModel:
         out._backward = backward
         return out
 
-    def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        q_v = self._pool(q_emb)
+    def encode_question(self, q_emb: Tensor) -> Tensor:
+        return self._pool(q_emb)
+
+    def score(self, q_v: Tensor, a_emb: Tensor, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
         a_v = self._pool(a_emb)
         if training and self.dropout > 0.0:
             if rng is None:
@@ -262,7 +323,7 @@ def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor) -> Tensor:
     return out
 
 
-class BidafModel:
+class BidafModel(_PairModel):
     kind = "bidaf"
 
     def __init__(self, d_in: int, d_h: int = 100, seed: int = 0,
@@ -282,9 +343,19 @@ class BidafModel:
     def config(self) -> dict:
         return {"d_in": self.d_in, "d_h": self.d_h, "readout": "final"}
 
-    def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        q_enc = self.enc_cell.encode_states(q_emb)
+    @staticmethod
+    def param_shapes(d_in: int, d_h: int = 100,
+                     readout: str = "final") -> dict[str, tuple[int, ...]]:
+        d_in, d_h = index(d_in), index(d_h)
+        return {**LstmCell.shapes("enc_cell", d_in, d_h), "attn.w": (3 * d_h, 1),
+                **LstmCell.shapes("model_cell", 4 * d_h, d_h),
+                "out.W": (d_h, 1), "out.b": (1, 1)}
+
+    def encode_question(self, q_emb: Tensor) -> Tensor:
+        return self.enc_cell.encode_states(q_emb)
+
+    def score(self, q_enc: Tensor, a_emb: Tensor, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
         a_enc = self.enc_cell.encode_states(a_emb)
         m = self.model_cell.encode(bidaf_attention(q_enc, a_enc, self.w_alpha))
         return (m @ self.w_out + self.b_out).sigmoid()
@@ -300,8 +371,19 @@ MODEL_KINDS = {
 }
 
 
-def build_model(kind: str, seed: int = 0, **config):
-    """Construct a model by kind name; config keys match each constructor."""
+def _model_class(kind: str):
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    return MODEL_KINDS[kind](seed=seed, **config)
+    return MODEL_KINDS[kind]
+
+
+def build_model(kind: str, seed: int = 0, **config):
+    """Construct a model by kind name; config keys match each constructor."""
+    return _model_class(kind)(seed=seed, **config)
+
+
+def param_shapes(kind: str, **config) -> dict[str, tuple[int, ...]]:
+    """The parameter shapes ``build_model(kind, **config)`` would allocate,
+    computed without allocating anything. TypeError for a config key the
+    model does not take or a size that is not an integer."""
+    return _model_class(kind).param_shapes(**config)

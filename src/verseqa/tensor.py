@@ -159,7 +159,8 @@ class Tensor:
 
 
 def logistic(a: np.ndarray) -> np.ndarray:
-    """The sigmoid of a numpy array; every sigmoid in verseqa is this one."""
+    """The sigmoid of a numpy array. Every sigmoid in verseqa is this
+    expression; the LSTM pass evaluates it in place, step by step."""
     with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
         return 1.0 / (1.0 + np.exp(-a))
 

@@ -294,17 +294,27 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, seed: int = 0):
-    """The model a checkpoint describes; ManifestMismatchError if it cannot be built."""
+    """The model a checkpoint describes; ManifestMismatchError if it cannot be built.
+
+    The shapes the config implies are checked against the tensors before
+    anything is allocated, so a config that asks for more memory than the
+    checkpoint holds fails here and not in numpy."""
+    def unbuildable(exc: Exception) -> ManifestMismatchError:
+        return ManifestMismatchError(f"cannot build a {ckpt.model_kind!r} model from "
+                                     f"config {ckpt.config}: {exc}")
+
     try:
-        model = models_mod.build_model(ckpt.model_kind, seed=seed, **ckpt.config)
-    except (TypeError, ValueError) as exc:  # unknown kind or config key, bad value
-        raise ManifestMismatchError(f"cannot build a {ckpt.model_kind!r} model from "
-                                    f"config {ckpt.config}: {exc}") from exc
-    want = {name: t.data.shape for name, t in model.params.items()}
+        want = models_mod.param_shapes(ckpt.model_kind, **ckpt.config)
+    except (TypeError, ValueError) as exc:  # unknown kind or config key, non-integer size
+        raise unbuildable(exc) from exc
     got = {name: a.shape for name, a in ckpt.tensors.items()}
     if got != want:  # a tensor missing, extra or misshapen
         raise ManifestMismatchError(f"tensors {sorted(got.items() - want.items())} "
                                     f"do not fit {sorted(want.items() - got.items())}")
+    try:
+        model = models_mod.build_model(ckpt.model_kind, seed=seed, **ckpt.config)
+    except (TypeError, ValueError) as exc:  # a bad value the shapes do not show
+        raise unbuildable(exc) from exc
     model.params.load_values(ckpt.tensors)
     return model
 

@@ -126,6 +126,20 @@ class TestEvaluate:
         assert rc == 3
         assert "d_x" in " ".join(_errors(caplog))
 
+    def test_oversized_checkpoint_config_exits_3(self, dataset_jsonl, embeddings_txt,
+                                                  tmp_path, caplog):
+        blob = save_checkpoint(RnnPairModel(8, d_h=2, seed=0))
+        (n,) = struct.unpack_from("<I", blob, 8)
+        manifest = blob[12:12 + n].replace(b'"d_h": 2', b'"d_h": 1000000000000')
+        ckpt = tmp_path / "oversized.ckpt"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(manifest)) + manifest
+                         + blob[12 + n:])
+        rc = cli.main(["evaluate", "--model", "rnn", "--data", dataset_jsonl,
+                       "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
+                       "--dim", "8"])
+        assert rc == 3
+        assert "do not fit" in " ".join(_errors(caplog))
+
     def test_maxpool_readout_checkpoint_exits_3(self, dataset_jsonl, embeddings_txt,
                                                 tmp_path, caplog):
         blob = save_checkpoint(BidafModel(8, d_h=2, seed=0))

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_separable_groups
+from conftest import FILLERS, KEYS, make_embedding, make_separable_groups
+from verseqa.data import Candidate, QuestionGroup
+from verseqa.embeddings import embed_sequence
 from verseqa.evaluation import (Prediction, evaluate, gold_ranks,
                                 random_baseline, rank_candidates, rank_order,
-                                threshold_f1)
+                                score_groups, threshold_f1)
+from verseqa.models import BidafModel, CnnPairModel, RnnPairModel
 
 
 def plist(scores, gold):
@@ -182,3 +185,31 @@ class TestEvalReport:
                  1: plist([0.6, 0.7, 0.1], gold=0)}
         # tp=2 (both golds above 0.5), fp=1, fn=0
         assert threshold_f1(preds) == pytest.approx(2 * (2 / 3) / (2 / 3 + 1))
+
+
+SCORING_MODELS = [
+    lambda: RnnPairModel(16, d_h=3, seed=2),
+    lambda: CnnPairModel(16, n_filters=3, window=3, dropout=0.5, seed=2),
+    lambda: BidafModel(16, d_h=3, seed=2),
+]
+SCORING_EMB = make_embedding(16)
+WORDS = st.lists(st.sampled_from(KEYS + FILLERS + ["unseen"]), min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, 2),
+       groups=st.lists(st.tuples(WORDS, st.lists(WORDS, min_size=1, max_size=4)),
+                       min_size=1, max_size=3))
+def test_score_groups_equals_forward_per_pair(which, groups):
+    # the question encoded once per group scores every candidate as
+    # forward(q, a) does, bit for bit; 1-token texts are shorter than cnn's window
+    model = SCORING_MODELS[which]()
+    built = [QuestionGroup(qid=k, translation="syn", question=" ".join(q),
+                           candidates=[Candidate(text=" ".join(a), label=0) for a in cands])
+             for k, (q, cands) in enumerate(groups)]
+    preds = score_groups(model, built, SCORING_EMB, 5, 5)
+    for key, g in enumerate(built):
+        q = embed_sequence(g.question_tokens, SCORING_EMB, 5)
+        assert [p.score for p in preds[key]] == [
+            model.forward(q, embed_sequence(c.tokens, SCORING_EMB, 5)).item()
+            for c in g.candidates]

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
-                            bidaf_attention, build_model)
+                            bidaf_attention, build_model, param_shapes)
 from conftest import (bidaf_reference, grad_check, lstm_reference, pool_reference,
                       total)
-from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat
+from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat, logistic
 
 
 def zero_cell(d_in, d_h):
@@ -179,6 +181,20 @@ class TestCnnSpecifics:
         p1 = model.forward(q, a, training=True, rng=np.random.default_rng(1)).item()
         p2 = model.forward(q, a, training=True, rng=np.random.default_rng(1)).item()
         assert p1 == p2
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), tq=st.integers(1, 5), ta=st.integers(1, 5))
+    def test_training_dropout_masks_drawn_question_first(self, seed, tq, ta):
+        # one mask per side from the seeded rng, the question's first
+        model = CnnPairModel(3, n_filters=4, window=3, dropout=0.5, seed=9)
+        q, a = _random_pair(np.random.default_rng(seed), 3, tq, ta)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = model.forward(q, a, training=True, rng=rng).data
+        q_mask, a_mask = ((ref_rng.random((1, 4)) < 0.5) / 0.5 for _ in range(2))
+        m = np.concatenate([pool_reference(model, q.data) * q_mask,
+                            pool_reference(model, a.data) * a_mask], axis=1)
+        np.testing.assert_array_equal(p, logistic(m @ model.w_out.data + model.b_out.data))
+        assert rng.random() == ref_rng.random()  # no further draws
 
     def test_training_requires_rng(self):
         model = CnnPairModel(3, n_filters=4, window=2, dropout=0.5, seed=9)
@@ -354,6 +370,21 @@ class TestBidafModel:
         assert model.w_alpha.shape == (9, 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(which=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+       tq=st.integers(1, 6), ta=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_forward_is_score_of_encoded_question(which, seed, tq, ta):
+    # one question encoding serves every candidate, bit for bit; lengths
+    # start at 1 row, below cnn's window of 2
+    model = ALL_MODELS[which](seed=1)
+    rng = np.random.default_rng(seed)
+    q = Tensor(rng.normal(size=(tq, 4)))
+    q_state = model.encode_question(q)
+    for rows in ta:
+        a = Tensor(rng.normal(size=(rows, 4)))
+        np.testing.assert_array_equal(model.score(q_state, a).data, model.forward(q, a).data)
+
+
 class TestBuildModel:
     def test_kinds(self):
         assert build_model("rnn", d_in=4, d_h=2).kind == "rnn"
@@ -363,6 +394,21 @@ class TestBuildModel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_model("transformer", d_in=4)
+
+    @pytest.mark.parametrize("kind,config", [
+        ("rnn", dict(d_in=4, d_h=3)), ("rnn", dict(d_in=4)),
+        ("cnn", dict(d_in=4, n_filters=2, window=2, dropout=0.0)), ("cnn", dict(d_in=4)),
+        ("bidaf", dict(d_in=4, d_h=3)), ("bidaf", dict(d_in=4, readout="final")),
+    ])
+    def test_param_shapes_match_built_model(self, kind, config):
+        built = {name: t.data.shape for name, t in build_model(kind, **config).params.items()}
+        assert param_shapes(kind, **config) == built
+
+    @pytest.mark.parametrize("config", [dict(d_in=4, d_h="3"), dict(d_in=4.0),
+                                        dict(d_in=4, d_x=3)])
+    def test_param_shapes_reject_bad_config(self, config):
+        with pytest.raises(TypeError):
+            param_shapes("rnn", **config)
 
     def test_same_seed_same_init(self):
         m1 = build_model("rnn", d_in=4, d_h=3, seed=42)

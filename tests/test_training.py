@@ -285,6 +285,7 @@ class TestUnbuildableCheckpoint:
         (lambda m, v: m.update(model_kind="gru"), ManifestMismatchError),
         (lambda m, v: m["config"].update(layers=2), ManifestMismatchError),
         (lambda m, v: m["config"].update(d_h="2"), ManifestMismatchError),
+        (lambda m, v: m["config"].update(d_h=10 ** 12), ManifestMismatchError),
         (lambda m, v: m.update(model_kind="cnn", config={
             "d_in": 3, "n_filters": 2, "window": 0, "dropout": 0.0}), ManifestMismatchError),
         (lambda m, v: m["tensors"].pop(), ManifestMismatchError),
@@ -295,7 +296,8 @@ class TestUnbuildableCheckpoint:
         (lambda m, v: m["tensors"].append(dict(m["tensors"][0])), ManifestMismatchError),
         (lambda m, v: m["tensors"][0].update(shape=[2 ** 62, 4]), TruncatedCheckpointError),
         (lambda m, v: m["tensors"][0].update(shape=[0, 2 ** 62]), ManifestMismatchError),
-    ], ids=["unknown-kind", "unknown-config-key", "mistyped-config-value", "window-0",
+    ], ids=["unknown-kind", "unknown-config-key", "mistyped-config-value",
+            "oversized-config", "window-0",
             "missing-tensor", "misshapen-tensor", "extra-tensor", "nan-values",
             "duplicate-tensor", "huge-shape", "empty-huge-shape"])
     def test_raises_typed_error(self, edit, error):
