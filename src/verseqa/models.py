@@ -4,7 +4,7 @@ Three architectures, each mapping a pair of embedded token sequences to a
 probability in (0, 1):
 
 * ``RnnPairModel`` — two LSTMs (one per side), final hidden states
-  concatenated into a sigmoid output layer.
+  joined into a sigmoid output layer.
 * ``CnnPairModel`` — a shared relu filter bank with max-over-positions
   pooling per side, dropout on the pooled vectors during training.
 * ``BidafModel`` — shared encoding LSTM, bidirectional attention between
@@ -12,8 +12,8 @@ probability in (0, 1):
   sigmoid readout of its final state.
 
 Each model encodes the question without looking at the candidate:
-``encode_question(q_emb)`` returns the question's state (rnn: the final
-hidden state; cnn: the pooled vector; bidaf: all encoder states) and
+``encode_question(q_emb)`` returns the question's state (rnn and bidaf:
+all encoder states; cnn: the pooled vector) and
 ``score(q_state, a_emb)`` scores one candidate against it.
 ``forward(q_emb, a_emb)`` is ``score(encode_question(q_emb), a_emb)``;
 training calls it, and ``score_groups`` encodes each question once per
@@ -22,16 +22,19 @@ group, so both compute the same scores bit for bit.
 All LSTMs are unidirectional. Sequences arrive unpadded, one row per
 token, and every row is encoded: the row count is the sequence length.
 An LSTM pass and a conv-pool are each one graph node per sequence, and
-BiDAF attention is one graph node per pair.
+BiDAF attention is one graph node per pair. Every model ends in the same
+node, ``readout``: the sigmoid output layer over the last row of each of
+its feature blocks, with cnn's dropout mask as an input.
 """
 
 from __future__ import annotations
 
 from operator import index
+from typing import Sequence
 
 import numpy as np
 
-from .tensor import ParameterSet, ShapeError, Tensor, concat
+from .tensor import ParameterSet, ShapeError, Tensor, logistic
 
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -69,7 +72,7 @@ class LstmCell:
         block of d_in input rows, then d_h recurrent rows."""
         return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
-    def _states(self, seq: Tensor) -> Tensor:
+    def encode_states(self, seq: Tensor) -> Tensor:
         """All hidden states [rows, d_h] as one graph node. Each step takes
         the four per-gate products ``[x_t | h_{t-1}] @ W_g + b_g``: they round
         as a per-step graph does, and one fused [d_in+d_h, 4*d_h] product
@@ -131,15 +134,6 @@ class LstmCell:
         out._backward = backward
         return out
 
-    def encode(self, seq: Tensor) -> Tensor:
-        """Final hidden state after one step per row of ``seq``."""
-        n = seq.shape[0]
-        return self._states(seq).rows(n - 1, n)
-
-    def encode_states(self, seq: Tensor) -> Tensor:
-        """All hidden states as a [rows, d_h] tensor."""
-        return self._states(seq)
-
 
 class _PairModel:
     """The ``forward`` every model shares: ``score`` of the encoded question."""
@@ -172,12 +166,11 @@ class RnnPairModel(_PairModel):
                 "out.W": (2 * d_h, 1), "out.b": (1, 1)}
 
     def encode_question(self, q_emb: Tensor) -> Tensor:
-        return self.q_cell.encode(q_emb)
+        return self.q_cell.encode_states(q_emb)
 
     def score(self, h_q: Tensor, a_emb: Tensor, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-        m = concat([h_q, self.a_cell.encode(a_emb)], axis=1)
-        return (m @ self.w_out + self.b_out).sigmoid()
+        return readout([h_q, self.a_cell.encode_states(a_emb)], self.w_out, self.b_out)
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return {**self.q_cell.input_layout(), **self.a_cell.input_layout()}
@@ -253,16 +246,15 @@ class CnnPairModel(_PairModel):
 
     def score(self, q_v: Tensor, a_emb: Tensor, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-        a_v = self._pool(a_emb)
+        keep = None
         if training and self.dropout > 0.0:
             if rng is None:
                 raise ValueError("training with dropout requires an rng")
-            keep = 1.0 - self.dropout
-            # inverted dropout: scale kept units so inference needs no rescale
-            q_v = q_v * Tensor((rng.random((1, self.n_filters)) < keep) / keep)
-            a_v = a_v * Tensor((rng.random((1, self.n_filters)) < keep) / keep)
-        m = concat([q_v, a_v], axis=1)
-        return (m @ self.w_out + self.b_out).sigmoid()
+            p = 1.0 - self.dropout
+            # inverted dropout, question units first: scale kept units so
+            # inference needs no rescale
+            keep = (rng.random((1, 2 * self.n_filters)) < p) / p
+        return readout([q_v, self._pool(a_emb)], self.w_out, self.b_out, keep)
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         """(input blocks, trailing rows) of conv.W: one d_in block per position."""
@@ -323,6 +315,40 @@ def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor) -> Tensor:
     return out
 
 
+def readout(feats: Sequence[Tensor], w: Tensor, b: Tensor,
+            keep: np.ndarray | None = None) -> Tensor:
+    """The logistic output layer every model ends in, as one graph node:
+    ``logistic(x * keep @ w + b)`` of shape [1, 1], where x joins the last
+    row of each feature block and ``keep`` is an optional [1, width] dropout
+    mask. The gradient reaches only each block's last row."""
+    feats = tuple(feats)
+    widths = [f.shape[1] for f in feats if f.ndim == 2]
+    width = sum(widths)
+    if len(widths) != len(feats) or w.shape != (width, 1) or b.shape != (1, 1) or \
+            (keep is not None and np.shape(keep) != (1, width)):
+        raise ShapeError(f"readout of {[f.shape for f in feats]} with weights {w.shape}, "
+                         f"bias {b.shape} and mask {np.shape(keep)}: "
+                         "shapes differ (there is no broadcasting)")
+    x = np.concatenate([f.data[-1:] for f in feats], axis=1)
+    if keep is not None:
+        x = x * keep
+    p = logistic(x @ w.data + b.data)
+    out = Tensor(p, (*feats, w, b))
+
+    def backward(g: np.ndarray) -> None:
+        d_z = g * p * (1.0 - p)
+        w._accumulate(x.T @ d_z)
+        b._accumulate(d_z)
+        d_x = d_z @ w.data.T
+        if keep is not None:
+            d_x = d_x * keep
+        for f, d_f in zip(feats, np.split(d_x, np.cumsum(widths[:-1]), axis=1)):
+            f.grad[-1:] += d_f
+
+    out._backward = backward
+    return out
+
+
 class BidafModel(_PairModel):
     kind = "bidaf"
 
@@ -357,8 +383,8 @@ class BidafModel(_PairModel):
     def score(self, q_enc: Tensor, a_emb: Tensor, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
         a_enc = self.enc_cell.encode_states(a_emb)
-        m = self.model_cell.encode(bidaf_attention(q_enc, a_enc, self.w_alpha))
-        return (m @ self.w_out + self.b_out).sigmoid()
+        m = self.model_cell.encode_states(bidaf_attention(q_enc, a_enc, self.w_alpha))
+        return readout([m], self.w_out, self.b_out)
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return self.enc_cell.input_layout()

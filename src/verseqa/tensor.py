@@ -1,17 +1,14 @@
 """Small dense-tensor library with reverse-mode automatic differentiation.
 
 Values are float64 numpy arrays in row-major order. Differentiation is
-tape-free: every op records its operands and a backward closure, and
+tape-free: every node records its operands and a backward closure, and
 ``backward()`` walks the implicit graph in reverse topological order.
 
-The ops are ``+``, ``*``, ``matmul``, ``rows``, ``sigmoid`` and ``concat``.
-Larger layers (the LSTM pass, the conv-pool, BiDAF attention, the BCE loss)
-are each one node with a hand-written backward, next to the code that uses
-them.
-
-There is no broadcasting: the operands of ``+`` and ``*`` must be tensors
-of equal shape, else :class:`ShapeError`. Forward results are bitwise
-deterministic.
+The engine itself has one op, ``concat``, which stacks rows. Every layer
+(the LSTM pass, the conv-pool, BiDAF attention, the logistic readout, the
+BCE loss) is one node with a hand-written backward, next to the code that
+uses it; ``logistic`` is the sigmoid they share. Forward results are
+bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -24,10 +21,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
-
-
-class InvalidAxisError(ValueError):
-    """Axis index outside the operand's rank."""
 
 
 class GraphError(RuntimeError):
@@ -66,67 +59,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # ---- arithmetic ----------------------------------------------------------
+    # ---- backward ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
         self.grad += g  # backward() zeroed every reachable grad first
-
-    def _same_shape(self, other, op: str) -> None:
-        if not (isinstance(other, Tensor) and other.shape == self.shape):
-            raise ShapeError(f"{op}: operands {self.shape} and {getattr(other, 'shape', other)}"
-                             " differ (there is no broadcasting)")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._same_shape(other, "add")
-        out = Tensor(self.data + other.data, (self, other))
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g)
-            other._accumulate(g)
-
-        out._backward = backward
-        return out
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        self._same_shape(other, "mul")
-        out = Tensor(self.data * other.data, (self, other))
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
-
-        out._backward = backward
-        return out
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    # ---- shape manipulation ----------------------------------------------------
-
-    def rows(self, start: int, stop: int) -> "Tensor":
-        """Contiguous row slice [start, stop) along axis 0."""
-        n = self.shape[0]
-        if not (0 <= start < stop <= n):
-            raise ShapeError(f"row slice [{start}, {stop}) out of range for {self.shape}")
-        out = Tensor(self.data[start:stop].copy(), (self,))
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            full[start:stop] = g
-            self._accumulate(full)
-
-        out._backward = backward
-        return out
-
-    # ---- nonlinearities ----------------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        val = logistic(self.data)
-        out = Tensor(val, (self,))
-        out._backward = lambda g: self._accumulate(g * val * (1.0 - val))
-        return out
-
-    # ---- backward ----------------------------------------------------------
 
     def backward(self) -> None:
         """Populate grads of all tensors reachable from this scalar output."""
@@ -165,37 +101,20 @@ def logistic(a: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-a))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along ``axis`` in one graph node and one copy."""
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Stack tensors along their rows in one graph node and one copy."""
     parts = tuple(parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
-    if not (0 <= axis < parts[0].ndim):
-        raise InvalidAxisError(f"axis {axis} out of range for shape {parts[0].shape}")
     try:
-        data = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError as exc:  # rank or off-axis extent mismatch
+        data = np.concatenate([p.data for p in parts])
+    except ValueError as exc:  # rank or column-count mismatch
         raise ShapeError(f"concat of shapes {[p.shape for p in parts]}: {exc}") from exc
     out = Tensor(data, parts)
 
     def backward(g: np.ndarray) -> None:
-        bounds = list(accumulate(p.shape[axis] for p in parts[:-1]))
-        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
+        bounds = list(accumulate(p.shape[0] for p in parts[:-1]))
+        for p, gp in zip(parts, np.split(g, bounds)):
             p._accumulate(gp)
 
     out._backward = backward

@@ -44,6 +44,10 @@ class TransferError(ValueError):
     pass
 
 
+class DivergenceError(RuntimeError):
+    """A batch loss or gradient is not finite: training has diverged."""
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
@@ -57,6 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
@@ -144,6 +152,8 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
     best validation epoch. Deterministic for fixed weights, data, and seed.
+    A non-finite batch loss or gradient raises :class:`DivergenceError`
+    before it reaches the weights.
     """
     if not train_groups:
         raise ValueError("empty training set")
@@ -170,9 +180,14 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
                                    embed_sequence(a, embedding, cfg.max_answer_tokens),
                                    training=True, rng=rng) for q, a, _ in batch]
             labels = [label for _, _, label in batch]
-            loss = bce_loss(concat(probs, axis=0), labels)
+            loss = bce_loss(concat(probs), labels)
             loss.backward()  # every input has a row, so it reaches every param
             grads = {name: t.grad for name, t in model.params.items()}
+            bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+            if bad or not math.isfinite(loss.item()):
+                raise DivergenceError(
+                    f"epoch {epoch}, batch {start // cfg.batch_size + 1}: loss "
+                    f"{loss.item()}, first non-finite gradient: {bad[0] if bad else 'none'}")
             adagrad_step(model.params, grads, state, cfg.learning_rate)
             losses.append((loss.item(), len(batch)))
 

@@ -1,7 +1,7 @@
-"""Shared fixtures: synthetic separable ranking tasks, tiny embeddings, a
-finite-difference gradient check and a scalar reduction for it, and plain
-numpy references of the LSTM recurrence, the conv-pool layer and BiDAF
-attention.
+"""Shared fixtures: synthetic separable ranking tasks, tiny embeddings,
+per-coordinate and directional finite-difference gradient checks and a
+scalar reduction for them, and plain numpy references of the LSTM
+recurrence, the conv-pool layer and BiDAF attention.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -18,7 +18,7 @@ import pytest
 
 from verseqa.data import Candidate, QuestionGroup
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary
-from verseqa.tensor import GraphError, ParameterSet, Tensor
+from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor
 
 KEYS = [f"k{i}" for i in range(15)]
 FILLERS = [f"f{i}" for i in range(30)]
@@ -73,11 +73,15 @@ def tiny_embedding() -> EmbeddingMatrix:
     return make_embedding()
 
 
-def total(x: Tensor) -> Tensor:
-    """Sum of all entries of a rank-2 ``x`` as a [1, 1] tensor: a ones row
-    times ``x`` times a ones column."""
-    rows, cols = x.shape
-    return Tensor(np.ones((1, rows))) @ x @ Tensor(np.ones((cols, 1)))
+def total(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Sum of all entries of ``x``, each times the matching entry of
+    ``weights`` where given, as one [1, 1] graph node."""
+    w = np.ones_like(x.data) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != x.shape:
+        raise ShapeError(f"weights {w.shape} do not match {x.shape}")
+    out = Tensor(np.sum(x.data * w).reshape(1, 1), (x,))
+    out._backward = lambda g: x._accumulate(g[0, 0] * w)
+    return out
 
 
 def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
@@ -109,6 +113,38 @@ def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
             denom = max(1e-8, abs(a_flat[i]) + abs(numeric))
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
     return worst
+
+
+def directional_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
+                      seed: int = 0, eps: float = 1e-5) -> float:
+    """Compare the analytic derivative of ``f`` along one random unit
+    direction over all of ``params`` with a central difference along it.
+
+    Returns |analytic - numeric| / max(1e-8, |analytic| + |numeric|), the
+    measure of ``grad_check``, for that one directional derivative. A random
+    direction mixes every coordinate, so coordinates whose gradient is zero or
+    tiny do not dominate the error, and edge shapes need no hand-picked inputs.
+    """
+    out = f(params)
+    if not isinstance(out, Tensor) or out.data.size != 1:
+        raise GraphError("directional_check requires f to return a scalar tensor")
+    out.backward()
+    rng = np.random.default_rng(seed)
+    direction = {name: rng.normal(size=t.data.shape) for name, t in params.items()}
+    norm = np.sqrt(sum(np.sum(d * d) for d in direction.values()))
+    analytic = sum(np.sum(t.grad * direction[name]) for name, t in params.items()
+                   if t.grad is not None) / norm
+    saved = params.copy_values()
+
+    def at(step: float) -> float:
+        for name, t in params.items():
+            np.copyto(t.data, saved[name] + (step / norm) * direction[name])
+        value = f(params).item()
+        params.load_values(saved)
+        return value
+
+    numeric = (at(eps) - at(-eps)) / (2.0 * eps)
+    return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
 
 
 def lstm_reference(cell, seq: np.ndarray) -> np.ndarray:

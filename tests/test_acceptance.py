@@ -20,8 +20,8 @@ from verseqa.data import (DatasetSpec, TriviaQuestion, build_bibleqa,
 from verseqa.embeddings import cosine, save_embedding, train_cbow, CbowConfig
 from verseqa.evaluation import (Prediction, evaluate, random_baseline,
                                 score_groups)
-from verseqa.models import bidaf_attention, build_model
-from verseqa.tensor import ParameterSet, Tensor, concat, matmul
+from verseqa.models import bidaf_attention, build_model, readout
+from verseqa.tensor import ParameterSet, Tensor, concat
 from verseqa.training import (TrainConfig, bce_loss, load_checkpoint,
                               model_from_checkpoint, save_checkpoint, train,
                               transfer_weights)
@@ -74,18 +74,19 @@ def test_criterion_1_gradients():
         x.data[:] = np.sign(x.data) * (np.abs(x.data) + 0.2)
         assert grad_check(lambda p: f(p["x"]), params) < 1e-6
 
-    w = Tensor(rng.normal(size=(4, 2)))
-    labels = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
+    w, b = Tensor(rng.normal(size=(8, 1))), Tensor([[0.2]])
+    keep = np.array([[2.0, 0.0, 2.0, 2.0, 0.0, 2.0, 0.0, 2.0]])
     lstm = build_model("rnn", seed=1, d_in=4, d_h=2).q_cell
     conv = build_model("cnn", seed=1, d_in=4, n_filters=3, window=2, dropout=0.0)
     attn = build_model("bidaf", seed=1, d_in=4, d_h=4).w_alpha
-    for op in (lambda x: total(x + x * x),
-               lambda x: bce_loss(x.sigmoid(), labels),
-               lambda x: total(matmul(x, w).sigmoid()),
+    for op in (lambda x: readout([x, x], w, b),
+               lambda x: readout([x, x], w, b, keep),
+               lambda x: bce_loss(concat([readout([x, x], w, b),
+                                          readout([lstm.encode_states(x)] * 4, w, b)]), [1, 0]),
                lambda x: total(lstm.encode_states(x)),
                lambda x: total(conv._pool(x)),
-               lambda x: total(bidaf_attention(x.rows(0, 2), x, attn)),
-               lambda x: total(concat([x, x], axis=0).rows(2, 5))):
+               lambda x: total(bidaf_attention(x, x, attn)),
+               lambda x: total(concat([x, x]), np.arange(24.0).reshape(6, 4))):
         check(op)
 
     for kind, hp in MODEL_SPECS:

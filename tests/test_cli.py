@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,18 @@ class TestTrain:
             reports.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
+
+    def test_divergence_exits_1(self, dataset_jsonl, embeddings_txt, tmp_path, caplog):
+        with np.errstate(all="ignore"):
+            rc = cli.main([
+                "train", "--model", "cnn", "--data", dataset_jsonl,
+                "--embeddings", embeddings_txt, "--dim", "8", "--hidden", "16",
+                "--conv-window", "2", "--max-epochs", "2", "--batch-size", "8",
+                "--seed", "3", "--learning-rate", "1e300", "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert _errors(caplog) == ["runtime failure: epoch 1, batch 2: loss nan, "
+                                   "first non-finite gradient: conv.W"]
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_data_exits_3(self, embeddings_txt, tmp_path):
         rc = cli.main(["train", "--model", "rnn", "--data", "missing.jsonl",

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
-                            bidaf_attention, build_model, param_shapes)
-from conftest import (bidaf_reference, grad_check, lstm_reference, pool_reference,
-                      total)
+                            bidaf_attention, build_model, param_shapes, readout)
+from conftest import (bidaf_reference, directional_check, grad_check, lstm_reference,
+                      pool_reference, total)
 from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat, logistic
 
 
@@ -19,7 +19,7 @@ def zero_cell(d_in, d_h):
 
 
 class TestLstmStep:
-    """The recurrence step, seen through ``encode`` and ``encode_states``."""
+    """The recurrence step, seen through ``encode_states``."""
 
     def test_zero_fixed_point(self):
         cell = zero_cell(3, 2)
@@ -37,7 +37,6 @@ class TestLstmStep:
         assert h.data[0, 0] == pytest.approx(0.5 * np.tanh(1.0 / 3.0))
         assert h.data[1, 0] == pytest.approx(0.5 * np.tanh(0.5))
         assert h.data[1, 0] == pytest.approx(0.23106, abs=1e-4)
-        assert cell.encode(Tensor([[0.7], [-0.4]])).item() == h.data[1, 0]
 
     def test_forget_bias_initialized_to_one(self):
         cell = zero_cell(2, 3)
@@ -45,9 +44,8 @@ class TestLstmStep:
 
     def test_shape_mismatch(self):
         cell = zero_cell(3, 2)
-        for encode in (cell.encode, cell.encode_states):
-            with pytest.raises(ShapeError):
-                encode(Tensor([[1.0, 2.0]]))
+        with pytest.raises(ShapeError):
+            cell.encode_states(Tensor([[1.0, 2.0]]))
 
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
@@ -64,7 +62,7 @@ class TestEncodeLstm:
     def test_length_one_equals_single_step(self):
         cell = self._cell()
         x = np.array([[0.3, -0.2, 0.9]])
-        np.testing.assert_array_equal(cell.encode(Tensor(x)).data, lstm_reference(cell, x))
+        np.testing.assert_array_equal(cell.encode_states(Tensor(x)).data, lstm_reference(cell, x))
 
     def test_trailing_zero_rows_encoded(self):
         # every row is a token: trailing all-zero rows still step the cell
@@ -72,22 +70,22 @@ class TestEncodeLstm:
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(3, 3))
         padded = np.vstack([seq, np.zeros((4, 3))])
-        assert not np.array_equal(cell.encode(Tensor(seq)).data,
-                                  cell.encode(Tensor(padded)).data)
+        assert not np.array_equal(cell.encode_states(Tensor(seq)).data[-1],
+                                  cell.encode_states(Tensor(padded)).data[-1])
         assert cell.encode_states(Tensor(padded)).shape == (7, 2)
 
     def test_order_sensitivity(self):
         cell = self._cell()
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(4, 3))
-        fwd = cell.encode(Tensor(seq)).data
-        rev = cell.encode(Tensor(seq[::-1].copy())).data
+        fwd = cell.encode_states(Tensor(seq)).data[-1]
+        rev = cell.encode_states(Tensor(seq[::-1].copy())).data[-1]
         assert not np.allclose(fwd, rev)
 
     def test_all_pad_gives_zero_vector(self):
         cell = self._cell()
-        out = cell.encode(Tensor(np.zeros((3, 3))))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
+        out = cell.encode_states(Tensor(np.zeros((3, 3))))
+        np.testing.assert_array_equal(out.data[-1], np.zeros(2))
 
 
 def _random_pair(rng, d_in, tq=3, ta=4, pad=0):
@@ -218,8 +216,6 @@ class TestSequenceNodesExact:
             seq = rng.normal(size=(rows, d_in))
             np.testing.assert_array_equal(cell.encode_states(Tensor(seq)).data,
                                           lstm_reference(cell, seq))
-            np.testing.assert_array_equal(cell.encode(Tensor(seq)).data,
-                                          lstm_reference(cell, seq)[-1:])
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 11])
     def test_pool_bitwise(self, rows):
@@ -251,16 +247,16 @@ class TestSequenceNodesExact:
         params = ParameterSet()
         cell = LstmCell(4, 3, params, "cell", rng)
         params.add("x", Tensor(rng.normal(size=(6, 4))))
-        weights = Tensor(rng.normal(size=(6, 3)))
-        assert grad_check(lambda p: total(cell.encode_states(p["x"]) * weights), params) < 1e-6
+        weights = rng.normal(size=(6, 3))
+        assert grad_check(lambda p: total(cell.encode_states(p["x"]), weights), params) < 1e-6
 
     def test_pool_gradient_with_input(self):
         rng = np.random.default_rng(6)
         model = CnnPairModel(4, n_filters=3, window=2, dropout=0.0, seed=6)
         params = ParameterSet(dict(model.params.items()))
         params.add("x", Tensor(rng.normal(size=(7, 4))))
-        weights = Tensor(rng.normal(size=(1, 3)))
-        assert grad_check(lambda p: total(model._pool(p["x"]) * weights), params) < 1e-6
+        weights = rng.normal(size=(1, 3))
+        assert grad_check(lambda p: total(model._pool(p["x"]), weights), params) < 1e-6
 
 
 class TestBidafAttention:
@@ -327,7 +323,7 @@ class TestBidafAttention:
                                **{n: t for n, t in blocks.items() if live[n]}})
 
         def f(p):
-            return total(bidaf_attention(p["q"], p["a"], concat(blocks.values(), axis=0)))
+            return total(bidaf_attention(p["q"], p["a"], concat(blocks.values())))
 
         assert grad_check(f, params) < 1e-6
         for n, t in blocks.items():
@@ -342,12 +338,12 @@ class TestBidafAttention:
         w.data[:] = np.abs(w.data)
         q.data[1] = q.data[0]
         q.data[2] = q.data[0] - 1.0
-        weights = Tensor(np.random.default_rng(1).normal(size=(2, 8)))
+        weights = np.random.default_rng(1).normal(size=(2, 8))
 
         def q_grad(shift):
             q_s = Tensor(q.data.copy())
             q_s.data[0] += shift
-            total(bidaf_attention(q_s, a, w) * weights).backward()
+            total(bidaf_attention(q_s, a, w), weights).backward()
             return q_s.grad
 
         at_tie = q_grad(0.0)
@@ -355,8 +351,95 @@ class TestBidafAttention:
         assert not np.allclose(at_tie, q_grad(-1e-9), rtol=1e-3)
         # a and w move both tied columns alike: finite differences stay smooth
         params = ParameterSet({"a": a, "w": w})
-        assert grad_check(lambda p: total(bidaf_attention(q, p["a"], p["w"]) * weights),
+        assert grad_check(lambda p: total(bidaf_attention(q, p["a"], p["w"]), weights),
                           params) < 1e-6
+
+
+def readout_reference(blocks, w, b, masks=None):
+    """The head the models composed from generic ops before the readout
+    node: each block's last row as a fresh copy, masked block by block,
+    joined, times ``w`` plus ``b``, through the logistic."""
+    last = [f[len(f) - 1:len(f)].copy() for f in blocks]
+    if masks is not None:
+        last = [row * m for row, m in zip(last, masks)]
+    return logistic(np.concatenate(last, axis=1) @ w + b)
+
+
+BLOCK_ROWS = [(1,), (4,), (1, 1), (3, 5)]
+
+
+class TestReadout:
+    """The one-node logistic readout against ``readout_reference``: forward
+    bit for bit, gradients by finite differences."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_bitwise(self, rows, masked):
+        rng = np.random.default_rng(sum(rows) + 10 * masked)
+        for width in (1, 3, 100):
+            blocks = [rng.normal(size=(n, width)) for n in rows]
+            w, b = rng.normal(size=(width * len(rows), 1)), rng.normal(size=(1, 1))
+            masks = [(rng.random((1, width)) < 0.5) / 0.5 for _ in rows] if masked else None
+            keep = np.concatenate(masks, axis=1) if masked else None
+            out = readout([Tensor(f) for f in blocks], Tensor(w), Tensor(b), keep)
+            np.testing.assert_array_equal(out.data, readout_reference(blocks, w, b, masks))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_gradient(self, rows, masked):
+        rng = np.random.default_rng(sum(rows) + 10 * masked)
+        params = ParameterSet({f"f{k}": Tensor(rng.uniform(-1.0, 1.0, size=(n, 3)))
+                               for k, n in enumerate(rows)})
+        params.add("w", Tensor(rng.normal(size=(3 * len(rows), 1))))
+        params.add("b", Tensor(rng.normal(size=(1, 1))))
+        keep = (rng.random((1, 3 * len(rows))) < 0.5) / 0.5 if masked else None
+
+        def f(p):
+            return readout([p[f"f{k}"] for k in range(len(rows))], p["w"], p["b"], keep)
+
+        assert grad_check(f, params) < 1e-6
+        for seed in range(3):
+            assert directional_check(f, params, seed=seed) < 1e-6
+
+    def test_gradient_reaches_only_last_rows(self):
+        rng = np.random.default_rng(4)
+        blocks = [Tensor(rng.normal(size=(n, 2))) for n in (3, 1, 4)]
+        w, b = Tensor(rng.normal(size=(6, 1))), Tensor([[0.0]])
+        out = readout(blocks, w, b)
+        assert out._parents == (*blocks, w, b)
+        out.backward()
+        for f in blocks:
+            assert not f.grad[:-1].any() and f.grad[-1].all()
+
+
+# every model at the smallest sizes and lengths: one-row questions and
+# candidates, cnn sequences shorter than its window of 3, one hidden unit
+# and one filter
+EDGE_MODELS = {
+    "rnn-d_h1": lambda: RnnPairModel(4, d_h=1, seed=2),
+    "rnn": lambda: RnnPairModel(4, d_h=3, seed=2),
+    "cnn-filters1": lambda: CnnPairModel(4, n_filters=1, window=3, dropout=0.0, seed=2),
+    "cnn": lambda: CnnPairModel(4, n_filters=3, window=3, dropout=0.0, seed=2),
+    "cnn-dropout": lambda: CnnPairModel(4, n_filters=3, window=3, dropout=0.5, seed=2),
+    "bidaf-d_h1": lambda: BidafModel(4, d_h=1, seed=2),
+    "bidaf": lambda: BidafModel(4, d_h=3, seed=2),
+}
+
+
+@pytest.mark.parametrize("t_q,t_a", [(1, 1), (1, 4), (4, 1), (2, 2), (5, 6)])
+@pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+def test_forward_directional_gradient_at_edge_shapes(name, t_q, t_a):
+    model = EDGE_MODELS[name]()
+    rng = np.random.default_rng(t_q + 10 * t_a)
+    params = ParameterSet(dict(model.params.items()))
+    params.add("q", Tensor(rng.normal(size=(t_q, 4))))
+    params.add("a", Tensor(rng.normal(size=(t_a, 4))))
+
+    def f(p):  # a fresh rng per call: every call draws the same dropout masks
+        return model.forward(p["q"], p["a"], training=True, rng=np.random.default_rng(3))
+
+    for seed in range(3):
+        assert directional_check(f, params, seed=seed) < 1e-4
 
 
 class TestBidafModel:

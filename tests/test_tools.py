@@ -1,0 +1,24 @@
+"""The repository's tools still run against the package as it stands."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_SHA = "[0-9a-f]{64}"
+_EPOCH = "0x[0-9a-f.p+-]+/0x[0-9a-f.p+-]+/0x[0-9a-f.p+-]+"
+_LINE = re.compile(rf"(rnn|cnn|bidaf) forward={_SHA} history={_EPOCH}(,{_EPOCH})* "
+                   rf"ckpt={_SHA} scores={_SHA} report={_SHA} transfer={_SHA}")
+
+
+def test_parity_prints_one_digest_line_per_model():
+    # tools/parity.py is the gate of every change that claims to be exact
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "parity.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["rnn", "cnn", "bidaf"]
+    for line in lines:
+        assert _LINE.fullmatch(line), line

@@ -11,7 +11,8 @@ from conftest import grad_check, make_separable_groups
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
 from verseqa.tensor import ParameterSet, ShapeError, Tensor
 from verseqa.training import (AdaGradState, BadMagicError, Checkpoint,
-                              CheckpointError, ManifestMismatchError, TrainConfig,
+                              CheckpointError, DivergenceError,
+                              ManifestMismatchError, TrainConfig,
                               TransferError, TruncatedCheckpointError,
                               UnsupportedVersionError, adagrad_step, bce_loss,
                               load_checkpoint, model_from_checkpoint,
@@ -114,6 +115,23 @@ class TestTrain:
                     max_answer_tokens=4)
         base.update(kw)
         return TrainConfig(**base)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs"])
+    def test_config_rejects_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._cfg(**{field: value})
+
+    def test_divergence_raises_typed_error(self, tiny_embedding):
+        # at lr 1e300 the conv weights overflow and batch 2's loss and
+        # gradients are NaN; the error names where, and no NaN reaches a weight
+        model = CnnPairModel(16, n_filters=16, window=2, seed=0)
+        cfg = TrainConfig(learning_rate=1e300, max_epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError, match=r"epoch 1, batch 2: loss nan, .*: conv\.W$"):
+            train(model, make_separable_groups(40, seed=10),
+                  make_separable_groups(10, seed=11), tiny_embedding, cfg)
+        assert all(np.isfinite(t.data).all() for _, t in model.params.items())
 
     def test_empty_training_set_rejected(self, tiny_embedding):
         model = RnnPairModel(16, d_h=4, seed=0)
