@@ -115,23 +115,21 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
                  ) -> dict[int, list[Prediction]]:
     """Score every candidate of every group with a pair model.
 
-    Each group's question is encoded once (``model.encode_question``) and
-    every candidate is scored against that encoding (``model.score``), one
-    candidate at a time: the scores equal ``model.forward`` of each pair
-    bit for bit. Keys are group positions; each list follows the group's
-    candidate order. This is the one inference loop: validation and
-    ``predict`` use it too.
+    Each group's question is encoded once (``model.encode_questions``) and
+    all its candidates are scored against that encoding in one
+    ``model.score`` call. A pair's score does not depend on the batch it is
+    in, so the scores equal ``model.forward`` of each pair bit for bit.
+    Keys are group positions; each list follows the group's candidate
+    order. This is the one inference loop: validation and ``predict`` use
+    it too.
     """
     preds: dict[int, list[Prediction]] = {}
     for key, g in enumerate(groups):
         q_emb = embed_sequence(g.question_tokens, embedding, max_question_tokens)
-        q_state = model.encode_question(q_emb)
-        plist = []
-        for c in g.candidates:
-            a_emb = embed_sequence(c.tokens, embedding, max_answer_tokens)
-            plist.append(Prediction(score=model.score(q_state, a_emb).item(),
-                                    label=c.label))
-        preds[key] = plist
+        q_states = model.encode_questions([q_emb]) * len(g.candidates)
+        a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens) for c in g.candidates]
+        preds[key] = [Prediction(score=p.item(), label=c.label)
+                      for p, c in zip(model.score(q_states, a_embs), g.candidates)]
     return preds
 
 

@@ -11,18 +11,24 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout of its final state.
 
-Each model encodes the question without looking at the candidate:
-``encode_question(q_emb)`` returns the question's state (rnn and bidaf:
-all encoder states; cnn: the pooled vector) and
-``score(q_state, a_emb)`` scores one candidate against it.
-``forward(q_emb, a_emb)`` is ``score(encode_question(q_emb), a_emb)``;
-training calls it, and ``score_groups`` encodes each question once per
-group, so both compute the same scores bit for bit.
+Each model encodes questions without looking at the candidates:
+``encode_questions(q_embs)`` returns one state per question (rnn and
+bidaf: all encoder states; cnn: the pooled vector), and
+``score(q_states, a_embs)`` scores each candidate against the question
+state in the same position, one probability node per pair.
+``forward(q_emb, a_emb)`` is one pair as a batch of one. ``score_groups``
+scores all candidates of a group in one call, and ``train`` a minibatch.
+
+Every weight product of a forward pass (LSTM gates, conv windows) is taken
+in blocks of exactly ``ROW_BLOCK`` rows, zero rows filling a short block.
+A row's result then depends on that row alone, so a pair scores the same
+alone as inside any batch, in any order, bit for bit.
 
 All LSTMs are unidirectional. Sequences arrive unpadded, one row per
 token, and every row is encoded: the row count is the sequence length.
-An LSTM pass and a conv-pool are each one graph node per sequence, and
-BiDAF attention is one graph node per pair. Every model ends in the same
+An LSTM runs all sequences of a call together, one step at a time, and
+gives one graph node per sequence; a conv-pool is one graph node per
+sequence and BiDAF attention one per pair. Every model ends in the same
 node, ``readout``: the sigmoid output layer over the last row of each of
 its feature blocks, with cnn's dropout mask as an input.
 """
@@ -40,6 +46,27 @@ from .tensor import ParameterSet, ShapeError, Tensor, logistic
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
+
+
+ROW_BLOCK = 4  # rows per weight product; see _blocked_matmul
+
+
+def _blocked_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """``out[:len(x)] = x @ w`` as one BLAS product per block of
+    ``ROW_BLOCK`` rows of ``x``, whose row count is a multiple of
+    ``ROW_BLOCK``; ``x`` and ``out`` are C-contiguous.
+
+    OpenBLAS rounds a row of a product differently for different row counts,
+    but with the row count fixed a row's result depends on that row alone.
+    So a sequence scores the same alone as inside any batch, bit for bit."""
+    blocks = x.shape[0] // ROW_BLOCK
+    np.matmul(x.reshape(blocks, ROW_BLOCK, x.shape[1]), w,
+              out=out[:x.shape[0]].reshape(blocks, ROW_BLOCK, w.shape[1]))
+
+
+def _block_rows(n: int) -> int:
+    """``n`` rounded up to whole row blocks."""
+    return -(-n // ROW_BLOCK) * ROW_BLOCK
 
 
 class LstmCell:
@@ -72,75 +99,113 @@ class LstmCell:
         block of d_in input rows, then d_h recurrent rows."""
         return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
-    def encode_states(self, seq: Tensor) -> Tensor:
-        """All hidden states [rows, d_h] as one graph node. Each step takes
-        the four per-gate products ``[x_t | h_{t-1}] @ W_g + b_g``: they round
-        as a per-step graph does, and one fused [d_in+d_h, 4*d_h] product
-        does not at every width. The backward is backprop through time."""
-        if seq.ndim != 2 or seq.shape[1] != self.d_in:
-            raise ShapeError(f"expected input shape (rows, {self.d_in}), got {seq.shape}")
-        n, d_in, d_h = seq.shape[0], self.d_in, self.d_h
-        W = [self.W[g].data for g in self.GATES]
+    def encode_states(self, seqs: Sequence[Tensor]) -> list[Tensor]:
+        """The hidden states [rows, d_h] of each sequence, one graph node per
+        sequence, computed together.
+
+        Sequences run longest first, one row each, stored step after step.
+        Step t multiplies the rows ``[x_t | h_{t-1}]`` of the sequences still
+        running by the four gate weights joined into one [d_in+d_h, 4*d_h]
+        matrix, in blocks of ``ROW_BLOCK`` rows (``_blocked_matmul``), with zero
+        rows filling the last block; the gate arithmetic runs on the live rows
+        only. So a sequence's states depend neither on the other sequences
+        nor on their order. Each node's backward is backprop through time
+        over its own sequence."""
+        seqs = tuple(seqs)
+        for seq in seqs:
+            if seq.ndim != 2 or seq.shape[1] != self.d_in:
+                raise ShapeError(f"expected input shape (rows, {self.d_in}), got {seq.shape}")
+        if not seqs:
+            return []
+        d_in, d_h = self.d_in, self.d_h
+        order = sorted(range(len(seqs)), key=lambda k: -seqs[k].shape[0])
+        lens = [seqs[k].shape[0] for k in order]
+        live = (np.array(lens)[:, None] > np.arange(lens[0])).sum(axis=0).tolist()  # per step
+        start = np.cumsum([0] + [_block_rows(m) for m in live])  # first row of step t
+        gate_w = [self.W[g].data for g in self.GATES]
+        W = np.concatenate(gate_w, axis=1)
         bias = np.concatenate([self.b[g].data[0] for g in self.GATES])
-        # row t is [x_t | h_{t-1}]; step t writes h_t into row t+1
-        z_all = np.empty((n + 1, d_in + d_h))
-        z_all[:n, :d_in] = seq.data
-        z_all[0, d_in:] = 0.0
-        gates = np.empty((n, 4 * d_h))  # activated i | f | o | c_tilde of each step
-        c_all = np.zeros((n + 1, d_h))  # row t+1 is c_t
-        tanh_c = np.empty((n, d_h))
+        z = np.zeros((start[-1], d_in + d_h))  # [x_t | h_{t-1}]; zero past the live rows
+        for r, k in enumerate(order):
+            z[start[:lens[r]] + r, :d_in] = seqs[k].data
+        gates = np.empty((start[-1], 4 * d_h))  # activated i | f | o | c_tilde
+        c_all, tanh_c, h = (np.empty((start[-1], d_h)) for _ in range(3))
         cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
         with np.errstate(over="ignore"):  # as in logistic: exp overflows to inf, 1/inf = 0
-            for t in range(n):
-                a = gates[t]
-                for col, w in zip(cols, W):
-                    np.dot(z_all[t], w, out=a[col])
+            for t, m in enumerate(live):
+                rows = slice(start[t], start[t] + m)
+                _blocked_matmul(z[start[t]:start[t + 1]], W, gates[start[t]:])
+                a = gates[rows]
                 a += bias
-                ifo = a[:3 * d_h]  # logistic in place: 1 / (1 + exp(-a))
+                ifo = a[:, :3 * d_h]  # logistic in place: 1 / (1 + exp(-a))
                 np.negative(ifo, out=ifo)
                 np.exp(ifo, out=ifo)
                 ifo += 1.0
                 np.divide(1.0, ifo, out=ifo)
-                i, f, o, c_tilde = (a[col] for col in cols)
+                i, f, o, c_tilde = (a[:, col] for col in cols)
                 np.tanh(c_tilde, out=c_tilde)
-                c = c_all[t + 1]
-                np.add(np.multiply(f, c_all[t], out=c), i * c_tilde, out=c)
-                np.tanh(c, out=tanh_c[t])
-                np.multiply(o, tanh_c[t], out=z_all[t + 1, d_in:])
-        z, h, c_prev = z_all[:n], z_all[1:, d_in:].copy(), c_all[:n]
-        i, f, o, c_tilde = (gates[:, col] for col in cols)
-        out = Tensor(h, (seq, *self.W.values(), *self.b.values()))
+                c = c_all[rows]
+                c_prev = c_all[start[t - 1]:start[t - 1] + m] if t else np.zeros((m, d_h))
+                np.add(np.multiply(f, c_prev, out=c), i * c_tilde, out=c)
+                np.tanh(c, out=tanh_c[rows])
+                np.multiply(o, tanh_c[rows], out=h[rows])
+                if t + 1 < len(live):  # h_t of the sequences that go on
+                    n = live[t + 1]
+                    z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
+        saved = (z, gates, c_all, tanh_c)
+        w_h = W[d_in:].copy()  # lets the joined weights go once the forward is done
+        nodes = {k: self._node(seqs[k], start[:lens[r]] + r, h, saved, gate_w, w_h)
+                 for r, k in enumerate(order)}
+        return [nodes[k] for k in range(len(seqs))]
+
+    def _node(self, seq: Tensor, idx: np.ndarray, h: np.ndarray,
+              saved: tuple[np.ndarray, ...], gate_w: list[np.ndarray],
+              w_h: np.ndarray) -> Tensor:
+        """The graph node of one sequence's states: rows ``idx`` of ``h``.
+        Its backward, backprop through time, reads the same rows of the
+        ``saved`` forward buffers [x_t | h_{t-1}], gates, c_t and tanh(c_t),
+        and the weights the forward used: each gate's, and the recurrent
+        rows of all four joined, ``w_h`` [d_h, 4*d_h]."""
+        d_in, d_h = self.d_in, self.d_h
+        out = Tensor(h[idx], (seq, *self.W.values(), *self.b.values()))
 
         def backward(g: np.ndarray) -> None:
+            z, gates, c, tanh_c = (a[idx] for a in saved)
+            i, f, o, c_tilde = (gates[:, k * d_h:(k + 1) * d_h] for k in range(4))
+            c_prev = np.concatenate([np.zeros((1, d_h)), c[:-1]])
             # d(gate pre-activation) per unit of dc (gates i, f, c) or of dh (o)
             k = np.concatenate([c_tilde * i * (1.0 - i), c_prev * f * (1.0 - f),
                                 tanh_c * o * (1.0 - o), i * (1.0 - c_tilde * c_tilde)], axis=1)
             dc_dh = o * (1.0 - tanh_c * tanh_c)
-            w_h = np.concatenate([w[self.d_in:] for w in W], axis=1)  # [d_h, 4*d_h]
             d_a = np.empty_like(k)
-            dh_next = dc_next = np.zeros(self.d_h)
-            for t in reversed(range(len(h))):
+            dh_next = dc_next = np.zeros(d_h)
+            for t in reversed(range(len(k))):
                 dh = g[t] + dh_next
                 dc = dh * dc_dh[t] + dc_next
                 d_a[t] = np.concatenate([dc, dc, dh, dc]) * k[t]
                 dh_next = w_h @ d_a[t]
                 dc_next = dc * f[t]
             for n, gate in enumerate(self.GATES):
-                d_gate = d_a[:, n * self.d_h:(n + 1) * self.d_h]
+                d_gate = d_a[:, n * d_h:(n + 1) * d_h]
                 self.W[gate]._accumulate(z.T @ d_gate)
                 self.b[gate]._accumulate(d_gate.sum(axis=0, keepdims=True))
-                seq._accumulate(d_gate @ W[n][:self.d_in].T)
+                seq._accumulate(d_gate @ gate_w[n][:d_in].T)
 
         out._backward = backward
         return out
 
 
 class _PairModel:
-    """The ``forward`` every model shares: ``score`` of the encoded question."""
+    """The ``forward`` every model shares: one pair as a batch of one."""
 
     def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return self.score(self.encode_question(q_emb), a_emb, training, rng)
+        return self.score(self.encode_questions([q_emb]), [a_emb], training, rng)[0]
+
+
+def _check_pairs(q_states: Sequence[Tensor], a_embs: Sequence[Tensor]) -> None:
+    if len(q_states) != len(a_embs):
+        raise ShapeError(f"{len(q_states)} question states for {len(a_embs)} candidates")
 
 
 class RnnPairModel(_PairModel):
@@ -165,12 +230,14 @@ class RnnPairModel(_PairModel):
         return {**LstmCell.shapes("q_cell", d_in, d_h), **LstmCell.shapes("a_cell", d_in, d_h),
                 "out.W": (2 * d_h, 1), "out.b": (1, 1)}
 
-    def encode_question(self, q_emb: Tensor) -> Tensor:
-        return self.q_cell.encode_states(q_emb)
+    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Tensor]:
+        return self.q_cell.encode_states(q_embs)
 
-    def score(self, h_q: Tensor, a_emb: Tensor, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        return readout([h_q, self.a_cell.encode_states(a_emb)], self.w_out, self.b_out)
+    def score(self, h_qs: Sequence[Tensor], a_embs: Sequence[Tensor], training: bool = False,
+              rng: np.random.Generator | None = None) -> list[Tensor]:
+        _check_pairs(h_qs, a_embs)
+        return [readout([h_q, h_a], self.w_out, self.b_out)
+                for h_q, h_a in zip(h_qs, self.a_cell.encode_states(a_embs))]
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return {**self.q_cell.input_layout(), **self.a_cell.input_layout()}
@@ -216,11 +283,12 @@ class CnnPairModel(_PairModel):
         if rows.shape[0] < w:  # zero-pad up to one window
             rows = np.concatenate([rows, np.zeros((w - rows.shape[0], d))])
         n_win = rows.shape[0] - w + 1
-        win = np.concatenate([rows[k:k + n_win] for k in range(w)], axis=1)
-        # one product per window: a single [n_win, w*d] product rounds differently
-        act = np.empty((n_win, self.n_filters))
-        for k in range(n_win):
-            np.dot(win[k], W, out=act[k])
+        win = np.zeros((_block_rows(n_win), w * d))  # zero rows fill the last block
+        for k in range(w):
+            win[:n_win, k * d:(k + 1) * d] = rows[k:k + n_win]
+        act = np.empty((win.shape[0], self.n_filters))
+        _blocked_matmul(win, W, act)
+        win, act = win[:n_win], act[:n_win]
         act += b
         np.maximum(0.0, act, out=act)
         first, cols = np.argmax(act, axis=0), np.arange(self.n_filters)
@@ -241,20 +309,22 @@ class CnnPairModel(_PairModel):
         out._backward = backward
         return out
 
-    def encode_question(self, q_emb: Tensor) -> Tensor:
-        return self._pool(q_emb)
+    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Tensor]:
+        return [self._pool(q) for q in q_embs]
 
-    def score(self, q_v: Tensor, a_emb: Tensor, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        keep = None
+    def score(self, q_vs: Sequence[Tensor], a_embs: Sequence[Tensor], training: bool = False,
+              rng: np.random.Generator | None = None) -> list[Tensor]:
+        _check_pairs(q_vs, a_embs)
+        keep: list[np.ndarray | None] = [None] * len(a_embs)
         if training and self.dropout > 0.0:
             if rng is None:
                 raise ValueError("training with dropout requires an rng")
             p = 1.0 - self.dropout
-            # inverted dropout, question units first: scale kept units so
-            # inference needs no rescale
-            keep = (rng.random((1, 2 * self.n_filters)) < p) / p
-        return readout([q_v, self._pool(a_emb)], self.w_out, self.b_out, keep)
+            # inverted dropout, one mask per pair in pair order, question
+            # units first: scale kept units so inference needs no rescale
+            keep = [(rng.random((1, 2 * self.n_filters)) < p) / p for _ in a_embs]
+        return [readout([q_v, self._pool(a_emb)], self.w_out, self.b_out, mask)
+                for q_v, a_emb, mask in zip(q_vs, a_embs, keep)]
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         """(input blocks, trailing rows) of conv.W: one d_in block per position."""
@@ -377,14 +447,16 @@ class BidafModel(_PairModel):
                 **LstmCell.shapes("model_cell", 4 * d_h, d_h),
                 "out.W": (d_h, 1), "out.b": (1, 1)}
 
-    def encode_question(self, q_emb: Tensor) -> Tensor:
-        return self.enc_cell.encode_states(q_emb)
+    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Tensor]:
+        return self.enc_cell.encode_states(q_embs)
 
-    def score(self, q_enc: Tensor, a_emb: Tensor, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        a_enc = self.enc_cell.encode_states(a_emb)
-        m = self.model_cell.encode_states(bidaf_attention(q_enc, a_enc, self.w_alpha))
-        return readout([m], self.w_out, self.b_out)
+    def score(self, q_encs: Sequence[Tensor], a_embs: Sequence[Tensor], training: bool = False,
+              rng: np.random.Generator | None = None) -> list[Tensor]:
+        _check_pairs(q_encs, a_embs)
+        combined = [bidaf_attention(q_enc, a_enc, self.w_alpha)
+                    for q_enc, a_enc in zip(q_encs, self.enc_cell.encode_states(a_embs))]
+        return [readout([m], self.w_out, self.b_out)
+                for m in self.model_cell.encode_states(combined)]
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return self.enc_cell.input_layout()

@@ -143,12 +143,29 @@ def _validate(model, groups, embedding: EmbeddingMatrix,
     return loss, evaluation.evaluate(preds).f1
 
 
+def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
+                     rng: np.random.Generator) -> tuple[float, dict[str, np.ndarray]]:
+    """The loss of one minibatch of (question, candidate, label) pairs and
+    the gradient of every parameter, from one ``encode_questions`` and one
+    ``score`` call. The graph is freed on return, before the next is built."""
+    q_states = model.encode_questions(
+        [embed_sequence(q, embedding, cfg.max_question_tokens) for q, _, _ in batch])
+    probs = model.score(
+        q_states, [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
+        training=True, rng=rng)
+    loss = bce_loss(concat(probs), [label for _, _, label in batch])
+    loss.backward()  # every input has a row, so it reaches every param
+    return loss.item(), {name: t.grad for name, t in model.params.items()}
+
+
 def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
           cfg: TrainConfig) -> TrainResult:
     """Mini-batch AdaGrad training with validation-loss early stopping.
 
     Iterates (question, candidate, label) pairs in seeded-shuffled batches,
-    embedding each batch as it runs it.
+    embedding each batch as it runs it; a batch is one ``encode_questions``
+    and one ``score`` call, which give each pair the score and gradient
+    ``forward`` would, bit for bit.
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
     best validation epoch. Deterministic for fixed weights, data, and seed.
@@ -176,20 +193,14 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_pairs[i] for i in order[start:start + cfg.batch_size]]
-            probs = [model.forward(embed_sequence(q, embedding, cfg.max_question_tokens),
-                                   embed_sequence(a, embedding, cfg.max_answer_tokens),
-                                   training=True, rng=rng) for q, a, _ in batch]
-            labels = [label for _, _, label in batch]
-            loss = bce_loss(concat(probs), labels)
-            loss.backward()  # every input has a row, so it reaches every param
-            grads = {name: t.grad for name, t in model.params.items()}
+            loss, grads = _batch_gradients(model, batch, embedding, cfg, rng)
             bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
-            if bad or not math.isfinite(loss.item()):
+            if bad or not math.isfinite(loss):
                 raise DivergenceError(
                     f"epoch {epoch}, batch {start // cfg.batch_size + 1}: loss "
-                    f"{loss.item()}, first non-finite gradient: {bad[0] if bad else 'none'}")
+                    f"{loss}, first non-finite gradient: {bad[0] if bad else 'none'}")
             adagrad_step(model.params, grads, state, cfg.learning_rate)
-            losses.append((loss.item(), len(batch)))
+            losses.append((loss, len(batch)))
 
         total = sum(n for _, n in losses)
         train_loss = sum(l * n for l, n in losses) / total

@@ -147,19 +147,33 @@ def directional_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
     return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
 
 
+BLOCK = 4  # rows per weight product, models.ROW_BLOCK spelled out
+
+
+def _block_product(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows @ w`` as separate [BLOCK, K] products, a short last block
+    filled with zero rows."""
+    padded = np.zeros((-(-len(rows) // BLOCK) * BLOCK, rows.shape[1]))
+    padded[:len(rows)] = rows
+    return np.concatenate([np.dot(padded[k:k + BLOCK], w)
+                           for k in range(0, len(padded), BLOCK)])[:len(rows)]
+
+
 def lstm_reference(cell, seq: np.ndarray) -> np.ndarray:
     """Hidden states [rows, d_h] of ``cell`` on ``seq``, one recurrence step
-    per row as a per-step graph computes it: a fresh [1, d_in+d_h] row
-    ``[x_t | h_{t-1}]`` times each gate's own weights."""
-    W = {g: cell.W[g].data for g in cell.GATES}
-    b = {g: cell.b[g].data for g in cell.GATES}
-    c = h = np.zeros((1, cell.d_h))
+    per row: a fresh row ``[x_t | h_{t-1}]``, in a block of zero rows, times
+    the four gate weights joined into one [d_in+d_h, 4*d_h] matrix."""
+    W = np.concatenate([cell.W[g].data for g in cell.GATES], axis=1)
+    b = np.concatenate([cell.b[g].data for g in cell.GATES], axis=1)
+    d_h = cell.d_h
+    c = h = np.zeros((1, d_h))
     hs = []
     for t in range(seq.shape[0]):
         z = np.concatenate([seq[t:t + 1].copy(), h], axis=1)
+        a = _block_product(z, W) + b
         with np.errstate(over="ignore"):
-            i, f, o = (1.0 / (1.0 + np.exp(-(z @ W[g] + b[g]))) for g in "ifo")
-        c_tilde = np.tanh(z @ W["c"] + b["c"])
+            i, f, o = (1.0 / (1.0 + np.exp(-a[:, k * d_h:(k + 1) * d_h])) for k in range(3))
+        c_tilde = np.tanh(a[:, 3 * d_h:])
         c = f * c + i * c_tilde
         h = o * np.tanh(c)
         hs.append(h)
@@ -169,14 +183,14 @@ def lstm_reference(cell, seq: np.ndarray) -> np.ndarray:
 def pool_reference(model, seq: np.ndarray) -> np.ndarray:
     """Max over positions of relu(window @ conv.W + conv.b) [1, n_filters],
     one fresh flattened window row per position, zero-padded up to one
-    window."""
+    window, the window rows multiplied in blocks of zero-filled rows."""
     w = model.window
     if seq.shape[0] < w:
         seq = np.vstack([seq, np.zeros((w - seq.shape[0], seq.shape[1]))])
-    feats = [np.maximum(0.0, seq[k:k + w].copy().reshape(1, -1) @ model.w_conv.data
-                        + model.b_conv.data)
-             for k in range(seq.shape[0] - w + 1)]
-    return np.concatenate(feats).max(axis=0).reshape(1, -1)
+    windows = np.concatenate([seq[k:k + w].copy().reshape(1, -1)
+                              for k in range(seq.shape[0] - w + 1)])
+    feats = np.maximum(0.0, _block_product(windows, model.w_conv.data) + model.b_conv.data)
+    return feats.max(axis=0).reshape(1, -1)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:

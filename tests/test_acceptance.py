@@ -82,8 +82,8 @@ def test_criterion_1_gradients():
     for op in (lambda x: readout([x, x], w, b),
                lambda x: readout([x, x], w, b, keep),
                lambda x: bce_loss(concat([readout([x, x], w, b),
-                                          readout([lstm.encode_states(x)] * 4, w, b)]), [1, 0]),
-               lambda x: total(lstm.encode_states(x)),
+                                          readout(lstm.encode_states([x]) * 4, w, b)]), [1, 0]),
+               lambda x: total(lstm.encode_states([x])[0]),
                lambda x: total(conv._pool(x)),
                lambda x: total(bidaf_attention(x, x, attn)),
                lambda x: total(concat([x, x]), np.arange(24.0).reshape(6, 4))):

@@ -9,6 +9,7 @@ from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
 from conftest import (bidaf_reference, directional_check, grad_check, lstm_reference,
                       pool_reference, total)
 from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat, logistic
+from verseqa.training import bce_loss, load_checkpoint, model_from_checkpoint, save_checkpoint
 
 
 def zero_cell(d_in, d_h):
@@ -24,7 +25,7 @@ class TestLstmStep:
     def test_zero_fixed_point(self):
         cell = zero_cell(3, 2)
         cell.b["f"].data[:] = 0.0  # remove the forget-bias-1 init
-        h = cell.encode_states(Tensor([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]]))
+        h = cell.encode_states([Tensor([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]])])[0]
         np.testing.assert_array_equal(h.data, np.zeros((2, 2)))
 
     def test_hand_computed_carry(self):
@@ -33,7 +34,7 @@ class TestLstmStep:
         cell = zero_cell(1, 1)
         cell.b["f"].data[:] = 0.0
         cell.b["c"].data[:] = np.arctanh(2.0 / 3.0)
-        h = cell.encode_states(Tensor([[0.7], [-0.4]]))
+        h = cell.encode_states([Tensor([[0.7], [-0.4]])])[0]
         assert h.data[0, 0] == pytest.approx(0.5 * np.tanh(1.0 / 3.0))
         assert h.data[1, 0] == pytest.approx(0.5 * np.tanh(0.5))
         assert h.data[1, 0] == pytest.approx(0.23106, abs=1e-4)
@@ -45,14 +46,14 @@ class TestLstmStep:
     def test_shape_mismatch(self):
         cell = zero_cell(3, 2)
         with pytest.raises(ShapeError):
-            cell.encode_states(Tensor([[1.0, 2.0]]))
+            cell.encode_states([Tensor([[1.0, 2.0]])])
 
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
         params = ParameterSet()
         cell = LstmCell(3, 2, params, "cell", rng)
         x = Tensor(rng.normal(size=(2, 3)))
-        assert grad_check(lambda p: total(cell.encode_states(x)), params) < 1e-6
+        assert grad_check(lambda p: total(cell.encode_states([x])[0]), params) < 1e-6
 
 
 class TestEncodeLstm:
@@ -62,7 +63,8 @@ class TestEncodeLstm:
     def test_length_one_equals_single_step(self):
         cell = self._cell()
         x = np.array([[0.3, -0.2, 0.9]])
-        np.testing.assert_array_equal(cell.encode_states(Tensor(x)).data, lstm_reference(cell, x))
+        np.testing.assert_array_equal(cell.encode_states([Tensor(x)])[0].data,
+                                      lstm_reference(cell, x))
 
     def test_trailing_zero_rows_encoded(self):
         # every row is a token: trailing all-zero rows still step the cell
@@ -70,21 +72,21 @@ class TestEncodeLstm:
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(3, 3))
         padded = np.vstack([seq, np.zeros((4, 3))])
-        assert not np.array_equal(cell.encode_states(Tensor(seq)).data[-1],
-                                  cell.encode_states(Tensor(padded)).data[-1])
-        assert cell.encode_states(Tensor(padded)).shape == (7, 2)
+        assert not np.array_equal(cell.encode_states([Tensor(seq)])[0].data[-1],
+                                  cell.encode_states([Tensor(padded)])[0].data[-1])
+        assert cell.encode_states([Tensor(padded)])[0].shape == (7, 2)
 
     def test_order_sensitivity(self):
         cell = self._cell()
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(4, 3))
-        fwd = cell.encode_states(Tensor(seq)).data[-1]
-        rev = cell.encode_states(Tensor(seq[::-1].copy())).data[-1]
+        fwd = cell.encode_states([Tensor(seq)])[0].data[-1]
+        rev = cell.encode_states([Tensor(seq[::-1].copy())])[0].data[-1]
         assert not np.allclose(fwd, rev)
 
     def test_all_pad_gives_zero_vector(self):
         cell = self._cell()
-        out = cell.encode_states(Tensor(np.zeros((3, 3))))
+        out = cell.encode_states([Tensor(np.zeros((3, 3)))])[0]
         np.testing.assert_array_equal(out.data[-1], np.zeros(2))
 
 
@@ -203,18 +205,17 @@ class TestCnnSpecifics:
 
 class TestSequenceNodesExact:
     """The one-node LSTM and conv-pool layers against plain numpy references
-    of the per-step and per-window computations: forward bit for bit, and
-    gradients, including the one into the input rows, by finite differences."""
+    of the per-step and per-window computations in zero-filled row blocks:
+    forward bit for bit, and gradients, including the one into the input
+    rows, by finite differences."""
 
-    # at (3, 2) and (7, 50) the columns of one fused gate product round
-    # differently from the four per-gate products
     @pytest.mark.parametrize("d_in,d_h", [(200, 100), (400, 100), (16, 16), (3, 2), (7, 50)])
     def test_encode_states_bitwise(self, d_in, d_h):
         rng = np.random.default_rng(d_in + d_h)
         cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
         for rows in (1, 39, *rng.integers(2, 39, size=4)):
             seq = rng.normal(size=(rows, d_in))
-            np.testing.assert_array_equal(cell.encode_states(Tensor(seq)).data,
+            np.testing.assert_array_equal(cell.encode_states([Tensor(seq)])[0].data,
                                           lstm_reference(cell, seq))
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 11])
@@ -248,7 +249,7 @@ class TestSequenceNodesExact:
         cell = LstmCell(4, 3, params, "cell", rng)
         params.add("x", Tensor(rng.normal(size=(6, 4))))
         weights = rng.normal(size=(6, 3))
-        assert grad_check(lambda p: total(cell.encode_states(p["x"]), weights), params) < 1e-6
+        assert grad_check(lambda p: total(cell.encode_states([p["x"]])[0], weights), params) < 1e-6
 
     def test_pool_gradient_with_input(self):
         rng = np.random.default_rng(6)
@@ -455,17 +456,140 @@ class TestBidafModel:
 
 @settings(max_examples=40, deadline=None)
 @given(which=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
-       tq=st.integers(1, 6), ta=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+       tq=st.integers(1, 6), ta=st.lists(st.integers(1, 6), min_size=1, max_size=6))
 def test_forward_is_score_of_encoded_question(which, seed, tq, ta):
-    # one question encoding serves every candidate, bit for bit; lengths
-    # start at 1 row, below cnn's window of 2
+    # one question encoding serves every candidate of one score call, bit for
+    # bit; lengths start at 1 row, below cnn's window of 2
     model = ALL_MODELS[which](seed=1)
     rng = np.random.default_rng(seed)
     q = Tensor(rng.normal(size=(tq, 4)))
-    q_state = model.encode_question(q)
-    for rows in ta:
-        a = Tensor(rng.normal(size=(rows, 4)))
-        np.testing.assert_array_equal(model.score(q_state, a).data, model.forward(q, a).data)
+    a_embs = [Tensor(rng.normal(size=(rows, 4))) for rows in ta]
+    scores = model.score(model.encode_questions([q]) * len(ta), a_embs)
+    assert len(scores) == len(ta)
+    for p, a in zip(scores, a_embs):
+        np.testing.assert_array_equal(p.data, model.forward(q, a).data)
+
+
+# (d_in, d_h) from the smallest to past paper size; cnn takes d_h filters
+SIZES = [(3, 2), (4, 1), (7, 5), (16, 16), (50, 20), (200, 100), (400, 100)]
+
+
+def _batch_and_subset(data):
+    """A batch of 1 to 11 sequence lengths from 1 to 9, and a random subset of
+    its positions in random order."""
+    lens = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=11), label="lens")
+    subset = data.draw(st.permutations(range(len(lens))), label="order")
+    return lens, subset[:data.draw(st.integers(1, len(lens)), label="size")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_encode_states_batch_invariant(size, seed, data):
+    # a sequence's states alone equal, bit for bit, its states inside the
+    # whole batch and inside any subset of it in any order
+    d_in, d_h = size
+    rng = np.random.default_rng(seed)
+    cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
+    lens, subset = _batch_and_subset(data)
+    seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
+    alone = [cell.encode_states([s])[0].data for s in seqs]
+    for h, want in zip(cell.encode_states(seqs), alone):
+        np.testing.assert_array_equal(h.data, want)
+    for k, h in zip(subset, cell.encode_states([seqs[k] for k in subset])):
+        np.testing.assert_array_equal(h.data, alone[k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["rnn", "cnn", "bidaf"]), size=st.sampled_from(SIZES),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_pair_score_batch_invariant(kind, size, seed, data):
+    # a pair's score alone (forward) equals, bit for bit, its score inside a
+    # batch of pairs and inside any subset of that batch in any order
+    d_in, d_h = size
+    config = dict(n_filters=d_h, window=3) if kind == "cnn" else dict(d_h=d_h)
+    model = build_model(kind, seed=seed % 1000, d_in=d_in, **config)
+    rng = np.random.default_rng(seed)
+    lens, subset = _batch_and_subset(data)
+    qs = [Tensor(rng.normal(size=(int(rng.integers(1, 7)), d_in))) for _ in lens]
+    a_embs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
+    alone = [model.forward(q, a).item() for q, a in zip(qs, a_embs)]
+    assert [p.item() for p in model.score(model.encode_questions(qs), a_embs)] == alone
+    batch = model.score(model.encode_questions([qs[k] for k in subset]),
+                        [a_embs[k] for k in subset])
+    assert [p.item() for p in batch] == [alone[k] for k in subset]
+
+
+# scores of seed-7 models (d_in=50, hidden or filters 20) on five pairs, as the
+# former implementation computed them with one product per row: weights saved
+# before the row blocks still score within rounding of their old scores
+ROW_BY_ROW_SCORES = {
+    "rnn": ["0x1.c96c360aec76dp-2", "0x1.351f15ee51084p-1", "0x1.fb995c47812b4p-2",
+            "0x1.e96998d39b300p-2", "0x1.cfeafcfed9583p-2"],
+    "cnn": ["0x1.9f1012f17b79cp-3", "0x1.704d97722505ep-2", "0x1.ab07b30125102p-1",
+            "0x1.4b9e5909f6fd0p-4", "0x1.39a9ac5a8efcdp-1"],
+    "bidaf": ["0x1.dd319477166e8p-2", "0x1.f9473b02f7accp-2", "0x1.f937a7519dd61p-2",
+              "0x1.c6198b83bd650p-2", "0x1.16eeefe39f4f4p-1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_BY_ROW_SCORES))
+def test_scores_within_rounding_of_row_by_row_products(kind):
+    rng = np.random.default_rng(0)
+    pairs = [(Tensor(rng.normal(size=(t_q, 50))), Tensor(rng.normal(size=(t_a, 50))))
+             for t_q, t_a in [(1, 1), (3, 7), (6, 2), (2, 9), (5, 5)]]
+    config = dict(n_filters=20, window=3) if kind == "cnn" else dict(d_h=20)
+    blob = save_checkpoint(build_model(kind, seed=7, d_in=50, **config))
+    model = model_from_checkpoint(load_checkpoint(blob))
+    scores = model.score(model.encode_questions([q for q, _ in pairs]), [a for _, a in pairs])
+    for p, old in zip(scores, ROW_BY_ROW_SCORES[kind]):
+        assert p.item() == pytest.approx(float.fromhex(old), rel=1e-13)
+
+
+@pytest.mark.parametrize("factory", ALL_MODELS)
+def test_score_needs_one_question_state_per_candidate(factory):
+    model = factory()
+    q, a = _random_pair(np.random.default_rng(0), 4)
+    with pytest.raises(ShapeError, match="2 question states for 1 candidates"):
+        model.score(model.encode_questions([q, q]), [a])
+
+
+# a minibatch mixing question and candidate lengths of 1, 2 and more than
+# ROW_BLOCK rows, with labels of both kinds
+BATCH_LENGTHS = [(1, 6), (2, 1), (6, 2), (1, 1), (5, 7), (2, 2)]
+
+
+def _minibatch_loss(model, rng_seed=3):
+    """The loss ``train`` builds for one minibatch, over the model's
+    parameters and every input row."""
+    rng = np.random.default_rng(11)
+    params = ParameterSet(dict(model.params.items()))
+    for k, (t_q, t_a) in enumerate(BATCH_LENGTHS):
+        params.add(f"q{k}", Tensor(rng.normal(size=(t_q, 4))))
+        params.add(f"a{k}", Tensor(rng.normal(size=(t_a, 4))))
+    labels = [k % 2 for k in range(len(BATCH_LENGTHS))]
+
+    def f(p):  # a fresh rng per call: every call draws the same dropout masks
+        n = range(len(BATCH_LENGTHS))
+        probs = model.score(model.encode_questions([p[f"q{k}"] for k in n]),
+                            [p[f"a{k}"] for k in n], training=True,
+                            rng=np.random.default_rng(rng_seed))
+        return bce_loss(concat(probs), labels)
+
+    return f, params
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+def test_minibatch_directional_gradient(name):
+    f, params = _minibatch_loss(EDGE_MODELS[name]())
+    for seed in range(3):
+        assert directional_check(f, params, seed=seed) < 1e-4
+
+
+@pytest.mark.parametrize("factory", ALL_MODELS + [EDGE_MODELS["cnn-dropout"]],
+                         ids=["rnn", "cnn", "bidaf", "cnn-dropout"])
+def test_minibatch_gradient(factory):
+    f, params = _minibatch_loss(factory())
+    assert grad_check(f, params) < 1e-4
 
 
 class TestBuildModel:

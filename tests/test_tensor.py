@@ -154,7 +154,7 @@ class TestBackward:
         cell = LstmCell(3, 2, params, "cell", rng)
 
         def f(p):
-            h = cell.encode_states(concat([p["x"], square(p["x"])]))
+            h = cell.encode_states([concat([p["x"], square(p["x"])])])[0]
             return total(square(readout([h, h], p["w"], p["b"])), np.array([[-1.0]]))
 
         assert grad_check(f, params) < 1e-6
@@ -204,7 +204,7 @@ def test_forward_bitwise_deterministic():
 
     def run():
         ta = Tensor(a)
-        h = cell.encode_states(concat([ta, square(ta)]))
+        h = cell.encode_states([concat([ta, square(ta)])])[0]
         return readout([h, square(ta)], Tensor(b), Tensor([[0.1]])).item()
 
     assert run() == run()

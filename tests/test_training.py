@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grad_check, make_separable_groups
+from conftest import FILLERS, KEYS, grad_check, make_separable_groups
+from verseqa.data import Candidate, QuestionGroup
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
 from verseqa.tensor import ParameterSet, ShapeError, Tensor
 from verseqa.training import (AdaGradState, BadMagicError, Checkpoint,
@@ -180,6 +181,59 @@ class TestTrain:
         assert runs[0][1] == runs[1][1]
         for name in runs[0][0]:
             np.testing.assert_array_equal(runs[0][0][name], runs[1][0][name])
+
+
+class PerPairModel:
+    """``model`` with batches run as one ``forward`` call per pair, the way
+    ``train`` ran them before a batch became one ``score`` call."""
+
+    def __init__(self, model):
+        self.model, self.params = model, model.params
+
+    def encode_questions(self, q_embs):
+        return list(q_embs)
+
+    def score(self, q_embs, a_embs, training=False, rng=None):
+        return [self.model.forward(q, a, training, rng) for q, a in zip(q_embs, a_embs)]
+
+
+def ragged_groups(n_groups: int, seed: int) -> list[QuestionGroup]:
+    """Groups of 2 to 4 candidates whose texts run from 1 to 7 tokens."""
+    rng = np.random.default_rng(seed)
+    words = KEYS + FILLERS
+
+    def text():
+        return " ".join(words[i] for i in rng.integers(len(words), size=rng.integers(1, 8)))
+
+    groups = []
+    for qid in range(n_groups):
+        n = int(rng.integers(2, 5))
+        gold = int(rng.integers(n))
+        groups.append(QuestionGroup(qid=qid, translation="syn", question=text(),
+                                    candidates=[Candidate(text=text(), label=int(i == gold))
+                                                for i in range(n)]))
+    return groups
+
+
+@pytest.mark.parametrize("kind,config", [
+    ("rnn", dict(d_h=5)), ("cnn", dict(n_filters=6, window=3, dropout=0.5)),
+    ("bidaf", dict(d_h=5))])
+def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config):
+    # a batch run through one encode_questions and one score call gives every
+    # pair the score, gradient and dropout mask a forward call of its own
+    # would: history and weights agree bit for bit
+    train_g, val_g = ragged_groups(30, seed=1), ragged_groups(8, seed=2)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=7, max_epochs=3, patience=3, seed=5,
+                      max_question_tokens=8, max_answer_tokens=8)
+    runs = []
+    for wrap in (lambda m: m, PerPairModel):
+        model = build_model(kind, seed=3, d_in=16, **config)
+        result = train(wrap(model), train_g, val_g, tiny_embedding, cfg)
+        runs.append((model.params.copy_values(),
+                     [(r.train_loss, r.val_loss, r.val_f1) for r in result.history]))
+    assert runs[0][1] == runs[1][1]
+    for name in runs[0][0]:
+        np.testing.assert_array_equal(runs[0][0][name], runs[1][0][name])
 
 
 def _models_for_roundtrip():
