@@ -109,27 +109,49 @@ def random_baseline(groups, seed: int) -> dict[int, list[Prediction]]:
     return preds
 
 
+SCORE_CHUNK_PAIRS = 32  # candidates per scoring pass; a larger group is one pass
+
+
+def _chunks(groups, limit: int):
+    """Runs of consecutive whole groups, as (position, group) pairs, each of
+    at most ``limit`` candidates; a group larger than that is a run alone."""
+    run, pairs = [], 0
+    for key, g in enumerate(groups):
+        if run and pairs + len(g.candidates) > limit:
+            yield run
+            run, pairs = [], 0
+        run.append((key, g))
+        pairs += len(g.candidates)
+    if run:
+        yield run
+
+
 def score_groups(model, groups, embedding: EmbeddingMatrix,
                  max_question_tokens: int = MAX_QUESTION_TOKENS,
                  max_answer_tokens: int = MAX_ANSWER_TOKENS
                  ) -> dict[int, list[Prediction]]:
     """Score every candidate of every group with a pair model.
 
-    Each group's question is encoded once (``model.encode_questions``) and
-    all its candidates are scored against that encoding in one
-    ``model.score`` call. A pair's score does not depend on the batch it is
-    in, so the scores equal ``model.forward`` of each pair bit for bit.
-    Keys are group positions; each list follows the group's candidate
-    order. This is the one inference loop: validation and ``predict`` use
-    it too.
+    Groups are scored in chunks of whole groups, up to ``SCORE_CHUNK_PAIRS``
+    candidates; a group is never split, so a larger one is a chunk alone.
+    Each chunk is one ``model.encode_questions`` call, which encodes every
+    question once, and one ``model.score`` call over all its candidates. A
+    pair's score does not depend on the batch it is in, so the scores equal
+    ``model.forward`` of each pair bit for bit. Keys are group positions;
+    each list follows the group's candidate order. This is the one
+    inference loop: validation and ``predict`` use it too.
     """
     preds: dict[int, list[Prediction]] = {}
-    for key, g in enumerate(groups):
-        q_emb = embed_sequence(g.question_tokens, embedding, max_question_tokens)
-        q_states = model.encode_questions([q_emb]) * len(g.candidates)
-        a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens) for c in g.candidates]
-        preds[key] = [Prediction(score=p.item(), label=c.label)
-                      for p, c in zip(model.score(q_states, a_embs), g.candidates)]
+    for run in _chunks(groups, SCORE_CHUNK_PAIRS):
+        q_states = model.encode_questions(
+            [embed_sequence(g.question_tokens, embedding, max_question_tokens) for _, g in run])
+        probs = iter(model.score(
+            [q for q, (_, g) in zip(q_states, run) for _ in g.candidates],
+            [embed_sequence(c.tokens, embedding, max_answer_tokens)
+             for _, g in run for c in g.candidates]))
+        for key, g in run:
+            preds[key] = [Prediction(score=next(probs).item(), label=c.label)
+                          for c in g.candidates]
     return preds
 
 

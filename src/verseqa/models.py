@@ -17,7 +17,7 @@ bidaf: all encoder states; cnn: the pooled vector), and
 ``score(q_states, a_embs)`` scores each candidate against the question
 state in the same position, one probability node per pair.
 ``forward(q_emb, a_emb)`` is one pair as a batch of one. ``score_groups``
-scores all candidates of a group in one call, and ``train`` a minibatch.
+scores a chunk of whole groups in one call, and ``train`` a minibatch.
 
 Every weight product of a forward pass (LSTM gates, conv windows) is taken
 in blocks of exactly ``ROW_BLOCK`` rows, zero rows filling a short block.
@@ -26,9 +26,13 @@ alone as inside any batch, in any order, bit for bit.
 
 All LSTMs are unidirectional. Sequences arrive unpadded, one row per
 token, and every row is encoded: the row count is the sequence length.
-An LSTM runs all sequences of a call together, one step at a time, and
-gives one graph node per sequence; a conv-pool is one graph node per
-sequence and BiDAF attention one per pair. Every model ends in the same
+An LSTM runs all sequences of a call together, one step at a time, as one
+graph node whose backward is one backprop through time over the whole
+call; each sequence's states are a row view of it. Its input gradients
+are products in the same row blocks, so a sequence's are the same in any
+batch; its weight gradients are one sum over the batch's rows, so they
+equal the per-pair sums only up to rounding. A conv-pool is one graph node
+per sequence and BiDAF attention one per pair. Every model ends in the same
 node, ``readout``: the sigmoid output layer over the last row of each of
 its feature blocks, with cnn's dropout mask as an input.
 """
@@ -100,8 +104,8 @@ class LstmCell:
         return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
     def encode_states(self, seqs: Sequence[Tensor]) -> list[Tensor]:
-        """The hidden states [rows, d_h] of each sequence, one graph node per
-        sequence, computed together.
+        """The hidden states [rows, d_h] of each sequence, computed together
+        as one graph node; each sequence's states are a row view of it.
 
         Sequences run longest first, one row each, stored step after step.
         Step t multiplies the rows ``[x_t | h_{t-1}]`` of the sequences still
@@ -109,8 +113,8 @@ class LstmCell:
         matrix, in blocks of ``ROW_BLOCK`` rows (``_blocked_matmul``), with zero
         rows filling the last block; the gate arithmetic runs on the live rows
         only. So a sequence's states depend neither on the other sequences
-        nor on their order. Each node's backward is backprop through time
-        over its own sequence."""
+        nor on their order. The node's backward is one backprop through time
+        over the whole call (``_bptt``)."""
         seqs = tuple(seqs)
         for seq in seqs:
             if seq.ndim != 2 or seq.shape[1] != self.d_in:
@@ -125,11 +129,12 @@ class LstmCell:
         gate_w = [self.W[g].data for g in self.GATES]
         W = np.concatenate(gate_w, axis=1)
         bias = np.concatenate([self.b[g].data[0] for g in self.GATES])
+        idx = [start[:n] + r for r, n in enumerate(lens)]  # rows of each sequence
         z = np.zeros((start[-1], d_in + d_h))  # [x_t | h_{t-1}]; zero past the live rows
         for r, k in enumerate(order):
-            z[start[:lens[r]] + r, :d_in] = seqs[k].data
+            z[idx[r], :d_in] = seqs[k].data
         gates = np.empty((start[-1], 4 * d_h))  # activated i | f | o | c_tilde
-        c_all, tanh_c, h = (np.empty((start[-1], d_h)) for _ in range(3))
+        c_all, tanh_c, h = (np.zeros((start[-1], d_h)) for _ in range(3))
         cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
         with np.errstate(over="ignore"):  # as in logistic: exp overflows to inf, 1/inf = 0
             for t, m in enumerate(live):
@@ -152,47 +157,81 @@ class LstmCell:
                 if t + 1 < len(live):  # h_t of the sequences that go on
                     n = live[t + 1]
                     z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
-        saved = (z, gates, c_all, tanh_c)
-        w_h = W[d_in:].copy()  # lets the joined weights go once the forward is done
-        nodes = {k: self._node(seqs[k], start[:lens[r]] + r, h, saved, gate_w, w_h)
-                 for r, k in enumerate(order)}
-        return [nodes[k] for k in range(len(seqs))]
+        batch = Tensor(h, (*seqs, *self.W.values(), *self.b.values()))
+        batch._backward = self._bptt([seqs[k] for k in order], idx, live, start,
+                                     (z, gates, c_all, tanh_c), gate_w)
+        views = {k: _row_view(batch, idx[r]) for r, k in enumerate(order)}
+        return [views[k] for k in range(len(seqs))]
 
-    def _node(self, seq: Tensor, idx: np.ndarray, h: np.ndarray,
-              saved: tuple[np.ndarray, ...], gate_w: list[np.ndarray],
-              w_h: np.ndarray) -> Tensor:
-        """The graph node of one sequence's states: rows ``idx`` of ``h``.
-        Its backward, backprop through time, reads the same rows of the
-        ``saved`` forward buffers [x_t | h_{t-1}], gates, c_t and tanh(c_t),
-        and the weights the forward used: each gate's, and the recurrent
-        rows of all four joined, ``w_h`` [d_h, 4*d_h]."""
+    def _bptt(self, seqs: list[Tensor], idx: list[np.ndarray], live: list[int],
+              start: np.ndarray, saved: tuple[np.ndarray, ...],
+              gate_w: list[np.ndarray]):
+        """The backward of one ``encode_states`` call: backprop through time
+        over the forward's row layout, ``seqs`` longest first, sequence r at
+        rows ``idx[r]``, step t at ``start[t]`` with ``live[t]`` rows. It reads
+        the ``saved`` forward buffers [x_t | h_{t-1}], gates, c_t and tanh(c_t),
+        whose fill rows are zero, and the forward's gate weights ``gate_w``.
+        Like the forward, every product by the weights is taken in row blocks,
+        so a sequence's input gradient does not depend on the batch; the
+        weight gradients are one product over all rows. The weights' recurrent
+        and input rows are joined into C-ordered copies for the call: as the
+        right operand of the blocks, a transposed view is up to 3x slower."""
         d_in, d_h = self.d_in, self.d_h
-        out = Tensor(h[idx], (seq, *self.W.values(), *self.b.values()))
+        z, gates, c_all, tanh_c = saved
 
         def backward(g: np.ndarray) -> None:
-            z, gates, c, tanh_c = (a[idx] for a in saved)
             i, f, o, c_tilde = (gates[:, k * d_h:(k + 1) * d_h] for k in range(4))
-            c_prev = np.concatenate([np.zeros((1, d_h)), c[:-1]])
-            # d(gate pre-activation) per unit of dc (gates i, f, c) or of dh (o)
-            k = np.concatenate([c_tilde * i * (1.0 - i), c_prev * f * (1.0 - f),
-                                tanh_c * o * (1.0 - o), i * (1.0 - c_tilde * c_tilde)], axis=1)
+            # d(gate pre-activation) per unit of dc (gates i, f, c) or of dh (o),
+            # built in place and scaled into d_a step by step; zero on fill rows
+            d_a = np.zeros_like(gates)
+            k_i, k_f, k_o, k_c = (d_a[:, k * d_h:(k + 1) * d_h] for k in range(4))
+            for t in range(1, len(live)):  # c_{t-1}
+                k_f[start[t]:start[t] + live[t]] = c_all[start[t - 1]:start[t - 1] + live[t]]
+            for k_g, x, s in ((k_i, c_tilde, i), (k_f, k_f, f), (k_o, tanh_c, o)):
+                np.multiply(x, s, out=k_g)  # x * s * (1 - s), s a sigmoid
+                k_g *= 1.0 - s
+            np.multiply(i, 1.0 - c_tilde * c_tilde, out=k_c)
             dc_dh = o * (1.0 - tanh_c * tanh_c)
-            d_a = np.empty_like(k)
-            dh_next = dc_next = np.zeros(d_h)
-            for t in reversed(range(len(k))):
-                dh = g[t] + dh_next
-                dc = dh * dc_dh[t] + dc_next
-                d_a[t] = np.concatenate([dc, dc, dh, dc]) * k[t]
-                dh_next = w_h @ d_a[t]
-                dc_next = dc * f[t]
+            w_h = np.concatenate([w[d_in:] for w in gate_w], axis=1).T.copy()  # [4*d_h, d_h]
+            dh_next = np.zeros((start[1], d_h))  # from step t+1; zero past its live rows
+            dc_next = np.zeros((live[0], d_h))
+            for t in reversed(range(len(live))):
+                m = live[t]
+                rows = slice(start[t], start[t] + m)
+                dh = g[rows] + dh_next[:m]
+                dc = dh * dc_dh[rows] + dc_next[:m]
+                d4 = d_a[rows].reshape(m, 4, d_h)
+                d4[:, :2] *= dc[:, None]
+                d4[:, 2] *= dh
+                d4[:, 3] *= dc
+                if t:  # what step t passes back to step t - 1
+                    _blocked_matmul(d_a[start[t]:start[t + 1]], w_h, dh_next)
+                    np.multiply(dc, f[rows], out=dc_next[:m])
+            del dc_dh  # a training step's memory peaks in the products below
+            d_w = z.T @ d_a
+            d_b = d_a.sum(axis=0)
             for n, gate in enumerate(self.GATES):
-                d_gate = d_a[:, n * d_h:(n + 1) * d_h]
-                self.W[gate]._accumulate(z.T @ d_gate)
-                self.b[gate]._accumulate(d_gate.sum(axis=0, keepdims=True))
-                seq._accumulate(d_gate @ gate_w[n][:d_in].T)
+                self.W[gate]._accumulate(d_w[:, n * d_h:(n + 1) * d_h])
+                self.b[gate]._accumulate(d_b[None, n * d_h:(n + 1) * d_h])
+            del d_w  # before d_x, the largest of them
+            d_x = np.empty((len(z), d_in))
+            w_x = np.concatenate([w[:d_in] for w in gate_w], axis=1).T.copy()  # [4*d_h, d_in]
+            _blocked_matmul(d_a, w_x, d_x)
+            for seq, rows in zip(seqs, idx):
+                seq._accumulate(d_x[rows])
 
-        out._backward = backward
-        return out
+        return backward
+
+
+def _row_view(src: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows ``rows`` of ``src`` as a graph node; its backward adds into them."""
+    out = Tensor(src.data[rows], (src,))
+
+    def backward(g: np.ndarray) -> None:
+        src.grad[rows] += g
+
+    out._backward = backward
+    return out
 
 
 class _PairModel:

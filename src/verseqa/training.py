@@ -147,7 +147,10 @@ def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
                      rng: np.random.Generator) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of one minibatch of (question, candidate, label) pairs and
     the gradient of every parameter, from one ``encode_questions`` and one
-    ``score`` call. The graph is freed on return, before the next is built."""
+    ``score`` call. The scores, so the loss too, equal ``forward`` of each
+    pair bit for bit; the gradients equal the sum of each pair's only up to
+    rounding, as an LSTM sums its weight gradients over all rows of the
+    batch at once. The graph is freed on return, before the next is built."""
     q_states = model.encode_questions(
         [embed_sequence(q, embedding, cfg.max_question_tokens) for q, _, _ in batch])
     probs = model.score(
@@ -164,8 +167,9 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
 
     Iterates (question, candidate, label) pairs in seeded-shuffled batches,
     embedding each batch as it runs it; a batch is one ``encode_questions``
-    and one ``score`` call, which give each pair the score and gradient
-    ``forward`` would, bit for bit.
+    and one ``score`` call, which give each pair the score ``forward``
+    would, bit for bit, and the batch the gradient of the per-pair losses
+    up to rounding (see ``_batch_gradients``).
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
     best validation epoch. Deterministic for fixed weights, data, and seed.

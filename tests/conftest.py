@@ -1,7 +1,8 @@
 """Shared fixtures: synthetic separable ranking tasks, tiny embeddings,
 per-coordinate and directional finite-difference gradient checks and a
 scalar reduction for them, and plain numpy references of the LSTM
-recurrence, the conv-pool layer and BiDAF attention.
+recurrence and its backprop through time, the conv-pool layer and BiDAF
+attention.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -178,6 +179,65 @@ def lstm_reference(cell, seq: np.ndarray) -> np.ndarray:
         h = o * np.tanh(c)
         hs.append(h)
     return np.concatenate(hs)
+
+
+def lstm_bptt_reference(cell, seqs: list[np.ndarray], grads: list[np.ndarray]):
+    """The gradients of sum(states_k * grads_k) over the sequences ``seqs`` of
+    one ``cell.encode_states`` call, by backprop through time written out
+    over the batch's row layout: sequences longest first, step after step,
+    each step's rows filled to whole blocks with zero rows. The forward is
+    ``lstm_reference``'s recurrence, a step's rows at a time; each step's
+    products by the gate weights (forward, recurrent and input gradients)
+    are ``_block_product``s, and the weight gradient is one [x_t | h_{t-1}]^T
+    @ d_a product over every row of the layout.
+
+    Returns ({gate: d_W}, {gate: d_b}, [d_x of each sequence])."""
+    d_in, d_h = cell.d_in, cell.d_h
+    W = np.concatenate([cell.W[g].data for g in cell.GATES], axis=1)
+    b = np.concatenate([cell.b[g].data for g in cell.GATES], axis=1)
+    w_x, w_h = W[:d_in].T.copy(), W[d_in:].T.copy()
+    order = sorted(range(len(seqs)), key=lambda k: -len(seqs[k]))
+    steps = len(seqs[order[0]])
+    live = [sum(len(s) > t for s in seqs) for t in range(steps)]
+    start = np.cumsum([0] + [-(-m // BLOCK) * BLOCK for m in live])
+    z = np.zeros((start[-1], d_in + d_h))
+    d_a = np.zeros((start[-1], 4 * d_h))
+    d_rows = np.zeros((start[-1], d_in))
+    saved = []  # per step: i, f, o, c_tilde, c_prev, tanh(c)
+    h = c = np.zeros((live[0], d_h))
+    for t, m in enumerate(live):
+        z_t = z[start[t]:start[t] + m]
+        z_t[:, :d_in] = [seqs[k][t] for k in order[:m]]
+        z_t[:, d_in:] = h[:m]
+        a = _block_product(z_t, W) + b
+        with np.errstate(over="ignore"):
+            i, f, o = (1.0 / (1.0 + np.exp(-a[:, k * d_h:(k + 1) * d_h])) for k in range(3))
+        c_tilde = np.tanh(a[:, 3 * d_h:])
+        c_prev = c[:m] if t else np.zeros((m, d_h))
+        c = f * c_prev + i * c_tilde
+        h = o * np.tanh(c)
+        saved.append((i, f, o, c_tilde, c_prev, np.tanh(c)))
+    dh_next = dc_next = np.zeros((0, d_h))
+    for t in reversed(range(steps)):
+        m = live[t]
+        i, f, o, c_tilde, c_prev, tanh_c = saved[t]
+        g = np.array([grads[k][t] for k in order[:m]])
+        dh = g + np.concatenate([dh_next, np.zeros((m - len(dh_next), d_h))])
+        dc = dh * (o * (1.0 - tanh_c * tanh_c)) + \
+            np.concatenate([dc_next, np.zeros((m - len(dc_next), d_h))])
+        k_t = np.concatenate([c_tilde * i * (1.0 - i), c_prev * f * (1.0 - f),
+                              tanh_c * o * (1.0 - o), i * (1.0 - c_tilde * c_tilde)], axis=1)
+        d_a[start[t]:start[t] + m] = np.concatenate([dc, dc, dh, dc], axis=1) * k_t
+        dh_next = _block_product(d_a[start[t]:start[t] + m], w_h)
+        dc_next = dc * f
+        d_rows[start[t]:start[t] + m] = _block_product(d_a[start[t]:start[t] + m], w_x)
+    d_w, d_b = z.T @ d_a, d_a.sum(axis=0)
+    d_x = [None] * len(seqs)
+    for r, k in enumerate(order):
+        d_x[k] = d_rows[start[:len(seqs[k])] + r]
+    cols = {g: slice(n * d_h, (n + 1) * d_h) for n, g in enumerate(cell.GATES)}
+    return ({g: d_w[:, col] for g, col in cols.items()},
+            {g: d_b[None, col] for g, col in cols.items()}, d_x)
 
 
 def pool_reference(model, seq: np.ndarray) -> np.ndarray:

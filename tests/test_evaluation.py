@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import FILLERS, KEYS, make_embedding, make_separable_groups
 from verseqa.data import Candidate, QuestionGroup
 from verseqa.embeddings import embed_sequence
-from verseqa.evaluation import (Prediction, evaluate, gold_ranks,
-                                random_baseline, rank_candidates, rank_order,
-                                score_groups, threshold_f1)
+from verseqa.evaluation import (SCORE_CHUNK_PAIRS, Prediction, evaluate,
+                                gold_ranks, random_baseline, rank_candidates,
+                                rank_order, score_groups, threshold_f1)
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel
 
 
@@ -196,20 +196,48 @@ SCORING_EMB = make_embedding(16)
 WORDS = st.lists(st.sampled_from(KEYS + FILLERS + ["unseen"]), min_size=1, max_size=6)
 
 
+class ScoreLog:
+    """A model that records the number of candidates of each ``score`` call."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, []
+
+    def encode_questions(self, q_embs):
+        return self.model.encode_questions(q_embs)
+
+    def score(self, q_states, a_embs):
+        self.calls.append(len(a_embs))
+        return self.model.score(q_states, a_embs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(which=st.integers(0, 2),
-       groups=st.lists(st.tuples(WORDS, st.lists(WORDS, min_size=1, max_size=4)),
-                       min_size=1, max_size=3))
-def test_score_groups_equals_forward_per_pair(which, groups):
-    # the question encoded once per group scores every candidate as
-    # forward(q, a) does, bit for bit; 1-token texts are shorter than cnn's window
-    model = SCORING_MODELS[which]()
+       groups=st.lists(st.tuples(WORDS, st.lists(WORDS, min_size=1, max_size=10)),
+                       min_size=1, max_size=8),
+       big=st.integers(0, 8))
+def test_score_groups_equals_forward_per_pair(which, groups, big):
+    # groups are scored in chunks of whole groups of up to SCORE_CHUNK_PAIRS
+    # candidates, and one group larger than that, inserted at position
+    # ``big``, is a chunk alone; the question encoded once per group scores
+    # every candidate as forward(q, a) does, bit for bit. 1-token texts are
+    # shorter than cnn's window
+    groups.insert(big, (["k1"], [["f2", "k1"]] * (SCORE_CHUNK_PAIRS + 3)))
+    model = ScoreLog(SCORING_MODELS[which]())
     built = [QuestionGroup(qid=k, translation="syn", question=" ".join(q),
                            candidates=[Candidate(text=" ".join(a), label=0) for a in cands])
              for k, (q, cands) in enumerate(groups)]
     preds = score_groups(model, built, SCORING_EMB, 5, 5)
+    sizes = [len(g.candidates) for g in built]
+    ends = set(np.cumsum(sizes).tolist())
+    calls = np.cumsum(model.calls).tolist()
+    assert set(calls) <= ends and calls[-1] == sum(sizes)  # groups stay whole
+    for n, (a, b) in enumerate(zip([0] + calls, calls)):
+        whole = [k for k, end in enumerate(np.cumsum(sizes)) if a < end <= b]
+        assert b - a <= SCORE_CHUNK_PAIRS or len(whole) == 1
+        if n + 1 < len(calls):  # a chunk takes every group that fits
+            assert b - a + sizes[whole[-1] + 1] > SCORE_CHUNK_PAIRS
     for key, g in enumerate(built):
         q = embed_sequence(g.question_tokens, SCORING_EMB, 5)
         assert [p.score for p in preds[key]] == [
-            model.forward(q, embed_sequence(c.tokens, SCORING_EMB, 5)).item()
+            model.model.forward(q, embed_sequence(c.tokens, SCORING_EMB, 5)).item()
             for c in g.candidates]

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
                             bidaf_attention, build_model, param_shapes, readout)
-from conftest import (bidaf_reference, directional_check, grad_check, lstm_reference,
-                      pool_reference, total)
+from conftest import (bidaf_reference, directional_check, grad_check, lstm_bptt_reference,
+                      lstm_reference, pool_reference, total)
 from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat, logistic
 from verseqa.training import bce_loss, load_checkpoint, model_from_checkpoint, save_checkpoint
 
@@ -206,8 +206,9 @@ class TestCnnSpecifics:
 class TestSequenceNodesExact:
     """The one-node LSTM and conv-pool layers against plain numpy references
     of the per-step and per-window computations in zero-filled row blocks:
-    forward bit for bit, and gradients, including the one into the input
-    rows, by finite differences."""
+    forward, and the LSTM's backprop through time, bit for bit, and
+    gradients, including the one into the input rows, by finite
+    differences."""
 
     @pytest.mark.parametrize("d_in,d_h", [(200, 100), (400, 100), (16, 16), (3, 2), (7, 50)])
     def test_encode_states_bitwise(self, d_in, d_h):
@@ -217,6 +218,23 @@ class TestSequenceNodesExact:
             seq = rng.normal(size=(rows, d_in))
             np.testing.assert_array_equal(cell.encode_states([Tensor(seq)])[0].data,
                                           lstm_reference(cell, seq))
+
+    @pytest.mark.parametrize("d_in,d_h", [(3, 2), (7, 50), (16, 16), (200, 100), (400, 100)])
+    def test_encode_states_backward_bitwise(self, d_in, d_h):
+        # the weight, bias and input gradients of ragged batches against the
+        # BPTT written out over the same row layout and blocked products
+        rng = np.random.default_rng(d_in * d_h)
+        cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
+        for lens in ([1], [5, 1, 9, 9, 2], [3, 8, 1, 6, 4, 7, 2, 5, 5], [4, 4, 4, 4]):
+            seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
+            grads = [rng.normal(size=(n, d_h)) for n in lens]
+            total(concat(cell.encode_states(seqs)), np.concatenate(grads)).backward()
+            d_w, d_b, d_x = lstm_bptt_reference(cell, [s.data for s in seqs], grads)
+            for gate in cell.GATES:
+                np.testing.assert_array_equal(cell.W[gate].grad, d_w[gate])
+                np.testing.assert_array_equal(cell.b[gate].grad, d_b[gate])
+            for seq, want in zip(seqs, d_x):
+                np.testing.assert_array_equal(seq.grad, want)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 11])
     def test_pool_bitwise(self, rows):
@@ -497,6 +515,38 @@ def test_encode_states_batch_invariant(size, seed, data):
         np.testing.assert_array_equal(h.data, want)
     for k, h in zip(subset, cell.encode_states([seqs[k] for k in subset])):
         np.testing.assert_array_equal(h.data, alone[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_encode_states_backward_batch_invariant(size, seed, data):
+    # a sequence's input-row gradient alone equals, bit for bit, its gradient
+    # inside the whole batch and inside any subset of it in any order; a
+    # batch's weight gradient is the sum of its sequences' alone, up to
+    # rounding
+    d_in, d_h = size
+    rng = np.random.default_rng(seed)
+    params = ParameterSet()
+    cell = LstmCell(d_in, d_h, params, "cell", rng)
+    lens, subset = _batch_and_subset(data)
+    seqs = [rng.normal(size=(n, d_in)) for n in lens]
+    grads = [rng.normal(size=(n, d_h)) for n in lens]
+
+    def backward(ks):
+        xs = [Tensor(seqs[k]) for k in ks]
+        total(concat(cell.encode_states(xs)), np.concatenate([grads[k] for k in ks])).backward()
+        return [x.grad for x in xs], {name: p.grad.copy() for name, p in params.items()}
+
+    alone = [backward([k]) for k in range(len(lens))]
+    for ks in (range(len(lens)), subset):
+        d_xs, d_params = backward(ks)
+        for k, d_x in zip(ks, d_xs):
+            np.testing.assert_array_equal(d_x, alone[k][0][0])
+        # one norm over all weights: a single bias entry's sum can cancel
+        # to far below its terms, and its relative rounding grows as it does
+        want = {name: sum(alone[k][1][name] for k in ks) for name in d_params}
+        err = sum(np.sum((d_params[name] - w) ** 2) for name, w in want.items())
+        assert np.sqrt(err) <= 1e-12 * np.sqrt(sum(np.sum(w * w) for w in want.values()))
 
 
 @settings(max_examples=30, deadline=None)
