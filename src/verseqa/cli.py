@@ -173,6 +173,8 @@ def cmd_transfer_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     groups = data.read_groups(_require_file(args.data))
+    if not groups:
+        raise CliValidationError(f"no question groups in {args.data}")
     if args.model == "baseline":
         preds = evaluation.random_baseline(groups, args.seed)
     else:

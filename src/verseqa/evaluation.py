@@ -11,6 +11,7 @@ reported as an auxiliary diagnostic.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,12 +41,6 @@ class EvalReport:
     translation: str = ""
     threshold_f1: float = 0.0  # auxiliary diagnostic, 0.5-threshold binary F1
 
-    def rank_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for r in self.ranks:
-            hist[r] = hist.get(r, 0) + 1
-        return hist
-
     def to_json(self) -> str:
         return json.dumps({
             "model": self.model, "dataset": self.dataset,
@@ -53,7 +48,7 @@ class EvalReport:
             "f1": self.f1, "precision": self.precision, "recall": self.recall,
             "mrr": self.mrr, "threshold_f1": self.threshold_f1,
             "seed": self.seed,
-            "ranks_histogram": {str(k): v for k, v in sorted(self.rank_histogram().items())},
+            "ranks_histogram": {str(k): v for k, v in sorted(Counter(self.ranks).items())},
         }, sort_keys=True)
 
 
@@ -135,23 +130,23 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
     Groups are scored in chunks of whole groups, up to ``SCORE_CHUNK_PAIRS``
     candidates; a group is never split, so a larger one is a chunk alone.
     Each chunk is one ``model.encode_questions`` call, which encodes every
-    question once, and one ``model.score`` call over all its candidates. A
-    pair's score does not depend on the batch it is in, so the scores equal
-    ``model.forward`` of each pair bit for bit. Keys are group positions;
-    each list follows the group's candidate order. This is the one
-    inference loop: validation and ``predict`` use it too.
+    question once, and one ``model.score`` call over all its candidates,
+    whose [pairs, 1] probabilities are read as one array. A pair's score
+    does not depend on the batch it is in, so the scores equal ``forward``
+    of each pair bit for bit. Keys are group positions; each list follows
+    the group's candidate order. This is the one inference loop: validation
+    and ``predict`` use it too.
     """
     preds: dict[int, list[Prediction]] = {}
     for run in _chunks(groups, SCORE_CHUNK_PAIRS):
         q_states = model.encode_questions(
             [embed_sequence(g.question_tokens, embedding, max_question_tokens) for _, g in run])
-        probs = iter(model.score(
-            [q for q, (_, g) in zip(q_states, run) for _ in g.candidates],
-            [embed_sequence(c.tokens, embedding, max_answer_tokens)
-             for _, g in run for c in g.candidates]))
+        a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens)
+                  for _, g in run for c in g.candidates]
+        probs = iter(model.score([q for q, (_, g) in zip(q_states, run) for _ in g.candidates],
+                                 a_embs).data[:, 0].tolist() if a_embs else [])
         for key, g in run:
-            preds[key] = [Prediction(score=next(probs).item(), label=c.label)
-                          for c in g.candidates]
+            preds[key] = [Prediction(score=next(probs), label=c.label) for c in g.candidates]
     return preds
 
 

@@ -11,30 +11,26 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout of its final state.
 
-Each model encodes questions without looking at the candidates:
-``encode_questions(q_embs)`` returns one state per question (rnn and
-bidaf: all encoder states; cnn: the pooled vector), and
-``score(q_states, a_embs)`` scores each candidate against the question
-state in the same position, one probability node per pair.
-``forward(q_emb, a_emb)`` is one pair as a batch of one. ``score_groups``
-scores a chunk of whole groups in one call, and ``train`` a minibatch.
+Models take batches: ``encode_questions(q_embs)`` returns one state per
+question (rnn and bidaf: its encoder states; cnn: the sequence itself,
+pooled in ``score``), and ``score(q_states, a_embs)`` scores each candidate
+against the state in the same position, as one [B, 1] node of
+probabilities. ``forward(q_emb, a_emb)``, one pair as a batch of one, is
+kept for the benchmark harness.
+
+Each stage of a call (an LSTM pass, cnn's conv-pool, BiDAF attention, the
+readout) is one graph node, so a call's graph has the same size for any
+batch. Between stages a sequence is a plain ``(node, rows)`` pair: a node
+and the indices of the sequence's rows in it. Sequences arrive unpadded,
+one row per token, and every row is encoded. All LSTMs are unidirectional.
 
 Every weight product of a forward pass (LSTM gates, conv windows) is taken
-in blocks of exactly ``ROW_BLOCK`` rows, zero rows filling a short block.
-A row's result then depends on that row alone, so a pair scores the same
-alone as inside any batch, in any order, bit for bit.
-
-All LSTMs are unidirectional. Sequences arrive unpadded, one row per
-token, and every row is encoded: the row count is the sequence length.
-An LSTM runs all sequences of a call together, one step at a time, as one
-graph node whose backward is one backprop through time over the whole
-call; each sequence's states are a row view of it. Its input gradients
-are products in the same row blocks, so a sequence's are the same in any
-batch; its weight gradients are one sum over the batch's rows, so they
-equal the per-pair sums only up to rounding. A conv-pool is one graph node
-per sequence and BiDAF attention one per pair. Every model ends in the same
-node, ``readout``: the sigmoid output layer over the last row of each of
-its feature blocks, with cnn's dropout mask as an input.
+in blocks of exactly ``ROW_BLOCK`` rows, zero rows filling a short block,
+and the readout takes one [1, width] product per pair. A row's result then
+depends on that row alone, so a pair scores the same alone as inside any
+batch, in any order, bit for bit. So are a sequence's input gradients; an
+LSTM's weight gradients are sums over the batch's rows, equal to the
+per-pair sums up to rounding and independent of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -46,6 +42,18 @@ import numpy as np
 
 from .tensor import ParameterSet, ShapeError, Tensor, logistic
 
+Seq = tuple[Tensor, np.ndarray]  # a sequence: the rows ``rows`` of a node
+
+
+def _whole(t: Tensor) -> Seq:
+    """Every row of ``t`` as one sequence."""
+    return t, np.arange(t.shape[0])
+
+
+def _nodes(seqs: Sequence[Seq]) -> tuple[Tensor, ...]:
+    """The distinct nodes ``seqs`` point into, in order of first use."""
+    return tuple({id(node): node for node, _ in seqs}.values())
+
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
@@ -53,6 +61,7 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 ROW_BLOCK = 4  # rows per weight product; see _blocked_matmul
+GRAD_ROWS = 256  # rows per product of an LSTM's weight gradient; see _bptt
 
 
 def _blocked_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -103,27 +112,24 @@ class LstmCell:
         block of d_in input rows, then d_h recurrent rows."""
         return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
-    def encode_states(self, seqs: Sequence[Tensor]) -> list[Tensor]:
-        """The hidden states [rows, d_h] of each sequence, computed together
-        as one graph node; each sequence's states are a row view of it.
-
-        Sequences run longest first, one row each, stored step after step.
-        Step t multiplies the rows ``[x_t | h_{t-1}]`` of the sequences still
-        running by the four gate weights joined into one [d_in+d_h, 4*d_h]
-        matrix, in blocks of ``ROW_BLOCK`` rows (``_blocked_matmul``), with zero
-        rows filling the last block; the gate arithmetic runs on the live rows
+    def encode_states(self, seqs: Sequence[Seq]) -> list[Seq]:
+        """The hidden states [rows, d_h] of each sequence, as the rows of one
+        graph node. Sequences run longest first, one row each, stored step
+        after step. Step t multiplies the rows ``[x_t | h_{t-1}]`` of the
+        sequences still running by the four gate weights joined into one
+        [d_in+d_h, 4*d_h] matrix, in blocks of ``ROW_BLOCK`` rows, zero rows
+        filling the last block; the gate arithmetic runs on the live rows
         only. So a sequence's states depend neither on the other sequences
-        nor on their order. The node's backward is one backprop through time
-        over the whole call (``_bptt``)."""
+        nor on their order. The backward is ``_bptt``."""
         seqs = tuple(seqs)
-        for seq in seqs:
-            if seq.ndim != 2 or seq.shape[1] != self.d_in:
-                raise ShapeError(f"expected input shape (rows, {self.d_in}), got {seq.shape}")
+        for node, _ in seqs:
+            if node.shape[1:] != (self.d_in,):
+                raise ShapeError(f"expected input shape (rows, {self.d_in}), got {node.shape}")
         if not seqs:
             return []
         d_in, d_h = self.d_in, self.d_h
-        order = sorted(range(len(seqs)), key=lambda k: -seqs[k].shape[0])
-        lens = [seqs[k].shape[0] for k in order]
+        order = sorted(range(len(seqs)), key=lambda k: -len(seqs[k][1]))
+        lens = [len(seqs[k][1]) for k in order]
         live = (np.array(lens)[:, None] > np.arange(lens[0])).sum(axis=0).tolist()  # per step
         start = np.cumsum([0] + [_block_rows(m) for m in live])  # first row of step t
         gate_w = [self.W[g].data for g in self.GATES]
@@ -132,7 +138,8 @@ class LstmCell:
         idx = [start[:n] + r for r, n in enumerate(lens)]  # rows of each sequence
         z = np.zeros((start[-1], d_in + d_h))  # [x_t | h_{t-1}]; zero past the live rows
         for r, k in enumerate(order):
-            z[idx[r], :d_in] = seqs[k].data
+            node, rows = seqs[k]
+            z[idx[r], :d_in] = node.data[rows]
         gates = np.empty((start[-1], 4 * d_h))  # activated i | f | o | c_tilde
         c_all, tanh_c, h = (np.zeros((start[-1], d_h)) for _ in range(3))
         cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
@@ -157,13 +164,13 @@ class LstmCell:
                 if t + 1 < len(live):  # h_t of the sequences that go on
                     n = live[t + 1]
                     z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
-        batch = Tensor(h, (*seqs, *self.W.values(), *self.b.values()))
+        batch = Tensor(h, (*_nodes(seqs), *self.W.values(), *self.b.values()))
         batch._backward = self._bptt([seqs[k] for k in order], idx, live, start,
                                      (z, gates, c_all, tanh_c), gate_w)
-        views = {k: _row_view(batch, idx[r]) for r, k in enumerate(order)}
-        return [views[k] for k in range(len(seqs))]
+        states = dict(zip(order, idx))
+        return [(batch, states[k]) for k in range(len(seqs))]
 
-    def _bptt(self, seqs: list[Tensor], idx: list[np.ndarray], live: list[int],
+    def _bptt(self, seqs: list[Seq], idx: list[np.ndarray], live: list[int],
               start: np.ndarray, saved: tuple[np.ndarray, ...],
               gate_w: list[np.ndarray]):
         """The backward of one ``encode_states`` call: backprop through time
@@ -172,10 +179,13 @@ class LstmCell:
         the ``saved`` forward buffers [x_t | h_{t-1}], gates, c_t and tanh(c_t),
         whose fill rows are zero, and the forward's gate weights ``gate_w``.
         Like the forward, every product by the weights is taken in row blocks,
-        so a sequence's input gradient does not depend on the batch; the
-        weight gradients are one product over all rows. The weights' recurrent
-        and input rows are joined into C-ordered copies for the call: as the
-        right operand of the blocks, a transposed view is up to 3x slower."""
+        so a sequence's input gradient does not depend on the batch. The
+        weight gradients add one product per ``GRAD_ROWS`` rows, in order: one
+        product over all rows rounds differently when OpenBLAS splits it
+        between threads, but 256-row products gave the same bits at 1 and 2
+        threads in every shape tried. The weights' recurrent and input rows
+        are joined into C-ordered copies: as the right operand of the blocks,
+        a transposed view is up to 3x slower."""
         d_in, d_h = self.d_in, self.d_h
         z, gates, c_all, tanh_c = saved
 
@@ -208,7 +218,9 @@ class LstmCell:
                     _blocked_matmul(d_a[start[t]:start[t + 1]], w_h, dh_next)
                     np.multiply(dc, f[rows], out=dc_next[:m])
             del dc_dh  # a training step's memory peaks in the products below
-            d_w = z.T @ d_a
+            d_w = z[:GRAD_ROWS].T @ d_a[:GRAD_ROWS]
+            for lo in range(GRAD_ROWS, len(z), GRAD_ROWS):
+                d_w += z[lo:lo + GRAD_ROWS].T @ d_a[lo:lo + GRAD_ROWS]
             d_b = d_a.sum(axis=0)
             for n, gate in enumerate(self.GATES):
                 self.W[gate]._accumulate(d_w[:, n * d_h:(n + 1) * d_h])
@@ -217,34 +229,23 @@ class LstmCell:
             d_x = np.empty((len(z), d_in))
             w_x = np.concatenate([w[:d_in] for w in gate_w], axis=1).T.copy()  # [4*d_h, d_in]
             _blocked_matmul(d_a, w_x, d_x)
-            for seq, rows in zip(seqs, idx):
-                seq._accumulate(d_x[rows])
+            for (node, rows), r in zip(seqs, idx):
+                node.grad[rows] += d_x[r]
 
         return backward
 
 
-def _row_view(src: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows ``rows`` of ``src`` as a graph node; its backward adds into them."""
-    out = Tensor(src.data[rows], (src,))
-
-    def backward(g: np.ndarray) -> None:
-        src.grad[rows] += g
-
-    out._backward = backward
-    return out
-
-
 class _PairModel:
-    """The ``forward`` every model shares: one pair as a batch of one."""
+    """``forward``, one pair as a batch of one, for the benchmark harness."""
 
     def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return self.score(self.encode_questions([q_emb]), [a_emb], training, rng)[0]
+        return self.score(self.encode_questions([q_emb]), [a_emb], training, rng)
 
 
-def _check_pairs(q_states: Sequence[Tensor], a_embs: Sequence[Tensor]) -> None:
-    if len(q_states) != len(a_embs):
-        raise ShapeError(f"{len(q_states)} question states for {len(a_embs)} candidates")
+def _check_pairs(q_states: Sequence, a_seqs: Sequence) -> None:
+    if len(q_states) != len(a_seqs):
+        raise ShapeError(f"{len(q_states)} question states for {len(a_seqs)} candidates")
 
 
 class RnnPairModel(_PairModel):
@@ -269,14 +270,14 @@ class RnnPairModel(_PairModel):
         return {**LstmCell.shapes("q_cell", d_in, d_h), **LstmCell.shapes("a_cell", d_in, d_h),
                 "out.W": (2 * d_h, 1), "out.b": (1, 1)}
 
-    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Tensor]:
-        return self.q_cell.encode_states(q_embs)
+    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Seq]:
+        return self.q_cell.encode_states([_whole(q) for q in q_embs])
 
-    def score(self, h_qs: Sequence[Tensor], a_embs: Sequence[Tensor], training: bool = False,
-              rng: np.random.Generator | None = None) -> list[Tensor]:
+    def score(self, h_qs: Sequence[Seq], a_embs: Sequence[Tensor], training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
         _check_pairs(h_qs, a_embs)
-        return [readout([h_q, h_a], self.w_out, self.b_out)
-                for h_q, h_a in zip(h_qs, self.a_cell.encode_states(a_embs))]
+        h_as = self.a_cell.encode_states([_whole(a) for a in a_embs])
+        return readout([h_qs, h_as], self.w_out, self.b_out)
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return {**self.q_cell.input_layout(), **self.a_cell.input_layout()}
@@ -313,57 +314,72 @@ class CnnPairModel(_PairModel):
         return {"conv.W": (window * d_in, n_filters), "conv.b": (1, n_filters),
                 "out.W": (2 * n_filters, 1), "out.b": (1, 1)}
 
-    def _pool(self, seq: Tensor) -> Tensor:
-        """Max over window positions of relu(window @ conv.W + conv.b), as
-        one graph node; on ties the gradient goes to the first position."""
+    def _pool(self, seqs: Sequence[Seq]) -> list[Seq]:
+        """Max over window positions of relu(window @ conv.W + conv.b) of
+        each sequence (zero-padded up to one window), as one graph node of a
+        row per sequence; on ties the gradient goes to the first position.
+        The weight gradient adds the sequences' terms in order."""
         w, d = self.window, self.d_in
         W, b = self.w_conv.data, self.b_conv.data
-        rows = seq.data
-        if rows.shape[0] < w:  # zero-pad up to one window
-            rows = np.concatenate([rows, np.zeros((w - rows.shape[0], d))])
-        n_win = rows.shape[0] - w + 1
-        win = np.zeros((_block_rows(n_win), w * d))  # zero rows fill the last block
-        for k in range(w):
-            win[:n_win, k * d:(k + 1) * d] = rows[k:k + n_win]
+        xs = [node.data[rows] for node, rows in seqs]
+        n_win = [max(len(x), w) - w + 1 for x in xs]
+        first_win = np.cumsum([0, *n_win])  # row of each sequence's first window
+        win = np.zeros((_block_rows(first_win[-1]), w * d))  # zero rows fill the last block
+        for x, lo, n in zip(xs, first_win, n_win):
+            for k in range(w):
+                part = x[k:k + n]  # short of n rows where the zero padding is
+                win[lo:lo + len(part), k * d:(k + 1) * d] = part
         act = np.empty((win.shape[0], self.n_filters))
         _blocked_matmul(win, W, act)
-        win, act = win[:n_win], act[:n_win]
+        act = act[:first_win[-1]]
         act += b
         np.maximum(0.0, act, out=act)
-        first, cols = np.argmax(act, axis=0), np.arange(self.n_filters)
+        cols = np.arange(self.n_filters)
+        first = np.array([lo + np.argmax(act[lo:lo + n], axis=0)
+                          for lo, n in zip(first_win, n_win)])  # [sequences, filters]
         pooled = act[first, cols]
-        out = Tensor(pooled.reshape(1, self.n_filters), (seq, self.w_conv, self.b_conv))
+        out = Tensor(pooled, (*_nodes(seqs), self.w_conv, self.b_conv))
 
         def backward(g: np.ndarray) -> None:
-            d_pre = np.zeros((n_win, self.n_filters))  # one nonzero per column: sums are exact
-            d_pre[first, cols] = g[0] * (pooled > 0.0)
-            self.w_conv._accumulate(win.T @ d_pre)
-            self.b_conv._accumulate(d_pre.sum(axis=0, keepdims=True))
-            d_win = d_pre @ W.T
-            d_rows = np.zeros((n_win + w - 1, d))
-            for k in range(w):
-                d_rows[k:k + n_win] += d_win[:, k * d:(k + 1) * d]
-            seq._accumulate(d_rows[:seq.shape[0]])
+            d_pre = g * (pooled > 0.0)
+            for (node, rows), lo, n, at, d_seq in zip(seqs, first_win, n_win, first, d_pre):
+                d_act = np.zeros((n, self.n_filters))  # one nonzero per column: sums are exact
+                d_act[at - lo, cols] = d_seq
+                self.w_conv._accumulate(win[lo:lo + n].T @ d_act)
+                self.b_conv._accumulate(d_seq[None])
+                d_win = d_act @ W.T
+                d_rows = np.zeros((n + w - 1, d))
+                for k in range(w):
+                    d_rows[k:k + n] += d_win[:, k * d:(k + 1) * d]
+                node.grad[rows] += d_rows[:len(rows)]
 
         out._backward = backward
-        return out
+        return [(out, np.array([k])) for k in range(len(seqs))]
 
-    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Tensor]:
-        return [self._pool(q) for q in q_embs]
+    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Seq]:
+        """The question sequences themselves: ``score`` pools them."""
+        return [_whole(q) for q in q_embs]
 
-    def score(self, q_vs: Sequence[Tensor], a_embs: Sequence[Tensor], training: bool = False,
-              rng: np.random.Generator | None = None) -> list[Tensor]:
-        _check_pairs(q_vs, a_embs)
-        keep: list[np.ndarray | None] = [None] * len(a_embs)
+    def score(self, q_seqs: Sequence[Seq], a_embs: Sequence[Tensor], training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+        """One conv-pool node over the distinct sequences (by identity: a
+        question shared by candidates is pooled once), questions first."""
+        _check_pairs(q_seqs, a_embs)
+        keep = None
         if training and self.dropout > 0.0:
             if rng is None:
                 raise ValueError("training with dropout requires an rng")
             p = 1.0 - self.dropout
-            # inverted dropout, one mask per pair in pair order, question
+            # inverted dropout, one mask row per pair in pair order, question
             # units first: scale kept units so inference needs no rescale
-            keep = [(rng.random((1, 2 * self.n_filters)) < p) / p for _ in a_embs]
-        return [readout([q_v, self._pool(a_emb)], self.w_out, self.b_out, mask)
-                for q_v, a_emb, mask in zip(q_vs, a_embs, keep)]
+            keep = (rng.random((len(a_embs), 2 * self.n_filters)) < p) / p
+        seqs = {}
+        for q, a in zip(q_seqs, a_embs):
+            seqs.setdefault(id(q), q)
+            seqs.setdefault(id(a), _whole(a))
+        pooled = dict(zip(seqs, self._pool(list(seqs.values()))))
+        return readout([[pooled[id(q)] for q in q_seqs], [pooled[id(a)] for a in a_embs]],
+                       self.w_out, self.b_out, keep)
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         """(input blocks, trailing rows) of conv.W: one d_in block per position."""
@@ -376,83 +392,95 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def bidaf_attention(q_enc: Tensor, a_enc: Tensor, w_alpha: Tensor) -> Tensor:
-    """Bidirectional attention between a candidate and a question encoding,
-    as one graph node.
+def bidaf_attention(q_encs: Sequence[Seq], a_encs: Sequence[Seq], w_alpha: Tensor) -> list[Seq]:
+    """Bidirectional attention between each candidate encoding and the
+    question encoding in the same position, as one graph node.
 
     Similarity: S[j, k] = w . [a_j | q_k | a_j*q_k].  Per-candidate-word
     attention averages question vectors with softmax rows of S; the reverse
     direction pools candidate words with softmax over per-row maxima. Returns
-    combined [t_a, 4*d_h], combined[j] = [a_j | attq_j | a_j*attq_j | a_j*pool_a].
-    On ties in a row maximum the gradient goes to the first column.
+    each pair's combined rows [t_a, 4*d_h] in the node, combined[j] =
+    [a_j | attq_j | a_j*attq_j | a_j*pool_a]. On ties in a row maximum the
+    gradient goes to the first column. Pairs are computed one by one.
     """
-    t_a, d_h = a_enc.shape
-    if q_enc.shape[1] != d_h:
-        raise ShapeError(f"encoding dims differ: {q_enc.shape} vs {a_enc.shape}")
-    if w_alpha.shape != (3 * d_h, 1):
-        raise ShapeError(f"similarity weights must be ({3 * d_h}, 1), got {w_alpha.shape}")
-    A, Q = a_enc.data, q_enc.data
+    q_encs, a_encs = tuple(q_encs), tuple(a_encs)
+    _check_pairs(q_encs, a_encs)
+    d_h = w_alpha.shape[0] // 3
+    for node, _ in q_encs + a_encs:
+        if node.shape[1:] != (d_h,) or w_alpha.shape != (3 * d_h, 1):
+            raise ShapeError(f"encodings {node.shape} do not fit weights {w_alpha.shape}")
     w1, w2, w3 = (w_alpha.data[k * d_h:(k + 1) * d_h] for k in range(3))
-    q_t = Q.T.copy()  # a product with the transposed view rounds differently
-    aw3 = A * w3.T
-    sim = (A @ w1 + (Q @ w2).T) + aw3 @ q_t          # [t_a, t_q]
-    p_q = _softmax_rows(sim)
-    att_q = p_q @ Q                                  # [t_a, d_h]
-    first = np.argmax(sim, axis=1)                   # first maximal column
-    p_a = _softmax_rows(sim[np.arange(t_a), first].reshape(1, t_a))
-    pooled_a = p_a @ A                               # [1, d_h]
-    out = Tensor(np.concatenate([A, att_q, A * att_q, A * pooled_a], axis=1),
-                 (q_enc, a_enc, w_alpha))
+    parts, saved = [], []
+    for (q_node, q_rows), (a_node, a_rows) in zip(q_encs, a_encs):
+        A, Q = a_node.data[a_rows], q_node.data[q_rows]
+        q_t = Q.T.copy()  # a product with the transposed view rounds differently
+        aw3 = A * w3.T
+        sim = (A @ w1 + (Q @ w2).T) + aw3 @ q_t          # [t_a, t_q]
+        p_q = _softmax_rows(sim)
+        att_q = p_q @ Q                                  # [t_a, d_h]
+        first = np.argmax(sim, axis=1)                   # first maximal column
+        p_a = _softmax_rows(sim[np.arange(len(A)), first].reshape(1, -1))
+        pooled_a = p_a @ A                               # [1, d_h]
+        parts.append(np.concatenate([A, att_q, A * att_q, A * pooled_a], axis=1))
+        saved.append((q_node, q_rows, a_node, a_rows, A, Q, aw3, p_q, att_q, first, p_a, pooled_a))
+    ends = np.cumsum([0, *(len(part) for part in parts)])
+    out = Tensor(np.concatenate(parts), (*_nodes(q_encs + a_encs), w_alpha))
 
-    def backward(g: np.ndarray) -> None:
-        g_a, g_att, g_prod, g_pool = np.split(g, 4, axis=1)
-        d_att = g_att + g_prod * A
-        d_pooled = np.sum(g_pool * A, axis=0, keepdims=True)
-        d_p_q = d_att @ Q.T
-        d_sim = p_q * (d_p_q - np.sum(d_p_q * p_q, axis=1, keepdims=True))
-        d_p_a = d_pooled @ A.T
-        d_sim[np.arange(t_a), first] += (p_a * (d_p_a - np.sum(d_p_a * p_a)))[0]
-        d_row, d_col = d_sim.sum(axis=1, keepdims=True), d_sim.sum(axis=0)[:, None]
-        d_aw3 = d_sim @ Q
-        a_enc._accumulate(g_a + g_prod * att_q + g_pool * pooled_a + p_a.T @ d_pooled
-                          + d_row @ w1.T + d_aw3 * w3.T)
-        q_enc._accumulate(p_q.T @ d_att + d_col @ w2.T + d_sim.T @ aw3)
-        w_alpha._accumulate(np.concatenate([A.T @ d_row, Q.T @ d_col,
-                                            np.sum(d_aw3 * A, axis=0)[:, None]]))
+    def backward(grad: np.ndarray) -> None:
+        for lo, (q_node, q_rows, a_node, a_rows, A, Q, aw3, p_q, att_q, first, p_a,
+                 pooled_a) in zip(ends, saved):
+            g_a, g_att, g_prod, g_pool = np.split(grad[lo:lo + len(A)], 4, axis=1)
+            d_att = g_att + g_prod * A
+            d_pooled = np.sum(g_pool * A, axis=0, keepdims=True)
+            d_p_q = d_att @ Q.T
+            d_sim = p_q * (d_p_q - np.sum(d_p_q * p_q, axis=1, keepdims=True))
+            d_p_a = d_pooled @ A.T
+            d_sim[np.arange(len(A)), first] += (p_a * (d_p_a - np.sum(d_p_a * p_a)))[0]
+            d_row, d_col = d_sim.sum(axis=1, keepdims=True), d_sim.sum(axis=0)[:, None]
+            d_aw3 = d_sim @ Q
+            a_node.grad[a_rows] += (g_a + g_prod * att_q + g_pool * pooled_a + p_a.T @ d_pooled
+                                    + d_row @ w1.T + d_aw3 * w3.T)
+            q_node.grad[q_rows] += p_q.T @ d_att + d_col @ w2.T + d_sim.T @ aw3
+            w_alpha._accumulate(np.concatenate([A.T @ d_row, Q.T @ d_col,
+                                                np.sum(d_aw3 * A, axis=0)[:, None]]))
 
     out._backward = backward
-    return out
+    return [(out, np.arange(lo, hi)) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def readout(feats: Sequence[Tensor], w: Tensor, b: Tensor,
+def readout(feats: Sequence[Sequence[Seq]], w: Tensor, b: Tensor,
             keep: np.ndarray | None = None) -> Tensor:
-    """The logistic output layer every model ends in, as one graph node:
-    ``logistic(x * keep @ w + b)`` of shape [1, 1], where x joins the last
-    row of each feature block and ``keep`` is an optional [1, width] dropout
-    mask. The gradient reaches only each block's last row."""
-    feats = tuple(feats)
-    widths = [f.shape[1] for f in feats if f.ndim == 2]
-    width = sum(widths)
-    if len(widths) != len(feats) or w.shape != (width, 1) or b.shape != (1, 1) or \
-            (keep is not None and np.shape(keep) != (1, width)):
-        raise ShapeError(f"readout of {[f.shape for f in feats]} with weights {w.shape}, "
+    """The logistic output layer every model ends in, as one graph node over
+    a batch of B pairs: ``logistic(x * keep @ w + b)`` of shape [B, 1].
+    ``feats`` holds feature blocks of one sequence per pair; row k of x joins
+    the last row of pair k's sequence in each block, and ``keep`` is an
+    optional [B, width] dropout mask. Each pair has a [1, width] product of
+    its own. The gradient reaches only each sequence's last row."""
+    blocks = [tuple(block) for block in feats]
+    parts = [np.stack([node.data[rows[-1]] for node, rows in block]) for block in blocks]
+    x = np.concatenate(parts, axis=1)
+    if w.shape != (x.shape[1], 1) or b.shape != (1, 1) or \
+            (keep is not None and np.shape(keep) != x.shape):
+        raise ShapeError(f"readout of features {x.shape} with weights {w.shape}, "
                          f"bias {b.shape} and mask {np.shape(keep)}: "
                          "shapes differ (there is no broadcasting)")
-    x = np.concatenate([f.data[-1:] for f in feats], axis=1)
     if keep is not None:
         x = x * keep
-    p = logistic(x @ w.data + b.data)
-    out = Tensor(p, (*feats, w, b))
+    p = logistic(np.matmul(x[:, None, :], w.data)[:, 0] + b.data)
+    out = Tensor(p, (*_nodes([seq for block in blocks for seq in block]), w, b))
 
     def backward(g: np.ndarray) -> None:
         d_z = g * p * (1.0 - p)
-        w._accumulate(x.T @ d_z)
-        b._accumulate(d_z)
-        d_x = d_z @ w.data.T
+        # left to right over the pairs, as a head per pair added them (np.sum may pair them up)
+        w._accumulate(np.add.accumulate(x * d_z, axis=0)[-1][:, None])
+        b._accumulate(np.add.accumulate(d_z, axis=0)[-1:])
+        d_x = d_z * w.data.T
         if keep is not None:
             d_x = d_x * keep
-        for f, d_f in zip(feats, np.split(d_x, np.cumsum(widths[:-1]), axis=1)):
-            f.grad[-1:] += d_f
+        ends = np.cumsum([part.shape[1] for part in parts])
+        for block, d_block in zip(blocks, np.split(d_x, ends[:-1], axis=1)):
+            for (node, rows), d in zip(block, d_block):
+                node.grad[rows[-1]] += d
 
     out._backward = backward
     return out
@@ -486,16 +514,14 @@ class BidafModel(_PairModel):
                 **LstmCell.shapes("model_cell", 4 * d_h, d_h),
                 "out.W": (d_h, 1), "out.b": (1, 1)}
 
-    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Tensor]:
-        return self.enc_cell.encode_states(q_embs)
+    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Seq]:
+        return self.enc_cell.encode_states([_whole(q) for q in q_embs])
 
-    def score(self, q_encs: Sequence[Tensor], a_embs: Sequence[Tensor], training: bool = False,
-              rng: np.random.Generator | None = None) -> list[Tensor]:
-        _check_pairs(q_encs, a_embs)
-        combined = [bidaf_attention(q_enc, a_enc, self.w_alpha)
-                    for q_enc, a_enc in zip(q_encs, self.enc_cell.encode_states(a_embs))]
-        return [readout([m], self.w_out, self.b_out)
-                for m in self.model_cell.encode_states(combined)]
+    def score(self, q_encs: Sequence[Seq], a_embs: Sequence[Tensor], training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+        a_encs = self.enc_cell.encode_states([_whole(a) for a in a_embs])
+        combined = bidaf_attention(q_encs, a_encs, self.w_alpha)
+        return readout([self.model_cell.encode_states(combined)], self.w_out, self.b_out)
 
     def input_layout(self) -> dict[str, tuple[int, int]]:
         return self.enc_cell.input_layout()

@@ -4,17 +4,16 @@ Values are float64 numpy arrays in row-major order. Differentiation is
 tape-free: every node records its operands and a backward closure, and
 ``backward()`` walks the implicit graph in reverse topological order.
 
-The engine itself has one op, ``concat``, which stacks rows. Every layer
-(the LSTM pass, the conv-pool, BiDAF attention, the logistic readout, the
-BCE loss) is one node with a hand-written backward, next to the code that
-uses it; ``logistic`` is the sigmoid they share. Forward results are
-bitwise deterministic.
+The engine has no ops. Every layer (the LSTM pass, the conv-pool, BiDAF
+attention, the logistic readout, the BCE loss) is one node per call with a
+hand-written backward, next to the code that uses it, and sequences pass
+between them as (node, rows) pairs; ``logistic`` is the sigmoid they
+share. Forward results are bitwise deterministic.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -46,10 +45,6 @@ class Tensor:
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -91,34 +86,11 @@ class Tensor:
                 node._backward(node.grad)
 
 
-# ---- free functions --------------------------------------------------------
-
-
 def logistic(a: np.ndarray) -> np.ndarray:
     """The sigmoid of a numpy array. Every sigmoid in verseqa is this
     expression; the LSTM pass evaluates it in place, step by step."""
     with np.errstate(over="ignore"):  # exp overflows to inf below ~-709: 1/inf = 0
         return 1.0 / (1.0 + np.exp(-a))
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors along their rows in one graph node and one copy."""
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    try:
-        data = np.concatenate([p.data for p in parts])
-    except ValueError as exc:  # rank or column-count mismatch
-        raise ShapeError(f"concat of shapes {[p.shape for p in parts]}: {exc}") from exc
-    out = Tensor(data, parts)
-
-    def backward(g: np.ndarray) -> None:
-        bounds = list(accumulate(p.shape[0] for p in parts[:-1]))
-        for p, gp in zip(parts, np.split(g, bounds)):
-            p._accumulate(gp)
-
-    out._backward = backward
-    return out
 
 
 class ParameterSet:

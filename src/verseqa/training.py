@@ -14,7 +14,7 @@ from . import evaluation
 from . import models as models_mod
 from .embeddings import (EmbeddingMatrix, MAX_ANSWER_TOKENS,
                          MAX_QUESTION_TOKENS, embed_sequence)
-from .tensor import ParameterSet, ShapeError, Tensor, concat
+from .tensor import ParameterSet, ShapeError, Tensor
 
 BCE_EPS = 1e-7
 ADAGRAD_EPS = 1e-8
@@ -147,16 +147,17 @@ def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
                      rng: np.random.Generator) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of one minibatch of (question, candidate, label) pairs and
     the gradient of every parameter, from one ``encode_questions`` and one
-    ``score`` call. The scores, so the loss too, equal ``forward`` of each
-    pair bit for bit; the gradients equal the sum of each pair's only up to
-    rounding, as an LSTM sums its weight gradients over all rows of the
-    batch at once. The graph is freed on return, before the next is built."""
+    ``score`` call, whose [B, 1] probabilities the loss takes directly. The
+    scores, so the loss too, equal ``forward`` of each pair bit for bit; the
+    gradients equal the sum of each pair's only up to rounding, as an LSTM
+    sums its weight gradients over all rows of the batch at once. The graph
+    is freed on return, before the next is built."""
     q_states = model.encode_questions(
         [embed_sequence(q, embedding, cfg.max_question_tokens) for q, _, _ in batch])
     probs = model.score(
         q_states, [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
         training=True, rng=rng)
-    loss = bce_loss(concat(probs), [label for _, _, label in batch])
+    loss = bce_loss(probs, [label for _, _, label in batch])
     loss.backward()  # every input has a row, so it reaches every param
     return loss.item(), {name: t.grad for name, t in model.params.items()}
 
@@ -172,7 +173,8 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
     up to rounding (see ``_batch_gradients``).
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
-    best validation epoch. Deterministic for fixed weights, data, and seed.
+    best validation epoch. Deterministic for fixed weights, data, and seed,
+    at any BLAS thread count.
     A non-finite batch loss or gradient raises :class:`DivergenceError`
     before it reaches the weights.
     """

@@ -1,8 +1,8 @@
 """Shared fixtures: synthetic separable ranking tasks, tiny embeddings,
 per-coordinate and directional finite-difference gradient checks and a
-scalar reduction for them, and plain numpy references of the LSTM
-recurrence and its backprop through time, the conv-pool layer and BiDAF
-attention.
+scalar reduction for them, (node, rows) sequence and stacking nodes, and
+plain numpy references of the LSTM recurrence and its backprop through
+time, the conv-pool layer and BiDAF attention.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -72,6 +72,31 @@ def make_embedding(dim: int = 16, seed: int = 0,
 @pytest.fixture(scope="session")
 def tiny_embedding() -> EmbeddingMatrix:
     return make_embedding()
+
+
+def whole(t: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Every row of ``t`` as one (node, rows) sequence."""
+    return t, np.arange(t.shape[0])
+
+
+def gather(seqs) -> Tensor:
+    """The rows of (node, rows) sequences, stacked as one graph node."""
+    seqs = list(seqs)
+    out = Tensor(np.concatenate([node.data[rows] for node, rows in seqs]),
+                 tuple({id(node): node for node, _ in seqs}.values()))
+    ends = np.cumsum([0] + [len(rows) for _, rows in seqs])
+
+    def backward(g: np.ndarray) -> None:
+        for (node, rows), lo, hi in zip(seqs, ends[:-1], ends[1:]):
+            node.grad[rows] += g[lo:hi]
+
+    out._backward = backward
+    return out
+
+
+def stack(parts) -> Tensor:
+    """Tensors stacked along their rows, as one graph node."""
+    return gather(whole(p) for p in parts)
 
 
 def total(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
@@ -149,6 +174,7 @@ def directional_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
 
 
 BLOCK = 4  # rows per weight product, models.ROW_BLOCK spelled out
+GRAD_ROWS = 256  # rows per weight-gradient product, models.GRAD_ROWS spelled out
 
 
 def _block_product(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -188,8 +214,8 @@ def lstm_bptt_reference(cell, seqs: list[np.ndarray], grads: list[np.ndarray]):
     each step's rows filled to whole blocks with zero rows. The forward is
     ``lstm_reference``'s recurrence, a step's rows at a time; each step's
     products by the gate weights (forward, recurrent and input gradients)
-    are ``_block_product``s, and the weight gradient is one [x_t | h_{t-1}]^T
-    @ d_a product over every row of the layout.
+    are ``_block_product``s, and the weight gradient is the sum, in order, of
+    one [x_t | h_{t-1}]^T @ d_a product per ``GRAD_ROWS`` rows of the layout.
 
     Returns ({gate: d_W}, {gate: d_b}, [d_x of each sequence])."""
     d_in, d_h = cell.d_in, cell.d_h
@@ -231,7 +257,9 @@ def lstm_bptt_reference(cell, seqs: list[np.ndarray], grads: list[np.ndarray]):
         dh_next = _block_product(d_a[start[t]:start[t] + m], w_h)
         dc_next = dc * f
         d_rows[start[t]:start[t] + m] = _block_product(d_a[start[t]:start[t] + m], w_x)
-    d_w, d_b = z.T @ d_a, d_a.sum(axis=0)
+    d_w = sum(z[lo:lo + GRAD_ROWS].T @ d_a[lo:lo + GRAD_ROWS]
+              for lo in range(0, len(z), GRAD_ROWS))
+    d_b = d_a.sum(axis=0)
     d_x = [None] * len(seqs)
     for r, k in enumerate(order):
         d_x[k] = d_rows[start[:len(seqs[k])] + r]

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (SHIFTED_KEYS, grad_check, make_embedding, make_separable_groups,
-                      total)
+from conftest import (SHIFTED_KEYS, gather, grad_check, make_embedding, make_separable_groups,
+                      stack, total, whole)
 from verseqa import cli
 from verseqa.data import (DatasetSpec, TriviaQuestion, build_bibleqa,
                           parse_bible, write_groups)
@@ -21,7 +21,7 @@ from verseqa.embeddings import cosine, save_embedding, train_cbow, CbowConfig
 from verseqa.evaluation import (Prediction, evaluate, random_baseline,
                                 score_groups)
 from verseqa.models import bidaf_attention, build_model, readout
-from verseqa.tensor import ParameterSet, Tensor, concat
+from verseqa.tensor import ParameterSet, Tensor
 from verseqa.training import (TrainConfig, bce_loss, load_checkpoint,
                               model_from_checkpoint, save_checkpoint, train,
                               transfer_weights)
@@ -79,14 +79,15 @@ def test_criterion_1_gradients():
     lstm = build_model("rnn", seed=1, d_in=4, d_h=2).q_cell
     conv = build_model("cnn", seed=1, d_in=4, n_filters=3, window=2, dropout=0.0)
     attn = build_model("bidaf", seed=1, d_in=4, d_h=4).w_alpha
-    for op in (lambda x: readout([x, x], w, b),
-               lambda x: readout([x, x], w, b, keep),
-               lambda x: bce_loss(concat([readout([x, x], w, b),
-                                          readout(lstm.encode_states([x]) * 4, w, b)]), [1, 0]),
-               lambda x: total(lstm.encode_states([x])[0]),
-               lambda x: total(conv._pool(x)),
-               lambda x: total(bidaf_attention(x, x, attn)),
-               lambda x: total(concat([x, x]), np.arange(24.0).reshape(6, 4))):
+    for op in (lambda x: readout([[whole(x)], [whole(x)]], w, b),
+               lambda x: readout([[whole(x)], [whole(x)]], w, b, keep),
+               lambda x: bce_loss(stack([readout([[whole(x)], [whole(x)]], w, b),
+                                         readout([[s] for s in lstm.encode_states([whole(x)]) * 4],
+                                                 w, b)]), [1, 0]),
+               lambda x: total(gather(lstm.encode_states([whole(x)]))),
+               lambda x: total(gather(conv._pool([whole(x)]))),
+               lambda x: total(bidaf_attention([whole(x)], [whole(x)], attn)[0][0]),
+               lambda x: total(stack([x, x]), np.arange(24.0).reshape(6, 4))):
         check(op)
 
     for kind, hp in MODEL_SPECS:

@@ -163,6 +163,20 @@ class TestEvaluate:
         assert rc == 3
         assert "--embeddings" in " ".join(_errors(caplog))
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("model", ["baseline", "rnn"])
+    def test_dataset_without_groups_exits_3(self, embeddings_txt, tmp_path, caplog,
+                                            model, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        ckpt = tmp_path / "rnn.ckpt"
+        ckpt.write_bytes(save_checkpoint(RnnPairModel(8, d_h=2, seed=0)))
+        trained = ["--checkpoint", str(ckpt), "--embeddings", embeddings_txt, "--dim", "8"]
+        rc = cli.main(["evaluate", "--model", model, "--data", str(path),
+                       *(trained if model == "rnn" else [])])
+        assert rc == 3
+        assert _errors(caplog) == [f"no question groups in {path}"]
+
     @pytest.mark.parametrize("bad_line", [
         '{"qid": 1, "translation": "KJV", "question": "q?", "candidates": [',
         '{"qid": 1, "question": "q?", "candidates": [{"text": "a", "label": 1}]}',

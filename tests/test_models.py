@@ -6,10 +6,30 @@ from hypothesis import strategies as st
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
                             bidaf_attention, build_model, param_shapes, readout)
-from conftest import (bidaf_reference, directional_check, grad_check, lstm_bptt_reference,
-                      lstm_reference, pool_reference, total)
-from verseqa.tensor import ParameterSet, ShapeError, Tensor, concat, logistic
-from verseqa.training import bce_loss, load_checkpoint, model_from_checkpoint, save_checkpoint
+from conftest import (bidaf_reference, directional_check, gather, grad_check,
+                      lstm_bptt_reference, lstm_reference, make_separable_groups,
+                      pool_reference, stack, total, whole)
+from verseqa.tensor import ParameterSet, ShapeError, Tensor, logistic
+from verseqa.training import (TrainConfig, _batch_gradients, bce_loss, load_checkpoint,
+                              model_from_checkpoint, save_checkpoint)
+
+
+def encode(cell, *xs):
+    """The states of each of the tensors ``xs``, from one ``encode_states``
+    call, as arrays."""
+    return [node.data[rows] for node, rows in cell.encode_states([whole(x) for x in xs])]
+
+
+def pool(model, x):
+    """cnn's pooled vector [1, n_filters] of the tensor ``x``, as an array."""
+    ((node, rows),) = model._pool([whole(x)])
+    return node.data[rows]
+
+
+def attend(q, a, w):
+    """The attention node of one pair of encodings, whose rows are the
+    pair's combined rows."""
+    return bidaf_attention([whole(q)], [whole(a)], w)[0][0]
 
 
 def zero_cell(d_in, d_h):
@@ -25,8 +45,8 @@ class TestLstmStep:
     def test_zero_fixed_point(self):
         cell = zero_cell(3, 2)
         cell.b["f"].data[:] = 0.0  # remove the forget-bias-1 init
-        h = cell.encode_states([Tensor([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]])])[0]
-        np.testing.assert_array_equal(h.data, np.zeros((2, 2)))
+        (h,) = encode(cell, Tensor([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]]))
+        np.testing.assert_array_equal(h, np.zeros((2, 2)))
 
     def test_hand_computed_carry(self):
         # all weights and gate biases zero: every gate is 0.5; the candidate
@@ -34,10 +54,10 @@ class TestLstmStep:
         cell = zero_cell(1, 1)
         cell.b["f"].data[:] = 0.0
         cell.b["c"].data[:] = np.arctanh(2.0 / 3.0)
-        h = cell.encode_states([Tensor([[0.7], [-0.4]])])[0]
-        assert h.data[0, 0] == pytest.approx(0.5 * np.tanh(1.0 / 3.0))
-        assert h.data[1, 0] == pytest.approx(0.5 * np.tanh(0.5))
-        assert h.data[1, 0] == pytest.approx(0.23106, abs=1e-4)
+        (h,) = encode(cell, Tensor([[0.7], [-0.4]]))
+        assert h[0, 0] == pytest.approx(0.5 * np.tanh(1.0 / 3.0))
+        assert h[1, 0] == pytest.approx(0.5 * np.tanh(0.5))
+        assert h[1, 0] == pytest.approx(0.23106, abs=1e-4)
 
     def test_forget_bias_initialized_to_one(self):
         cell = zero_cell(2, 3)
@@ -46,14 +66,14 @@ class TestLstmStep:
     def test_shape_mismatch(self):
         cell = zero_cell(3, 2)
         with pytest.raises(ShapeError):
-            cell.encode_states([Tensor([[1.0, 2.0]])])
+            encode(cell, Tensor([[1.0, 2.0]]))
 
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
         params = ParameterSet()
         cell = LstmCell(3, 2, params, "cell", rng)
         x = Tensor(rng.normal(size=(2, 3)))
-        assert grad_check(lambda p: total(cell.encode_states([x])[0]), params) < 1e-6
+        assert grad_check(lambda p: total(gather(cell.encode_states([whole(x)]))), params) < 1e-6
 
 
 class TestEncodeLstm:
@@ -63,8 +83,7 @@ class TestEncodeLstm:
     def test_length_one_equals_single_step(self):
         cell = self._cell()
         x = np.array([[0.3, -0.2, 0.9]])
-        np.testing.assert_array_equal(cell.encode_states([Tensor(x)])[0].data,
-                                      lstm_reference(cell, x))
+        np.testing.assert_array_equal(encode(cell, Tensor(x))[0], lstm_reference(cell, x))
 
     def test_trailing_zero_rows_encoded(self):
         # every row is a token: trailing all-zero rows still step the cell
@@ -72,22 +91,22 @@ class TestEncodeLstm:
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(3, 3))
         padded = np.vstack([seq, np.zeros((4, 3))])
-        assert not np.array_equal(cell.encode_states([Tensor(seq)])[0].data[-1],
-                                  cell.encode_states([Tensor(padded)])[0].data[-1])
-        assert cell.encode_states([Tensor(padded)])[0].shape == (7, 2)
+        assert not np.array_equal(encode(cell, Tensor(seq))[0][-1],
+                                  encode(cell, Tensor(padded))[0][-1])
+        assert encode(cell, Tensor(padded))[0].shape == (7, 2)
 
     def test_order_sensitivity(self):
         cell = self._cell()
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(4, 3))
-        fwd = cell.encode_states([Tensor(seq)])[0].data[-1]
-        rev = cell.encode_states([Tensor(seq[::-1].copy())])[0].data[-1]
+        fwd = encode(cell, Tensor(seq))[0][-1]
+        rev = encode(cell, Tensor(seq[::-1].copy()))[0][-1]
         assert not np.allclose(fwd, rev)
 
     def test_all_pad_gives_zero_vector(self):
         cell = self._cell()
-        out = cell.encode_states([Tensor(np.zeros((3, 3)))])[0]
-        np.testing.assert_array_equal(out.data[-1], np.zeros(2))
+        (out,) = encode(cell, Tensor(np.zeros((3, 3))))
+        np.testing.assert_array_equal(out[-1], np.zeros(2))
 
 
 def _random_pair(rng, d_in, tq=3, ta=4, pad=0):
@@ -161,17 +180,17 @@ class TestCnnSpecifics:
         early, late = base.copy(), base.copy()
         early[2:4] = ngram
         late[5:7] = ngram
-        pe = model._pool(Tensor(early)).data
-        pl = model._pool(Tensor(late)).data
+        pe = pool(model, Tensor(early))
+        pl = pool(model, Tensor(late))
         np.testing.assert_allclose(np.maximum(pe, pl).max(axis=1),
                                    pe.max(axis=1))
         # the strongest window dominates the pool wherever it sits
-        strongest = model._pool(Tensor(np.vstack([ngram, base[:1]]))).data
+        strongest = pool(model, Tensor(np.vstack([ngram, base[:1]])))
         np.testing.assert_allclose(pe.max(), pl.max())
 
     def test_sequence_shorter_than_window_padded(self):
         model = CnnPairModel(2, n_filters=2, window=3, dropout=0.0, seed=8)
-        out = model._pool(Tensor(np.array([[1.0, 2.0]])))
+        out = pool(model, Tensor(np.array([[1.0, 2.0]])))
         assert out.shape == (1, 2)
 
     def test_inference_repeatable_and_training_mask_seeded(self):
@@ -216,8 +235,7 @@ class TestSequenceNodesExact:
         cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
         for rows in (1, 39, *rng.integers(2, 39, size=4)):
             seq = rng.normal(size=(rows, d_in))
-            np.testing.assert_array_equal(cell.encode_states([Tensor(seq)])[0].data,
-                                          lstm_reference(cell, seq))
+            np.testing.assert_array_equal(encode(cell, Tensor(seq))[0], lstm_reference(cell, seq))
 
     @pytest.mark.parametrize("d_in,d_h", [(3, 2), (7, 50), (16, 16), (200, 100), (400, 100)])
     def test_encode_states_backward_bitwise(self, d_in, d_h):
@@ -225,10 +243,13 @@ class TestSequenceNodesExact:
         # BPTT written out over the same row layout and blocked products
         rng = np.random.default_rng(d_in * d_h)
         cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
-        for lens in ([1], [5, 1, 9, 9, 2], [3, 8, 1, 6, 4, 7, 2, 5, 5], [4, 4, 4, 4]):
+        # the last batch lays out 280 rows, more than one weight-gradient chunk
+        for lens in ([1], [5, 1, 9, 9, 2], [3, 8, 1, 6, 4, 7, 2, 5, 5], [4, 4, 4, 4],
+                     [70, 3, 66, 70]):
             seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
             grads = [rng.normal(size=(n, d_h)) for n in lens]
-            total(concat(cell.encode_states(seqs)), np.concatenate(grads)).backward()
+            total(gather(cell.encode_states([whole(s) for s in seqs])),
+                  np.concatenate(grads)).backward()
             d_w, d_b, d_x = lstm_bptt_reference(cell, [s.data for s in seqs], grads)
             for gate in cell.GATES:
                 np.testing.assert_array_equal(cell.W[gate].grad, d_w[gate])
@@ -240,13 +261,13 @@ class TestSequenceNodesExact:
     def test_pool_bitwise(self, rows):
         model = CnnPairModel(5, n_filters=4, window=3, dropout=0.0, seed=rows)
         seq = np.random.default_rng(rows).normal(size=(rows, 5))
-        np.testing.assert_array_equal(model._pool(Tensor(seq)).data, pool_reference(model, seq))
+        np.testing.assert_array_equal(pool(model, Tensor(seq)), pool_reference(model, seq))
 
     def test_all_negative_preactivations_pool_to_zero(self):
         model = CnnPairModel(5, n_filters=4, window=2, dropout=0.0, seed=1)
         model.b_conv.data[:] = -100.0
         seq = Tensor(np.random.default_rng(2).normal(size=(6, 5)))
-        out = model._pool(seq)
+        out = gather(model._pool([whole(seq)]))
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
         np.testing.assert_array_equal(out.data, pool_reference(model, seq.data))
         total(out).backward()
@@ -256,7 +277,7 @@ class TestSequenceNodesExact:
         model = CnnPairModel(3, n_filters=4, window=2, dropout=0.0, seed=3)
         model.b_conv.data[:] = 1.0  # every filter positive on every window
         seq = Tensor(np.tile(np.random.default_rng(4).normal(size=(1, 3)), (5, 1)))
-        out = model._pool(seq)
+        out = gather(model._pool([whole(seq)]))
         np.testing.assert_array_equal(out.data, pool_reference(model, seq.data))
         total(out).backward()
         assert seq.grad[:2].all() and not seq.grad[2:].any()
@@ -267,7 +288,8 @@ class TestSequenceNodesExact:
         cell = LstmCell(4, 3, params, "cell", rng)
         params.add("x", Tensor(rng.normal(size=(6, 4))))
         weights = rng.normal(size=(6, 3))
-        assert grad_check(lambda p: total(cell.encode_states([p["x"]])[0], weights), params) < 1e-6
+        assert grad_check(lambda p: total(gather(cell.encode_states([whole(p["x"])])), weights),
+                          params) < 1e-6
 
     def test_pool_gradient_with_input(self):
         rng = np.random.default_rng(6)
@@ -275,7 +297,8 @@ class TestSequenceNodesExact:
         params = ParameterSet(dict(model.params.items()))
         params.add("x", Tensor(rng.normal(size=(7, 4))))
         weights = rng.normal(size=(1, 3))
-        assert grad_check(lambda p: total(model._pool(p["x"]), weights), params) < 1e-6
+        assert grad_check(lambda p: total(gather(model._pool([whole(p["x"])])), weights),
+                          params) < 1e-6
 
 
 class TestBidafAttention:
@@ -292,7 +315,7 @@ class TestBidafAttention:
 
     def test_shapes(self):
         q, a, w = self._inputs()
-        combined = bidaf_attention(q, a, w)
+        combined = attend(q, a, w)
         assert combined.shape == (3, 16)
         assert combined._parents == (q, a, w)
 
@@ -301,7 +324,7 @@ class TestBidafAttention:
         rng = np.random.default_rng(d_h)
         for t_q, t_a in ((1, 1), (1, 6), (5, 1), *rng.integers(2, 30, size=(4, 2))):
             q, a, w = self._inputs(t_q, t_a, d_h, seed=int(t_q * 31 + t_a))
-            np.testing.assert_array_equal(bidaf_attention(q, a, w).data,
+            np.testing.assert_array_equal(attend(q, a, w).data,
                                           bidaf_reference(q.data, a.data, w.data))
 
     def test_attention_rows_sum_to_one(self):
@@ -310,13 +333,13 @@ class TestBidafAttention:
         q, a, w = self._inputs()
         v = q.data[:1]
         q = Tensor(np.repeat(v, 5, axis=0))
-        att_q = bidaf_attention(q, a, w).data[:, 4:8]
+        att_q = attend(q, a, w).data[:, 4:8]
         np.testing.assert_allclose(att_q, np.repeat(v, 3, axis=0), atol=1e-12)
 
     def test_zero_similarity_weights_average_question(self):
         q, a, _ = self._inputs()
         w = Tensor(np.zeros((12, 1)))
-        att_q = bidaf_attention(q, a, w).data[:, 4:8]
+        att_q = attend(q, a, w).data[:, 4:8]
         mean_q = q.data.mean(axis=0)
         for j in range(3):
             np.testing.assert_allclose(att_q[j], mean_q, atol=1e-12)
@@ -324,9 +347,9 @@ class TestBidafAttention:
     def test_dim_mismatch(self):
         q, a, w = self._inputs()
         with pytest.raises(ShapeError):
-            bidaf_attention(q, Tensor(np.ones((3, 5))), w)
+            attend(q, Tensor(np.ones((3, 5))), w)
         with pytest.raises(ShapeError):
-            bidaf_attention(q, a, Tensor(np.ones((8, 1))))
+            attend(q, a, Tensor(np.ones((8, 1))))
 
     @pytest.mark.parametrize("t_q,t_a", [(5, 3), (1, 4), (4, 1), (1, 1)])
     def test_gradient(self, t_q, t_a):
@@ -342,7 +365,7 @@ class TestBidafAttention:
                                **{n: t for n, t in blocks.items() if live[n]}})
 
         def f(p):
-            return total(bidaf_attention(p["q"], p["a"], concat(blocks.values())))
+            return total(attend(p["q"], p["a"], stack(blocks.values())))
 
         assert grad_check(f, params) < 1e-6
         for n, t in blocks.items():
@@ -362,7 +385,7 @@ class TestBidafAttention:
         def q_grad(shift):
             q_s = Tensor(q.data.copy())
             q_s.data[0] += shift
-            total(bidaf_attention(q_s, a, w), weights).backward()
+            total(attend(q_s, a, w), weights).backward()
             return q_s.grad
 
         at_tie = q_grad(0.0)
@@ -370,7 +393,7 @@ class TestBidafAttention:
         assert not np.allclose(at_tie, q_grad(-1e-9), rtol=1e-3)
         # a and w move both tied columns alike: finite differences stay smooth
         params = ParameterSet({"a": a, "w": w})
-        assert grad_check(lambda p: total(bidaf_attention(q, p["a"], p["w"]), weights),
+        assert grad_check(lambda p: total(attend(q, p["a"], p["w"]), weights),
                           params) < 1e-6
 
 
@@ -400,7 +423,7 @@ class TestReadout:
             w, b = rng.normal(size=(width * len(rows), 1)), rng.normal(size=(1, 1))
             masks = [(rng.random((1, width)) < 0.5) / 0.5 for _ in rows] if masked else None
             keep = np.concatenate(masks, axis=1) if masked else None
-            out = readout([Tensor(f) for f in blocks], Tensor(w), Tensor(b), keep)
+            out = readout([[whole(Tensor(f))] for f in blocks], Tensor(w), Tensor(b), keep)
             np.testing.assert_array_equal(out.data, readout_reference(blocks, w, b, masks))
 
     @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
@@ -414,17 +437,41 @@ class TestReadout:
         keep = (rng.random((1, 3 * len(rows))) < 0.5) / 0.5 if masked else None
 
         def f(p):
-            return readout([p[f"f{k}"] for k in range(len(rows))], p["w"], p["b"], keep)
+            return readout([[whole(p[f"f{k}"])] for k in range(len(rows))], p["w"], p["b"], keep)
 
         assert grad_check(f, params) < 1e-6
         for seed in range(3):
             assert directional_check(f, params, seed=seed) < 1e-6
 
+    def test_batch_equals_pairs_alone_and_shared_rows_sum_gradients(self):
+        # pairs 0 and 2 share q, and pair 1 reads a twice: a last row read by
+        # two pairs, or by two blocks, takes the sum of their gradients
+        rng = np.random.default_rng(5)
+        params = ParameterSet({"q": Tensor(rng.uniform(-1.0, 1.0, size=(3, 2))),
+                               "a": Tensor(rng.uniform(-1.0, 1.0, size=(4, 2))),
+                               "w": Tensor(rng.normal(size=(4, 1))),
+                               "b": Tensor(rng.normal(size=(1, 1)))})
+        keep = (rng.random((3, 4)) < 0.5) / 0.5
+
+        def pairs(p):
+            q, a = whole(p["q"]), whole(p["a"])
+            return [q, a, q], [a, (p["a"], np.arange(2)), (p["q"], np.arange(1))]
+
+        def f(p):
+            probs = readout(pairs(p), p["w"], p["b"], keep)
+            return total(probs, np.array([[1.0], [-0.5], [2.0]]))
+
+        probs = readout(pairs(params), params["w"], params["b"], keep)
+        for k, (first, second) in enumerate(zip(*pairs(params))):
+            alone = readout([[first], [second]], params["w"], params["b"], keep[k:k + 1])
+            np.testing.assert_array_equal(probs.data[k], alone.data[0])
+        assert grad_check(f, params) < 1e-6
+
     def test_gradient_reaches_only_last_rows(self):
         rng = np.random.default_rng(4)
         blocks = [Tensor(rng.normal(size=(n, 2))) for n in (3, 1, 4)]
         w, b = Tensor(rng.normal(size=(6, 1))), Tensor([[0.0]])
-        out = readout(blocks, w, b)
+        out = readout([[whole(f)] for f in blocks], w, b)
         assert out._parents == (*blocks, w, b)
         out.backward()
         for f in blocks:
@@ -483,9 +530,9 @@ def test_forward_is_score_of_encoded_question(which, seed, tq, ta):
     q = Tensor(rng.normal(size=(tq, 4)))
     a_embs = [Tensor(rng.normal(size=(rows, 4))) for rows in ta]
     scores = model.score(model.encode_questions([q]) * len(ta), a_embs)
-    assert len(scores) == len(ta)
-    for p, a in zip(scores, a_embs):
-        np.testing.assert_array_equal(p.data, model.forward(q, a).data)
+    assert scores.shape == (len(ta), 1)
+    for p, a in zip(scores.data, a_embs):
+        np.testing.assert_array_equal(p, model.forward(q, a).data[0])
 
 
 # (d_in, d_h) from the smallest to past paper size; cnn takes d_h filters
@@ -510,11 +557,11 @@ def test_encode_states_batch_invariant(size, seed, data):
     cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
     lens, subset = _batch_and_subset(data)
     seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
-    alone = [cell.encode_states([s])[0].data for s in seqs]
-    for h, want in zip(cell.encode_states(seqs), alone):
-        np.testing.assert_array_equal(h.data, want)
-    for k, h in zip(subset, cell.encode_states([seqs[k] for k in subset])):
-        np.testing.assert_array_equal(h.data, alone[k])
+    alone = [encode(cell, s)[0] for s in seqs]
+    for h, want in zip(encode(cell, *seqs), alone):
+        np.testing.assert_array_equal(h, want)
+    for k, h in zip(subset, encode(cell, *[seqs[k] for k in subset])):
+        np.testing.assert_array_equal(h, alone[k])
 
 
 @settings(max_examples=40, deadline=None)
@@ -534,7 +581,8 @@ def test_encode_states_backward_batch_invariant(size, seed, data):
 
     def backward(ks):
         xs = [Tensor(seqs[k]) for k in ks]
-        total(concat(cell.encode_states(xs)), np.concatenate([grads[k] for k in ks])).backward()
+        total(gather(cell.encode_states([whole(x) for x in xs])),
+              np.concatenate([grads[k] for k in ks])).backward()
         return [x.grad for x in xs], {name: p.grad.copy() for name, p in params.items()}
 
     alone = [backward([k]) for k in range(len(lens))]
@@ -563,10 +611,10 @@ def test_pair_score_batch_invariant(kind, size, seed, data):
     qs = [Tensor(rng.normal(size=(int(rng.integers(1, 7)), d_in))) for _ in lens]
     a_embs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
     alone = [model.forward(q, a).item() for q, a in zip(qs, a_embs)]
-    assert [p.item() for p in model.score(model.encode_questions(qs), a_embs)] == alone
+    assert model.score(model.encode_questions(qs), a_embs).data[:, 0].tolist() == alone
     batch = model.score(model.encode_questions([qs[k] for k in subset]),
                         [a_embs[k] for k in subset])
-    assert [p.item() for p in batch] == [alone[k] for k in subset]
+    assert batch.data[:, 0].tolist() == [alone[k] for k in subset]
 
 
 # scores of seed-7 models (d_in=50, hidden or filters 20) on five pairs, as the
@@ -591,8 +639,8 @@ def test_scores_within_rounding_of_row_by_row_products(kind):
     blob = save_checkpoint(build_model(kind, seed=7, d_in=50, **config))
     model = model_from_checkpoint(load_checkpoint(blob))
     scores = model.score(model.encode_questions([q for q, _ in pairs]), [a for _, a in pairs])
-    for p, old in zip(scores, ROW_BY_ROW_SCORES[kind]):
-        assert p.item() == pytest.approx(float.fromhex(old), rel=1e-13)
+    for p, old in zip(scores.data[:, 0], ROW_BY_ROW_SCORES[kind]):
+        assert p == pytest.approx(float.fromhex(old), rel=1e-13)
 
 
 @pytest.mark.parametrize("factory", ALL_MODELS)
@@ -623,7 +671,7 @@ def _minibatch_loss(model, rng_seed=3):
         probs = model.score(model.encode_questions([p[f"q{k}"] for k in n]),
                             [p[f"a{k}"] for k in n], training=True,
                             rng=np.random.default_rng(rng_seed))
-        return bce_loss(concat(probs), labels)
+        return bce_loss(probs, labels)
 
     return f, params
 
@@ -640,6 +688,35 @@ def test_minibatch_directional_gradient(name):
 def test_minibatch_gradient(factory):
     f, params = _minibatch_loss(factory())
     assert grad_check(f, params) < 1e-4
+
+
+def _inner_nodes(root: Tensor) -> int:
+    """The nodes with parents reachable from ``root``, itself included."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return sum(1 for node in seen.values() if node._parents)
+
+
+@pytest.mark.parametrize("kind,nodes", [("rnn", 4), ("cnn", 3), ("bidaf", 6)])
+def test_minibatch_graph_has_one_node_per_stage(kind, nodes, monkeypatch, tiny_embedding):
+    # rnn: two LSTM passes; cnn: one conv-pool; bidaf: two encoder passes,
+    # the attention and the modeling pass; then the readout and the loss,
+    # whatever the batch size
+    roots = []
+    backward = Tensor.backward
+    monkeypatch.setattr(Tensor, "backward", lambda self: (roots.append(self), backward(self)))
+    config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
+    model = build_model(kind, seed=0, d_in=16, **config)
+    pairs = [(g.question_tokens, c.tokens, float(c.label))
+             for g in make_separable_groups(11, seed=0) for c in g.candidates]
+    for size in (1, 5, 32):
+        _batch_gradients(model, pairs[:size], tiny_embedding, TrainConfig(),
+                         np.random.default_rng(0))
+        assert _inner_nodes(roots[-1]) == nodes, size
 
 
 class TestBuildModel:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import directional_check, grad_check, total
+from conftest import directional_check, grad_check, stack, total, whole
 from verseqa.models import LstmCell, readout
-from verseqa.tensor import (GraphError, ParameterSet, ShapeError, Tensor, concat,
-                            logistic)
+from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor, logistic
 
 
 def square(x: Tensor) -> Tensor:
@@ -21,7 +20,7 @@ def square(x: Tensor) -> Tensor:
 class TestUnaryOps:
     def test_sigmoid_at_zero(self):
         assert logistic(np.zeros((1, 1)))[0, 0] == 0.5
-        assert readout([Tensor([[3.0]])], Tensor([[0.0]]), Tensor([[0.0]])).item() == 0.5
+        assert readout([[whole(Tensor([[3.0]]))]], Tensor([[0.0]]), Tensor([[0.0]])).item() == 0.5
 
     def test_sigmoid_saturates_without_overflow_warning(self):
         with warnings.catch_warnings():
@@ -29,7 +28,7 @@ class TestUnaryOps:
             np.testing.assert_array_equal(logistic(np.array([[-800.0, 800.0]])), [[0.0, 1.0]])
             x = Tensor([[-800.0, 800.0]])
             w = Tensor([[1.0], [0.0]])
-            out = readout([x], w, Tensor([[0.0]]))
+            out = readout([[whole(x)]], w, Tensor([[0.0]]))
             out.backward()
         assert out.item() == 0.0
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
@@ -40,52 +39,6 @@ class TestUnaryOps:
             Tensor(np.zeros((0, 3)))
 
 
-class TestConcat:
-    def test_basic(self):
-        out = concat([Tensor([1.0]), Tensor([2.0])])
-        np.testing.assert_array_equal(out.data, [1.0, 2.0])
-
-    def test_extent_addition(self):
-        out = concat([Tensor(np.ones((2, 3))), Tensor(np.ones((5, 3)))])
-        assert out.shape == (7, 3)
-
-    def test_other_axis_mismatch(self):
-        with pytest.raises(ShapeError):
-            concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
-
-    def test_rank_mismatch_and_no_parts(self):
-        with pytest.raises(ShapeError):
-            concat([Tensor(np.ones((2, 3))), Tensor(np.ones(3))])
-        with pytest.raises(ShapeError):
-            concat([])
-        with pytest.raises(ShapeError):
-            concat([Tensor(1.0), Tensor(2.0)])
-
-    def test_concat_split_identity_values_and_grads(self):
-        # the stacked rows split back into the parts, and so does the gradient
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(3, 2)))
-        b = Tensor(rng.normal(size=(5, 2)))
-        joined = concat([a, b])
-        np.testing.assert_array_equal(joined.data[:3], a.data)
-        np.testing.assert_array_equal(joined.data[3:], b.data)
-        w = rng.normal(size=(8, 2))
-        total(joined, w).backward()
-        np.testing.assert_array_equal(a.grad, w[:3])
-        np.testing.assert_array_equal(b.grad, w[3:])
-
-    def test_many_parts_one_node(self):
-        rng = np.random.default_rng(2)
-        parts = [Tensor(rng.normal(size=(k, 2))) for k in (1, 3, 2)]
-        out = concat(parts)
-        assert out._parents == tuple(parts)
-        np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts]))
-        w = rng.normal(size=(6, 2))
-        total(out, w).backward()
-        for p, g in zip(parts, np.split(w, [1, 4])):
-            np.testing.assert_array_equal(p.grad, g)
-
-
 class TestNoBroadcasting:
     """The readout node is where the models multiply and add; like every
     node it broadcasts nothing."""
@@ -93,16 +46,16 @@ class TestNoBroadcasting:
     def test_float_operand_is_shape_error(self):
         x, w, b = Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.0]])
         with pytest.raises(ShapeError):
-            readout([x], w, b, keep=2.0)
+            readout([[whole(x)]], w, b, keep=2.0)
         with pytest.raises(ShapeError):
-            readout([x], w, Tensor(0.0))
+            readout([[whole(x)]], w, Tensor(0.0))
 
     def test_size_one_operand_is_shape_error(self):
         x, w, b = Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.0]])
         with pytest.raises(ShapeError, match=r"\(1, 1\)"):
-            readout([x], w, b, keep=np.ones((1, 1)))
+            readout([[whole(x)]], w, b, keep=np.ones((1, 1)))
         with pytest.raises(ShapeError, match=r"\(1, 1\)"):
-            readout([x], Tensor([[1.0]]), b)
+            readout([[whole(x)]], Tensor([[1.0]]), b)
 
 
 class TestBackward:
@@ -114,7 +67,7 @@ class TestBackward:
     def test_sigmoid_chain(self):
         w = Tensor([[0.0]])
         x = Tensor([[1.0]])
-        readout([x], w, Tensor([[0.0]])).backward()
+        readout([[whole(x)]], w, Tensor([[0.0]])).backward()
         np.testing.assert_allclose(w.grad, [[0.25]])
 
     def test_grad_of_loss_wrt_itself_is_one(self):
@@ -124,19 +77,19 @@ class TestBackward:
         assert y.grad == 1.0
 
     def test_node_shared_twice_sums_both_paths(self):
-        # x reaches the output through both parts of the concat and through
+        # x reaches the output through both parts of the stack and through
         # the readout: three paths, one walk, each visited once
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 3)))
         w = rng.normal(size=(4, 3))
-        y = total(concat([x, x]), w)
+        y = total(stack([x, x]), w)
         y.backward()
         np.testing.assert_array_equal(x.grad, w[:2] + w[2:])
         params = ParameterSet({"x": Tensor(rng.normal(size=(2, 3))),
                                "w": Tensor(rng.normal(size=(6, 1))), "b": Tensor([[0.3]])})
 
         def f(p):
-            return readout([p["x"], concat([p["x"], p["x"]])], p["w"], p["b"])
+            return readout([[whole(p["x"])], [whole(stack([p["x"], p["x"]]))]], p["w"], p["b"])
 
         assert grad_check(f, params) < 1e-6
 
@@ -154,8 +107,8 @@ class TestBackward:
         cell = LstmCell(3, 2, params, "cell", rng)
 
         def f(p):
-            h = cell.encode_states([concat([p["x"], square(p["x"])])])[0]
-            return total(square(readout([h, h], p["w"], p["b"])), np.array([[-1.0]]))
+            h = cell.encode_states([whole(stack([p["x"], square(p["x"])]))])[0]
+            return total(square(readout([[h], [h]], p["w"], p["b"])), np.array([[-1.0]]))
 
         assert grad_check(f, params) < 1e-6
 
@@ -191,10 +144,10 @@ def test_ops_match_finite_differences_on_random_shapes(rows, cols, seed):
 
     def f(p):
         x = p["x"]
-        joined = concat([x, square(x)])  # last row comes from the second part
-        p_1 = readout([x, joined, square(x)], p["w"], p["b"], keep)
-        p_2 = readout([joined, x, x], p["w"], p["b"])
-        return total(concat([p_1, p_2]), np.array([[1.0], [0.5]]))
+        joined = stack([x, square(x)])  # last row comes from the second part
+        p_1 = readout([[whole(x)], [whole(joined)], [whole(square(x))]], p["w"], p["b"], keep)
+        p_2 = readout([[whole(joined)], [whole(x)], [whole(x)]], p["w"], p["b"])
+        return total(stack([p_1, p_2]), np.array([[1.0], [0.5]]))
 
     assert grad_check(f, params) < 1e-4
 
@@ -207,8 +160,8 @@ def test_forward_bitwise_deterministic():
 
     def run():
         ta = Tensor(a)
-        h = cell.encode_states([concat([ta, square(ta)])])[0]
-        return readout([h, square(ta)], Tensor(b), Tensor([[0.1]])).item()
+        h = cell.encode_states([whole(stack([ta, square(ta)]))])[0]
+        return readout([[h], [whole(square(ta))]], Tensor(b), Tensor([[0.1]])).item()
 
     assert run() == run()
 

@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FILLERS, KEYS, grad_check, make_separable_groups
+from conftest import FILLERS, KEYS, grad_check, make_separable_groups, stack
+import verseqa
 from verseqa.data import Candidate, QuestionGroup
 from verseqa.embeddings import embed_sequence
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
@@ -196,7 +200,7 @@ class PerPairModel:
         return list(q_embs)
 
     def score(self, q_embs, a_embs, training=False, rng=None):
-        return [self.model.forward(q, a, training, rng) for q, a in zip(q_embs, a_embs)]
+        return stack([self.model.forward(q, a, training, rng) for q, a in zip(q_embs, a_embs)])
 
 
 def ragged_groups(n_groups: int, seed: int) -> list[QuestionGroup]:
@@ -249,7 +253,8 @@ def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config)
     a_embs = [embed_sequence(a, tiny_embedding, 8) for _, a, _ in batch]
     runs = []
     for wrap in (lambda m: m, PerPairModel):
-        scores = [p.item() for p in wrap(model).score(wrap(model).encode_questions(q_embs), a_embs)]
+        probs = wrap(model).score(wrap(model).encode_questions(q_embs), a_embs)
+        scores = probs.data[:, 0].tolist()
         loss, grads = _batch_gradients(wrap(model), batch, tiny_embedding, cfg,
                                        np.random.default_rng(cfg.seed))
         runs.append((scores, loss, {name: g.copy() for name, g in grads.items()}))
@@ -257,6 +262,52 @@ def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config)
     assert runs[0][1] == runs[1][1]
     for name, want in runs[1][2].items():
         assert np.linalg.norm(runs[0][2][name] - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+# trains each model at paper size (d=200, hidden 100) for one epoch of three
+# minibatches of ragged pairs and prints its checkpoint's sha256
+_PAPER_SIZE_DIGESTS = """
+import hashlib
+import numpy as np
+from verseqa import models, training
+from verseqa.data import Candidate, QuestionGroup
+from verseqa.embeddings import EmbeddingMatrix, Vocabulary
+
+rng = np.random.default_rng(0)
+words = [f"w{k}" for k in range(400)]
+vocab = Vocabulary(words)
+emb = EmbeddingMatrix(vocab=vocab, dim=200, table=rng.normal(size=(len(vocab), 200)) * 0.5)
+
+
+def text(lo, hi):
+    return " ".join(rng.choice(words, size=int(rng.integers(lo, hi))))
+
+
+groups = [QuestionGroup(qid=k, translation="syn", question=text(8, 16),
+                        candidates=[Candidate(text=text(20, 70), label=int(i == 0))
+                                    for i in range(6)])
+          for k in range(16)]
+cfg = training.TrainConfig(learning_rate=0.005, batch_size=32, max_epochs=1, seed=0)
+for kind in ("rnn", "cnn", "bidaf"):
+    config = dict(n_filters=100) if kind == "cnn" else dict(d_h=100)
+    model = models.build_model(kind, seed=0, d_in=200, **config)
+    training.train(model, groups, [], emb, cfg)
+    print(kind, hashlib.sha256(training.save_checkpoint(model)).hexdigest())
+"""
+
+
+def test_training_bits_do_not_depend_on_blas_thread_count():
+    # at paper sizes OpenBLAS splits a large product between threads, and a
+    # product it splits differently can round differently; telling the two
+    # counts apart needs a machine with at least 2 cores
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verseqa.__file__)))
+    runs = [subprocess.run([sys.executable, "-c", _PAPER_SIZE_DIGESTS], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": str(threads)}).stdout.split("\n")
+            for threads in (1, 2)]
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 4  # three digests and the final newline
 
 
 def _models_for_roundtrip():
