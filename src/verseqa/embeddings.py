@@ -9,6 +9,7 @@ per token, so the row count is the sequence length.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,8 +90,10 @@ class CbowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.window < 1 or self.dim < 1:
-            raise ValueError("window and dim must be >= 1")
+        if self.window < 1 or self.dim < 1 or self.epochs < 1:
+            raise ValueError("window, dim and epochs must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
@@ -144,7 +147,8 @@ def save_embedding(m: EmbeddingMatrix) -> list[str]:
     """Render non-reserved rows in the same text format load_pretrained reads."""
     out = []
     for idx in range(2, len(m.vocab)):
-        vec = " ".join(repr(float(v)) for v in m.table[idx])
+        # one row at a time, so the whole table is never held as Python floats
+        vec = " ".join(map(repr, m.table[idx].tolist()))
         out.append(f"{m.vocab.token(idx)} {vec}")
     return out
 
@@ -153,15 +157,20 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
                loss_history: list[float] | None = None) -> EmbeddingMatrix:
     """Train CBOW word vectors: predict each center word from its window.
 
-    Negative sampling against a unigram^0.75 noise distribution.
-    Deterministic for a fixed seed. The PAD row is never touched (real
-    tokens never map to it).
+    Negative sampling against a unigram^0.75 noise distribution. Its CDF
+    is built once per call, and each sentence's negatives are drawn in one
+    block: the ids, and the random stream, of one ``Generator.choice``
+    call per token. Deterministic for a fixed seed. The PAD row is never
+    touched (real tokens never map to it). A corpus in which no token has
+    a context is an ``EmbeddingError``.
     """
     sentences = [list(s) for s in corpus if s]
     total = sum(len(s) for s in sentences)
     if total < cfg.window + 1:
         raise EmbeddingError(
             f"corpus has {total} tokens; need at least window+1 = {cfg.window + 1}")
+    if all(len(s) < 2 for s in sentences):
+        raise EmbeddingError("no sentence has 2 or more tokens, so no token has a context")
 
     vocab = Vocabulary()
     counts: dict[int, int] = {}
@@ -186,37 +195,44 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
     noise[PAD_INDEX] = 0.0
     noise[UNK_INDEX] = 0.0
     noise /= noise.sum()
+    # the CDF Generator.choice(nv, p=noise) builds on every call; searching
+    # it with rng.random draws the same ids from the same stream
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
+    labels = np.zeros(1 + NEGATIVE_SAMPLES)
+    labels[0] = 1.0
     lr = cfg.learning_rate
     for _epoch in range(cfg.epochs):
         epoch_loss = 0.0
         n_examples = 0
         for ids in encoded:
-            for pos, center in enumerate(ids):
+            if len(ids) < 2:  # no token has a context: nothing is drawn
+                continue
+            # row pos: the center word's id, then its negatives
+            outs_block = np.empty((len(ids), 1 + NEGATIVE_SAMPLES), dtype=np.int64)
+            outs_block[:, 0] = ids
+            outs_block[:, 1:] = cdf.searchsorted(
+                rng.random((len(ids), NEGATIVE_SAMPLES)), side="right")
+            for pos, outs in enumerate(outs_block):
                 lo = max(0, pos - cfg.window)
-                hi = min(len(ids), pos + cfg.window + 1)
-                context = ids[lo:pos] + ids[pos + 1:hi]
-                if not context:
-                    continue
-                h = w_in[context].mean(axis=0)
-
-                negs = rng.choice(nv, size=NEGATIVE_SAMPLES, p=noise)
-                outs = np.concatenate([[center], negs])
-                labels = np.zeros(len(outs))
-                labels[0] = 1.0
-                scores = logistic(w_out[outs] @ h)
-                epoch_loss += -(np.log(np.clip(scores[0], 1e-12, None)) +
-                                np.sum(np.log(np.clip(1.0 - scores[1:], 1e-12, None))))
+                context = ids[lo:pos] + ids[pos + 1:pos + cfg.window + 1]
+                h = w_in[context].sum(axis=0) / len(context)  # .mean(axis=0), less overhead
+                w_o = w_out[outs]
+                scores = logistic(w_o @ h)
+                epoch_loss += -(np.log(max(scores[0], 1e-12)) +
+                                np.log(np.maximum(1.0 - scores[1:], 1e-12)).sum())
                 derr = scores - labels
-                dh = derr @ w_out[outs]
-                w_out[outs] -= lr * np.outer(derr, h)
+                dh = derr @ w_o
+                w_o -= lr * (derr[:, None] * h)  # np.outer(derr, h), less overhead
+                w_out[outs] = w_o  # a repeated id keeps its last row's update, not the sum
 
                 grad_ctx = lr * dh / len(context)
                 for c in context:
                     w_in[c] -= grad_ctx
                 n_examples += 1
         if loss_history is not None:
-            loss_history.append(epoch_loss / max(1, n_examples))
+            loss_history.append(epoch_loss / n_examples)
 
     w_in[PAD_INDEX] = 0.0
     return EmbeddingMatrix(vocab=vocab, dim=cfg.dim, table=w_in)

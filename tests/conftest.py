@@ -2,7 +2,7 @@
 per-coordinate and directional finite-difference gradient checks and a
 scalar reduction for them, (node, rows) sequence and stacking nodes, and
 plain numpy references of the LSTM recurrence and its backprop through
-time, the conv-pool layer and BiDAF attention.
+time, the conv-pool layer, BiDAF attention and CBOW training.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from verseqa.data import Candidate, QuestionGroup
-from verseqa.embeddings import EmbeddingMatrix, Vocabulary
-from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor
+from verseqa.embeddings import (NEGATIVE_SAMPLES, PAD_INDEX, UNK_INDEX, CbowConfig,
+                                EmbeddingMatrix, Vocabulary)
+from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor, logistic
 
 KEYS = [f"k{i}" for i in range(15)]
 FILLERS = [f"f{i}" for i in range(30)]
@@ -303,3 +304,68 @@ def bidaf_reference(q: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
     pooled_a = _softmax_rows(np.max(sim, axis=1).reshape(1, t_a)) @ a
     til_a = ones_a @ pooled_a
     return np.concatenate([a, att_q, a * att_q, a * til_a], axis=1)
+
+
+def cbow_reference(corpus, cfg: CbowConfig) -> tuple[np.ndarray, list[float]]:
+    """CBOW training as a plain per-token loop: each token with a context
+    draws its negatives with ``rng.choice(nv, p=noise)``, which builds the
+    noise CDF on every call. Returns (table, per-epoch mean loss); a corpus
+    in which no token has a context reports a loss of 0.0 per epoch."""
+    sentences = [list(s) for s in corpus if s]
+    vocab = Vocabulary()
+    counts: dict[int, int] = {}
+    encoded = []
+    for sent in sentences:
+        ids = [vocab.add(t) for t in sent]
+        encoded.append(ids)
+        for i in ids:
+            counts[i] = counts.get(i, 0) + 1
+
+    nv = len(vocab)
+    rng = np.random.default_rng(cfg.seed)
+    w_in = (rng.random((nv, cfg.dim)) - 0.5) / cfg.dim
+    w_in[PAD_INDEX] = 0.0
+    w_in[UNK_INDEX] = 0.0
+    w_out = np.zeros((nv, cfg.dim), dtype=np.float64)
+
+    freq = np.zeros(nv, dtype=np.float64)
+    for i, c in counts.items():
+        freq[i] = c
+    noise = freq ** 0.75
+    noise[PAD_INDEX] = 0.0
+    noise[UNK_INDEX] = 0.0
+    noise /= noise.sum()
+
+    history = []
+    lr = cfg.learning_rate
+    for _epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        n_examples = 0
+        for ids in encoded:
+            for pos, center in enumerate(ids):
+                lo = max(0, pos - cfg.window)
+                hi = min(len(ids), pos + cfg.window + 1)
+                context = ids[lo:pos] + ids[pos + 1:hi]
+                if not context:
+                    continue
+                h = w_in[context].mean(axis=0)
+
+                negs = rng.choice(nv, size=NEGATIVE_SAMPLES, p=noise)
+                outs = np.concatenate([[center], negs])
+                labels = np.zeros(len(outs))
+                labels[0] = 1.0
+                scores = logistic(w_out[outs] @ h)
+                epoch_loss += -(np.log(np.clip(scores[0], 1e-12, None)) +
+                                np.sum(np.log(np.clip(1.0 - scores[1:], 1e-12, None))))
+                derr = scores - labels
+                dh = derr @ w_out[outs]
+                w_out[outs] -= lr * np.outer(derr, h)
+
+                grad_ctx = lr * dh / len(context)
+                for c in context:
+                    w_in[c] -= grad_ctx
+                n_examples += 1
+        history.append(epoch_loss / max(1, n_examples))
+
+    w_in[PAD_INDEX] = 0.0
+    return w_in, history

@@ -427,6 +427,18 @@ class TestTrainEmbeddings:
         first = out.read_text().splitlines()[0].split(" ")
         assert len(first) == 7  # token + 6 components
 
+    def test_verses_of_one_word_exit_3(self, tmp_path, caplog):
+        # 12 tokens, more than window+1, but no token has a context
+        bible = tmp_path / "bible.tsv"
+        bible.write_text("".join(f"KJV\tMatthew\t1\t{v}\tword{v % 4}\n" for v in range(1, 13)))
+        out = tmp_path / "vec.txt"
+        rc = cli.main(["train-embeddings", "--bible", str(bible), "--out", str(out),
+                       "--dim", "4", "--window", "2"])
+        assert rc == 3
+        errors = _errors(caplog)
+        assert len(errors) == 1 and "context" in errors[0]
+        assert not out.exists()
+
 
 class TestPredict:
     # verses 2 and 4 are identical, so their scores tie
@@ -513,6 +525,7 @@ class TestNumericFlags:
         ("train-embeddings", ["--epochs", "0"]),
         ("train-embeddings", ["--window", "0"]),
         ("train-embeddings", ["--learning-rate", "0"]),
+        ("train-embeddings", ["--learning-rate", "inf"]),
         ("train", ["--batch-size", "0"]),
         ("train", ["--hidden", "0"]),
         ("train", ["--model", "cnn", "--dropout", "1.0"]),
@@ -521,7 +534,7 @@ class TestNumericFlags:
         ("train", ["--patience", "0"]),
         ("train", ["--model", "cnn", "--conv-window", "0"]),
         ("evaluate", ["--seed", "-1"]),
-    ], ids=["epochs", "window", "cbow-rate", "batch-size", "hidden", "dropout",
+    ], ids=["epochs", "window", "cbow-rate", "cbow-rate-inf", "batch-size", "hidden", "dropout",
             "rate-negative", "rate-nan", "patience", "conv-window", "seed"])
     def test_out_of_range_is_usage_error(self, base, capsys, command, flags):
         with pytest.raises(SystemExit) as exc:

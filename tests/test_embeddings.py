@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cbow_reference
 from verseqa.embeddings import (CbowConfig, EmbeddingError, EmbeddingMatrix,
                                 PAD_INDEX, UNK_INDEX, Vocabulary,
                                 concat_embeddings, cosine, embed_sequence,
@@ -55,6 +56,33 @@ class TestLoadPretrained:
     def test_dimension_below_one(self, dim):
         with pytest.raises(EmbeddingError, match="dimension"):
             load_pretrained([], expected_dim=dim)
+
+
+def _per_component_lines(m: EmbeddingMatrix) -> list[str]:
+    return [m.vocab.token(i) + " " + " ".join(repr(float(v)) for v in m.table[i])
+            for i in range(2, len(m.vocab))]
+
+
+def _rows_matrix(rows: list[list[float]]) -> EmbeddingMatrix:
+    dim = len(rows[0])
+    table = np.vstack([np.zeros((2, dim)), np.array(rows, dtype=np.float64)])
+    return EmbeddingMatrix(vocab=Vocabulary(f"w{i}" for i in range(len(rows))),
+                           dim=dim, table=table)
+
+
+def test_save_embedding_renders_each_component_repr():
+    m = _rows_matrix([[-0.0, 5e-324, 1e-300], [1e308, 0.1, 1 / 3], [-1e308, -5e-324, 2.0]])
+    assert save_embedding(m) == _per_component_lines(m)
+    assert save_embedding(m)[0] == "w0 -0.0 5e-324 1e-300"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+    min_size=1, max_size=4)))
+def test_save_embedding_matches_per_component_repr(rows):
+    m = _rows_matrix(rows)
+    assert save_embedding(m) == _per_component_lines(m)
 
 
 _VECTOR_LINE = (st.lists(st.text(max_size=4) | st.floats(width=32).map(repr)
@@ -119,12 +147,63 @@ class TestTrainCbow:
         with pytest.raises(EmbeddingError):
             train_cbow([["one", "two"]], CbowConfig(window=5, dim=4))
 
+    def test_corpus_without_any_context_is_error(self):
+        # enough tokens, but every sentence is one token long
+        corpus = [["a"], ["b"], [], ["a"], ["c"]]
+        with pytest.raises(EmbeddingError, match="context"):
+            train_cbow(corpus, CbowConfig(window=2, dim=4))
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 0), ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CbowConfig(**{field: value})
+
     def test_sigmoid_saturates_without_overflow_warning(self):
         # train_cbow scores its negative samples with tensor.logistic
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = logistic(np.array([-800.0, 0.0, 800.0]))
         np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
+
+
+@st.composite
+def _cbow_corpus(draw):
+    """Sentences of 0 to 30 tokens, one-token sentences included, drawn from
+    up to 2,000 types: half the tokens uniformly, so the vocabulary grows
+    with the corpus, and half from a Zipf head, so tokens repeat within a
+    sentence and a window."""
+    n_types = draw(st.integers(1, 2000))
+    lengths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    ranks = np.where(rng.random(n) < 0.5, np.minimum(rng.zipf(1.3, size=n), n_types),
+                     rng.integers(1, n_types + 1, size=n))
+    tokens = iter(f"t{r}" for r in ranks)
+    return [[next(tokens) for _ in range(k)] for k in lengths]
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=_cbow_corpus(), window=st.integers(1, 6), epochs=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
+def test_train_cbow_equals_per_token_choice_reference(corpus, window, epochs, seed, dim):
+    # one block of negatives per sentence, searched in a CDF built once per
+    # call, gives the bits of one rng.choice(nv, p=noise) call per token
+    cfg = CbowConfig(window=window, dim=dim, epochs=epochs, seed=seed)
+    if sum(map(len, corpus)) < window + 1:
+        with pytest.raises(EmbeddingError, match="window"):
+            train_cbow(corpus, cfg)
+        return
+    if all(len(s) < 2 for s in corpus):
+        with pytest.raises(EmbeddingError, match="context"):
+            train_cbow(corpus, cfg)
+        return
+    history: list[float] = []
+    m = train_cbow(corpus, cfg, loss_history=history)
+    table, ref_history = cbow_reference(corpus, cfg)
+    assert m.table.tobytes() == table.tobytes()
+    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
 
 
 class TestConcatEmbeddings:

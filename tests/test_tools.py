@@ -11,6 +11,8 @@ _SHA = "[0-9a-f]{64}"
 _EPOCH = "0x[0-9a-f.p+-]+/0x[0-9a-f.p+-]+/0x[0-9a-f.p+-]+"
 _LINE = re.compile(rf"(rnn|cnn|bidaf) forward={_SHA} history={_EPOCH}(,{_EPOCH})* "
                    rf"ckpt={_SHA} scores={_SHA} report={_SHA} transfer={_SHA}")
+_CBOW = re.compile(rf"cbow table={_SHA} history=0x[0-9a-f.p+-]+(,0x[0-9a-f.p+-]+)* "
+                   rf"vectors={_SHA}")
 
 
 def test_parity_prints_one_digest_line_per_model():
@@ -19,6 +21,7 @@ def test_parity_prints_one_digest_line_per_model():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(" ", 1)[0] for line in lines] == ["rnn", "cnn", "bidaf"]
-    for line in lines:
+    assert [line.split(" ", 1)[0] for line in lines] == ["rnn", "cnn", "bidaf", "cbow"]
+    for line in lines[:3]:
         assert _LINE.fullmatch(line), line
+    assert _CBOW.fullmatch(lines[3]), lines[3]

@@ -129,6 +129,11 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             self._cfg(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_config_rejects_learning_rate_not_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            self._cfg(learning_rate=value)
+
     def test_divergence_raises_typed_error(self, tiny_embedding):
         # at lr 1e300 the conv weights overflow and batch 2's loss and
         # gradients are NaN; the error names where, and no NaN reaches a weight

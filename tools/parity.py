@@ -1,4 +1,5 @@
-"""Print one digest line per model, to compare two checkouts bit for bit.
+"""Print one digest line per model and one for CBOW, to compare two
+checkouts bit for bit.
 
 For rnn, cnn and bidaf at paper sizes (d=200, hidden 100) on the bench
 corpus of seed 3 (``bench/corpus.generate``, read only), the line holds:
@@ -14,6 +15,13 @@ corpus of seed 3 (``bench/corpus.generate``, read only), the line holds:
 * ``report``: sha256 of ``evaluate(...).to_json()`` on those scores;
 * ``transfer``: sha256 of the checkpoint of a model with ``d_in=250``
   after ``transfer_weights`` from the trained one.
+
+A last ``cbow`` line trains CBOW vectors (d=200, seed 0, 2 epochs) on the
+first 300 verses of the corpus's base translation and holds:
+
+* ``table``: sha256 of the trained table's bytes;
+* ``history``: the per-epoch mean loss as float hex;
+* ``vectors``: sha256 of the ``save_embedding`` text.
 
 Run it from a checkout: ``python tools/parity.py``. It imports verseqa
 from that checkout's ``src``, and pins BLAS to one thread. An exact
@@ -38,6 +46,7 @@ from verseqa import data, embeddings, evaluation, models, training  # noqa: E402
 SEED = 3
 HIDDEN = 100
 TRANSFER_DIM = 250
+CBOW_VERSES = 300
 
 
 def _sha(payload: bytes | str) -> str:
@@ -75,6 +84,18 @@ def digest(kind: str, window_groups, chapter_groups, emb) -> str:
             f"transfer={_sha(training.save_checkpoint(target))}")
 
 
+def cbow_digest(bible_lines: list[str]) -> str:
+    base = bible_lines[0].split("\t", 1)[0] + "\t"
+    verses = [line.split("\t")[4] for line in bible_lines if line.startswith(base)]
+    history: list[float] = []
+    m = embeddings.train_cbow([data.tokenize(v) for v in verses[:CBOW_VERSES]],
+                              embeddings.CbowConfig(dim=DIM, epochs=2, seed=0),
+                              loss_history=history)
+    vectors = "\n".join(embeddings.save_embedding(m))
+    return (f"cbow table={_sha(m.table.tobytes())} "
+            f"history={','.join(h.hex() for h in history)} vectors={_sha(vectors)}")
+
+
 def main() -> None:
     corpus = generate(SEED)
     bible = data.parse_bible(corpus.bible_lines)
@@ -86,6 +107,7 @@ def main() -> None:
     emb = embeddings.load_pretrained(corpus.vector_lines, DIM)
     for kind in ("rnn", "cnn", "bidaf"):
         print(digest(kind, window, chapter, emb), flush=True)
+    print(cbow_digest(corpus.bible_lines), flush=True)
 
 
 if __name__ == "__main__":
