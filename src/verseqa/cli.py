@@ -73,6 +73,16 @@ def _load_embedding(args) -> embeddings.EmbeddingMatrix:
     return emb
 
 
+def _load_scoring_embedding(args, model) -> embeddings.EmbeddingMatrix:
+    """The vectors a trained model scores with: their dimension must be the
+    checkpoint's input width."""
+    emb = _load_embedding(args)
+    if emb.dim != model.d_in:
+        raise CliValidationError(f"embedding dimension {emb.dim} does not match "
+                                 f"the checkpoint's d_in {model.d_in}")
+    return emb
+
+
 def _model_hyperparams(args, d_in: int) -> dict:
     if args.model == "cnn":
         return {"d_in": d_in, "n_filters": args.hidden, "window": args.conv_window,
@@ -182,7 +192,7 @@ def cmd_evaluate(args) -> int:
             raise CliValidationError("a trained model needs --checkpoint and --embeddings")
         with open(_require_file(args.checkpoint), "rb") as f:
             model = training.model_from_checkpoint(training.load_checkpoint(f.read()))
-        emb = _load_embedding(args)
+        emb = _load_scoring_embedding(args, model)
         preds = evaluation.score_groups(model, groups, emb)
     report = evaluation.evaluate(preds, model=args.model, dataset=args.data,
                                  seed=args.seed)
@@ -197,7 +207,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     with open(_require_file(args.checkpoint), "rb") as f:
         model = training.model_from_checkpoint(training.load_checkpoint(f.read()))
-    emb = _load_embedding(args)
+    emb = _load_scoring_embedding(args, model)
     corpus = data.parse_bible(_read_lines(args.bible))
     verses = corpus.chapter(args.translation, args.book, args.chapter)
     group = data.QuestionGroup(qid=0, translation=args.translation,

@@ -2,8 +2,8 @@
 
 Covers loading pretrained vectors from text, training CBOW vectors on a
 tokenized corpus with negative sampling, concatenating two embedding
-sources, and turning token sequences into unpadded input tensors: one row
-per token, so the row count is the sequence length.
+sources, and turning token sequences into unpadded, constant input
+tensors: one row per token, so the row count is the sequence length.
 """
 
 from __future__ import annotations
@@ -265,13 +265,16 @@ def embed_sequence(tokens: Sequence[str], m: EmbeddingMatrix,
     """Map tokens to a [min(len(tokens), max_len), dim] tensor, one row each.
 
     Unknown tokens use the UNK row; long inputs are truncated at the tail.
-    Nothing is padded: an empty list yields one all-zero row.
+    Nothing is padded: an empty list yields one all-zero row. The tensor is
+    a constant (``requires_grad=False``): training never updates the table,
+    so backward computes no gradient for it.
     """
     if max_len < 1:
         raise EmbeddingError("max_len must be >= 1")
     if not tokens:
-        return Tensor(np.zeros((1, m.dim)))
-    return Tensor(m.table[[m.vocab.index(tok) for tok in tokens[:max_len]]])
+        return Tensor(np.zeros((1, m.dim)), requires_grad=False)
+    return Tensor(m.table[[m.vocab.index(tok) for tok in tokens[:max_len]]],
+                  requires_grad=False)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

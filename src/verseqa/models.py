@@ -55,6 +55,13 @@ def _nodes(seqs: Sequence[Seq]) -> tuple[Tensor, ...]:
     return tuple({id(node): node for node, _ in seqs}.values())
 
 
+def _check_width(seqs: Sequence[Seq], d_in: int) -> None:
+    """ShapeError unless every node of ``seqs`` has ``d_in`` columns."""
+    for node, _ in seqs:
+        if node.shape[1:] != (d_in,):
+            raise ShapeError(f"expected input shape (rows, {d_in}), got {node.shape}")
+
+
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
@@ -122,9 +129,7 @@ class LstmCell:
         only. So a sequence's states depend neither on the other sequences
         nor on their order. The backward is ``_bptt``."""
         seqs = tuple(seqs)
-        for node, _ in seqs:
-            if node.shape[1:] != (self.d_in,):
-                raise ShapeError(f"expected input shape (rows, {self.d_in}), got {node.shape}")
+        _check_width(seqs, self.d_in)
         if not seqs:
             return []
         d_in, d_h = self.d_in, self.d_h
@@ -185,7 +190,9 @@ class LstmCell:
         between threads, but 256-row products gave the same bits at 1 and 2
         threads in every shape tried. The weights' recurrent and input rows
         are joined into C-ordered copies: as the right operand of the blocks,
-        a transposed view is up to 3x slower."""
+        a transposed view is up to 3x slower. Only input nodes with a grad
+        take an input gradient: with constant inputs alone (embedded
+        sequences) the input-row copy and product are skipped."""
         d_in, d_h = self.d_in, self.d_h
         z, gates, c_all, tanh_c = saved
 
@@ -226,10 +233,14 @@ class LstmCell:
                 self.W[gate]._accumulate(d_w[:, n * d_h:(n + 1) * d_h])
                 self.b[gate]._accumulate(d_b[None, n * d_h:(n + 1) * d_h])
             del d_w  # before d_x, the largest of them
+            takers = [(node, rows, r) for (node, rows), r in zip(seqs, idx)
+                      if node.grad is not None]
+            if not takers:
+                return
             d_x = np.empty((len(z), d_in))
             w_x = np.concatenate([w[:d_in] for w in gate_w], axis=1).T.copy()  # [4*d_h, d_in]
             _blocked_matmul(d_a, w_x, d_x)
-            for (node, rows), r in zip(seqs, idx):
+            for node, rows, r in takers:
                 node.grad[rows] += d_x[r]
 
         return backward
@@ -318,7 +329,11 @@ class CnnPairModel(_PairModel):
         """Max over window positions of relu(window @ conv.W + conv.b) of
         each sequence (zero-padded up to one window), as one graph node of a
         row per sequence; on ties the gradient goes to the first position.
-        The weight gradient adds the sequences' terms in order."""
+        The weight gradient adds the sequences' terms in order. A sequence
+        whose node is a constant (an embedded sequence) takes no input
+        gradient, so its window-gradient product and scatter are skipped.
+        ShapeError unless every input has ``d_in`` columns."""
+        _check_width(seqs, self.d_in)
         w, d = self.window, self.d_in
         W, b = self.w_conv.data, self.b_conv.data
         xs = [node.data[rows] for node, rows in seqs]
@@ -347,6 +362,8 @@ class CnnPairModel(_PairModel):
                 d_act[at - lo, cols] = d_seq
                 self.w_conv._accumulate(win[lo:lo + n].T @ d_act)
                 self.b_conv._accumulate(d_seq[None])
+                if node.grad is None:
+                    continue
                 d_win = d_act @ W.T
                 d_rows = np.zeros((n + w - 1, d))
                 for k in range(w):

@@ -9,6 +9,12 @@ attention, the logistic readout, the BCE loss) is one node per call with a
 hand-written backward, next to the code that uses it, and sequences pass
 between them as (node, rows) pairs; ``logistic`` is the sigmoid they
 share. Forward results are bitwise deterministic.
+
+A leaf made with ``requires_grad=False`` is a constant: ``backward()``
+leaves its ``grad`` at None, and the layers it feeds skip the products
+that only its gradient would need. Embedded inputs are such constants,
+since training never updates the embedding table. Every other node
+reached by ``backward()`` gets a gradient.
 """
 
 from __future__ import annotations
@@ -29,14 +35,16 @@ class GraphError(RuntimeError):
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, _parents: Tuple["Tensor", ...] = (),
-                 _backward: Callable[[np.ndarray], None] | None = None):
+                 _backward: Callable[[np.ndarray], None] | None = None, *,
+                 requires_grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.size == 0:
             raise ShapeError("empty tensor is not allowed")
         self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
 
@@ -57,10 +65,11 @@ class Tensor:
     # ---- backward ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        self.grad += g  # backward() zeroed every reachable grad first
+        self.grad += g  # backward() zeroed the grad of every reachable node but constants
 
     def backward(self) -> None:
-        """Populate grads of all tensors reachable from this scalar output."""
+        """Populate grads of all tensors reachable from this scalar output,
+        constants (``requires_grad=False``) apart: their grad stays None."""
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
         order: list[Tensor] = []
@@ -79,7 +88,7 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            node.grad = np.zeros_like(node.data) if node.requires_grad else None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:

@@ -509,6 +509,27 @@ class TestPredict:
             assert r["score"] == preds[r["verse"] - 1].score
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("model", [RnnPairModel(8, d_h=2, seed=0),
+                                   CnnPairModel(8, n_filters=2, window=2, seed=0),
+                                   BidafModel(8, d_h=2, seed=0)], ids=["rnn", "cnn", "bidaf"])
+def test_embedding_dim_unlike_checkpoint_exits_3(model, command, bible_tsv, dataset_jsonl,
+                                                 tmp_path, caplog):
+    vectors = tmp_path / "vectors6.txt"
+    vectors.write_text("\n".join(save_embedding(make_embedding(dim=6))) + "\n")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(save_checkpoint(model))
+    if command == "evaluate":
+        argv = ["evaluate", "--model", model.kind, "--data", dataset_jsonl]
+    else:
+        argv = ["predict", "--bible", bible_tsv, "--question", "who?",
+                "--book", "Matthew", "--chapter", "1"]
+    rc = cli.main(argv + ["--checkpoint", str(ckpt), "--embeddings", str(vectors),
+                          "--dim", "6"])
+    assert rc == 3
+    assert _errors(caplog) == ["embedding dimension 6 does not match the checkpoint's d_in 8"]
+
+
 class TestNumericFlags:
     @pytest.fixture
     def base(self, bible_tsv, dataset_jsonl, embeddings_txt, tmp_path):

@@ -9,6 +9,7 @@ from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
 from conftest import (bidaf_reference, directional_check, gather, grad_check,
                       lstm_bptt_reference, lstm_reference, make_separable_groups,
                       pool_reference, stack, total, whole)
+from verseqa import training
 from verseqa.tensor import ParameterSet, ShapeError, Tensor, logistic
 from verseqa.training import (TrainConfig, _batch_gradients, bce_loss, load_checkpoint,
                               model_from_checkpoint, save_checkpoint)
@@ -140,6 +141,14 @@ class TestSharedModelContracts:
             p = model.forward(q, a).item()
             assert 0.0 < p < 1.0
 
+    @pytest.mark.parametrize("side", ["question", "candidate"])
+    def test_input_width_unlike_d_in_is_shape_error(self, factory, side):
+        model = factory()
+        q, a = _random_pair(np.random.default_rng(0), 4)
+        wide = Tensor(np.ones((3, 6)))
+        with pytest.raises(ShapeError, match=r"expected input shape \(rows, 4\)"):
+            model.forward(*((wide, a) if side == "question" else (q, wide)))
+
     def test_full_model_gradient(self, factory):
         # near-zero-gradient coordinates make the relative error noisy;
         # this seed pair keeps a two-decades margin for all three models
@@ -240,22 +249,31 @@ class TestSequenceNodesExact:
     @pytest.mark.parametrize("d_in,d_h", [(3, 2), (7, 50), (16, 16), (200, 100), (400, 100)])
     def test_encode_states_backward_bitwise(self, d_in, d_h):
         # the weight, bias and input gradients of ragged batches against the
-        # BPTT written out over the same row layout and blocked products
+        # BPTT written out over the same row layout and blocked products; in
+        # the mixed batches every second sequence, the first included, is a
+        # constant (as embedded inputs are), which takes no gradient and
+        # leaves the others' bits alone; [1] is then all constants
         rng = np.random.default_rng(d_in * d_h)
         cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
         # the last batch lays out 280 rows, more than one weight-gradient chunk
         for lens in ([1], [5, 1, 9, 9, 2], [3, 8, 1, 6, 4, 7, 2, 5, 5], [4, 4, 4, 4],
                      [70, 3, 66, 70]):
-            seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
-            grads = [rng.normal(size=(n, d_h)) for n in lens]
-            total(gather(cell.encode_states([whole(s) for s in seqs])),
-                  np.concatenate(grads)).backward()
-            d_w, d_b, d_x = lstm_bptt_reference(cell, [s.data for s in seqs], grads)
-            for gate in cell.GATES:
-                np.testing.assert_array_equal(cell.W[gate].grad, d_w[gate])
-                np.testing.assert_array_equal(cell.b[gate].grad, d_b[gate])
-            for seq, want in zip(seqs, d_x):
-                np.testing.assert_array_equal(seq.grad, want)
+            for mixed in (False, True):
+                seqs = [Tensor(rng.normal(size=(n, d_in)),
+                               requires_grad=not (mixed and k % 2 == 0))
+                        for k, n in enumerate(lens)]
+                grads = [rng.normal(size=(n, d_h)) for n in lens]
+                total(gather(cell.encode_states([whole(s) for s in seqs])),
+                      np.concatenate(grads)).backward()
+                d_w, d_b, d_x = lstm_bptt_reference(cell, [s.data for s in seqs], grads)
+                for gate in cell.GATES:
+                    np.testing.assert_array_equal(cell.W[gate].grad, d_w[gate])
+                    np.testing.assert_array_equal(cell.b[gate].grad, d_b[gate])
+                for seq, want in zip(seqs, d_x):
+                    if seq.requires_grad:
+                        np.testing.assert_array_equal(seq.grad, want)
+                    else:
+                        assert seq.grad is None
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 11])
     def test_pool_bitwise(self, rows):
@@ -299,6 +317,27 @@ class TestSequenceNodesExact:
         weights = rng.normal(size=(1, 3))
         assert grad_check(lambda p: total(gather(model._pool([whole(p["x"])])), weights),
                           params) < 1e-6
+        # a batch in which every second sequence is a constant (as embedded
+        # inputs are): the constants take no gradient, and the other
+        # sequences' and the weights' gradients are an all-ordinary batch's,
+        # bit for bit
+        xs = [rng.normal(size=(n, 4)) for n in (3, 1, 5, 2, 7)]
+        weights = rng.normal(size=(len(xs), 3))
+
+        def backward(constant):
+            seqs = [Tensor(x, requires_grad=not constant(k)) for k, x in enumerate(xs)]
+            total(gather(model._pool([whole(s) for s in seqs])), weights).backward()
+            return [s.grad for s in seqs], [model.w_conv.grad, model.b_conv.grad]
+
+        want, want_w = backward(lambda k: False)
+        got, got_w = backward(lambda k: k % 2 == 0)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if k % 2 == 0:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, w)
+        for g, w in zip(got_w, want_w):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestBidafAttention:
@@ -717,6 +756,46 @@ def test_minibatch_graph_has_one_node_per_stage(kind, nodes, monkeypatch, tiny_e
         _batch_gradients(model, pairs[:size], tiny_embedding, TrainConfig(),
                          np.random.default_rng(0))
         assert _inner_nodes(roots[-1]) == nodes, size
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["rnn", "cnn", "bidaf"]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_batch_gradients_of_constant_inputs_equal_ordinary_inputs(kind, seed, data,
+                                                                  tiny_embedding):
+    # embed_sequence's tensors are constants: a minibatch built from them
+    # leaves every one with no grad, and gives every parameter the gradient,
+    # bit for bit, and the loss that the same batch of ordinary input tensors
+    # gives; questions and candidates are empty, short and truncated
+    config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
+    model = build_model(kind, seed=seed % 1000, d_in=16, **config)
+    words = st.lists(st.sampled_from(tiny_embedding.vocab.tokens()), max_size=10)
+    batch = data.draw(st.lists(st.tuples(words, words, st.sampled_from([0.0, 1.0])),
+                               min_size=1, max_size=8), label="batch")
+    cfg = TrainConfig(max_question_tokens=8, max_answer_tokens=8)
+    constants, ordinary = [], []
+
+    def as_constant(tokens, m, max_len):
+        constants.append(embed_sequence(tokens, m, max_len))
+        return constants[-1]
+
+    def as_ordinary(tokens, m, max_len):
+        ordinary.append(Tensor(embed_sequence(tokens, m, max_len).data))
+        return ordinary[-1]
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for embed in (as_constant, as_ordinary):
+            mp.setattr(training, "embed_sequence", embed)
+            loss, grads = _batch_gradients(model, batch, tiny_embedding, cfg,
+                                           np.random.default_rng(seed))
+            runs.append((loss, {name: g.copy() for name, g in grads.items()}))
+    assert len(constants) == len(ordinary) == 2 * len(batch)
+    assert all(t.grad is None for t in constants)
+    assert all(t.grad is not None for t in ordinary)
+    assert runs[0][0] == runs[1][0]
+    for name, want in runs[1][1].items():
+        np.testing.assert_array_equal(runs[0][1][name], want, err_msg=name)
 
 
 class TestBuildModel:
