@@ -191,7 +191,11 @@ def cmd_evaluate(args) -> int:
         if not (args.checkpoint and args.embeddings):
             raise CliValidationError("a trained model needs --checkpoint and --embeddings")
         with open(_require_file(args.checkpoint), "rb") as f:
-            model = training.model_from_checkpoint(training.load_checkpoint(f.read()))
+            ckpt = training.load_checkpoint(f.read())
+        if ckpt.model_kind != args.model:
+            raise CliValidationError(f"--model {args.model} does not match the "
+                                     f"{ckpt.model_kind!r} checkpoint {args.checkpoint}")
+        model = training.model_from_checkpoint(ckpt)
         emb = _load_scoring_embedding(args, model)
         preds = evaluation.score_groups(model, groups, emb)
     report = evaluation.evaluate(preds, model=args.model, dataset=args.data,

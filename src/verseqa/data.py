@@ -24,6 +24,8 @@ import numpy as np
 TRANSLATIONS = ("KJV", "ASV", "YLT", "WEB")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
+_STR_OR_NONE = (str, type(None))  # exact types of a dataset candidate's fields:
+_INT_OR_NONE = (int, type(None))  # a bool is not an int there
 
 # terminators that do not end a sentence when they close these abbreviations
 ABBREVIATIONS = ("mr", "mrs", "dr", "st", "e.g", "i.e", "etc", "vs", "no")
@@ -402,9 +404,13 @@ def group_from_json(line: str) -> QuestionGroup:
             and isinstance(rec.get("question"), str)
             and isinstance(rec.get("candidates"), list) and rec["candidates"]
             and all(isinstance(c, dict) and isinstance(c.get("text"), str)
-                    and c.get("label") in (0, 1) for c in rec["candidates"])):
+                    and type(c.get("label")) is int and c["label"] in (0, 1)
+                    and type(c.get("book")) in _STR_OR_NONE
+                    and type(c.get("chapter")) in _INT_OR_NONE
+                    and type(c.get("verse")) in _INT_OR_NONE for c in rec["candidates"])):
         raise ParseError("expected an object with an int qid, str translation and question, "
-                         "and a non-empty candidates list of {text: str, label: 0/1}")
+                         "and a non-empty candidates list of {text: str, label: 0/1, "
+                         "book: str/null, chapter and verse: int/null}")
     positives = sum(c["label"] for c in rec["candidates"])
     if positives != 1:
         raise ParseError(f"expected exactly one candidate with label 1, got {positives}")

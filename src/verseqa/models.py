@@ -62,9 +62,19 @@ def _check_width(seqs: Sequence[Seq], d_in: int) -> None:
             raise ShapeError(f"expected input shape (rows, {d_in}), got {node.shape}")
 
 
-def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+def init_params(params: ParameterSet, shapes: dict[str, tuple[int, int]],
+                rng: np.random.Generator) -> ParameterSet:
+    """Add the parameters ``shapes`` names to ``params``, in its order, and
+    return ``params``: biases (``.b*``) zero, LSTM forget-gate biases (``.b_f``)
+    one to open the gate, every other tensor a Xavier-uniform draw from ``rng``."""
+    for name, (rows, cols) in shapes.items():
+        if name.rpartition(".")[2].startswith("b"):
+            value = np.full((rows, cols), 1.0 if name.endswith(".b_f") else 0.0)
+        else:
+            limit = np.sqrt(6.0 / (rows + cols))
+            value = rng.uniform(-limit, limit, size=(rows, cols))
+        params.add(name, Tensor(value))
+    return params
 
 
 ROW_BLOCK = 4  # rows per weight product; see _blocked_matmul
@@ -90,34 +100,23 @@ def _block_rows(n: int) -> int:
 
 
 class LstmCell:
-    """Single-layer LSTM parameters; each gate weight is [d_in+d_h, d_h]."""
+    """A single-layer LSTM over the gate tensors ``{prefix}.W_g`` [d_in+d_h,
+    d_h] and ``{prefix}.b_g`` [1, d_h] of ``params``, which ``shapes`` names;
+    the cell allocates nothing."""
 
     GATES = ("i", "f", "o", "c")
 
-    def __init__(self, d_in: int, d_h: int, params: ParameterSet, prefix: str,
-                 rng: np.random.Generator):
-        self.d_in = d_in
-        self.d_h = d_h
-        self.prefix = prefix
-        self.W: dict[str, Tensor] = {}
-        self.b: dict[str, Tensor] = {}
-        for g in self.GATES:
-            bias = np.zeros((1, d_h))
-            if g == "f":
-                bias += 1.0  # open forget gate at init
-            self.W[g] = params.add(f"{prefix}.W_{g}", Tensor(_xavier(rng, d_in + d_h, d_h)))
-            self.b[g] = params.add(f"{prefix}.b_{g}", Tensor(bias))
+    def __init__(self, params: ParameterSet, prefix: str):
+        self.W = {g: params[f"{prefix}.W_{g}"] for g in self.GATES}
+        self.b = {g: params[f"{prefix}.b_{g}"] for g in self.GATES}
+        self.d_h = self.b["i"].shape[1]
+        self.d_in = self.W["i"].shape[0] - self.d_h
 
     @classmethod
     def shapes(cls, prefix: str, d_in: int, d_h: int) -> dict[str, tuple[int, int]]:
-        """The parameter shapes of a cell, without allocating it."""
+        """The parameter shapes of a cell, weights first, in draw order."""
         return {**{f"{prefix}.W_{g}": (d_in + d_h, d_h) for g in cls.GATES},
                 **{f"{prefix}.b_{g}": (1, d_h) for g in cls.GATES}}
-
-    def input_layout(self) -> dict[str, tuple[int, int]]:
-        """(input blocks, trailing rows) of each gate weight: [x | h] is one
-        block of d_in input rows, then d_h recurrent rows."""
-        return {f"{self.prefix}.W_{g}": (1, self.d_h) for g in self.GATES}
 
     def encode_states(self, seqs: Sequence[Seq]) -> list[Seq]:
         """The hidden states [rows, d_h] of each sequence, as the rows of one
@@ -265,12 +264,11 @@ class RnnPairModel(_PairModel):
     def __init__(self, d_in: int, d_h: int = 100, seed: int = 0):
         self.d_in = d_in
         self.d_h = d_h
-        self.params = ParameterSet()
-        rng = np.random.default_rng(seed)
-        self.q_cell = LstmCell(d_in, d_h, self.params, "q_cell", rng)
-        self.a_cell = LstmCell(d_in, d_h, self.params, "a_cell", rng)
-        self.w_out = self.params.add("out.W", Tensor(_xavier(rng, 2 * d_h, 1)))
-        self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
+        self.params = init_params(ParameterSet(), self.param_shapes(d_in, d_h),
+                                  np.random.default_rng(seed))
+        self.q_cell = LstmCell(self.params, "q_cell")
+        self.a_cell = LstmCell(self.params, "a_cell")
+        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
 
     def config(self) -> dict:
         return {"d_in": self.d_in, "d_h": self.d_h}
@@ -290,9 +288,6 @@ class RnnPairModel(_PairModel):
         h_as = self.a_cell.encode_states([_whole(a) for a in a_embs])
         return readout([h_qs, h_as], self.w_out, self.b_out)
 
-    def input_layout(self) -> dict[str, tuple[int, int]]:
-        return {**self.q_cell.input_layout(), **self.a_cell.input_layout()}
-
 
 class CnnPairModel(_PairModel):
     kind = "cnn"
@@ -307,12 +302,10 @@ class CnnPairModel(_PairModel):
         self.n_filters = n_filters
         self.window = window
         self.dropout = dropout
-        self.params = ParameterSet()
-        rng = np.random.default_rng(seed)
-        self.w_conv = self.params.add("conv.W", Tensor(_xavier(rng, window * d_in, n_filters)))
-        self.b_conv = self.params.add("conv.b", Tensor(np.zeros((1, n_filters))))
-        self.w_out = self.params.add("out.W", Tensor(_xavier(rng, 2 * n_filters, 1)))
-        self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
+        self.params = init_params(ParameterSet(), self.param_shapes(d_in, n_filters, window),
+                                  np.random.default_rng(seed))
+        self.w_conv, self.b_conv = self.params["conv.W"], self.params["conv.b"]
+        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
 
     def config(self) -> dict:
         return {"d_in": self.d_in, "n_filters": self.n_filters,
@@ -397,10 +390,6 @@ class CnnPairModel(_PairModel):
         pooled = dict(zip(seqs, self._pool(list(seqs.values()))))
         return readout([[pooled[id(q)] for q in q_seqs], [pooled[id(a)] for a in a_embs]],
                        self.w_out, self.b_out, keep)
-
-    def input_layout(self) -> dict[str, tuple[int, int]]:
-        """(input blocks, trailing rows) of conv.W: one d_in block per position."""
-        return {"conv.W": (self.window, 0)}
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -512,13 +501,12 @@ class BidafModel(_PairModel):
             raise ValueError(f"unknown readout: {readout}")
         self.d_in = d_in
         self.d_h = d_h
-        self.params = ParameterSet()
-        rng = np.random.default_rng(seed)
-        self.enc_cell = LstmCell(d_in, d_h, self.params, "enc_cell", rng)
-        self.w_alpha = self.params.add("attn.w", Tensor(_xavier(rng, 3 * d_h, 1)))
-        self.model_cell = LstmCell(4 * d_h, d_h, self.params, "model_cell", rng)
-        self.w_out = self.params.add("out.W", Tensor(_xavier(rng, d_h, 1)))
-        self.b_out = self.params.add("out.b", Tensor(np.zeros((1, 1))))
+        self.params = init_params(ParameterSet(), self.param_shapes(d_in, d_h),
+                                  np.random.default_rng(seed))
+        self.enc_cell = LstmCell(self.params, "enc_cell")
+        self.model_cell = LstmCell(self.params, "model_cell")
+        self.w_alpha = self.params["attn.w"]
+        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
 
     def config(self) -> dict:
         return {"d_in": self.d_in, "d_h": self.d_h, "readout": "final"}
@@ -539,9 +527,6 @@ class BidafModel(_PairModel):
         a_encs = self.enc_cell.encode_states([_whole(a) for a in a_embs])
         combined = bidaf_attention(q_encs, a_encs, self.w_alpha)
         return readout([self.model_cell.encode_states(combined)], self.w_out, self.b_out)
-
-    def input_layout(self) -> dict[str, tuple[int, int]]:
-        return self.enc_cell.input_layout()
 
 
 MODEL_KINDS = {

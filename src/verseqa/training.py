@@ -360,12 +360,13 @@ class TransferReport:
 
 
 def _extend_input_rows(src: np.ndarray, dst_shape: tuple, blocks: int,
-                       tail: int) -> np.ndarray:
-    """Rows are ``blocks`` input blocks of d_in rows, then ``tail`` other rows;
-    each block keeps its old rows and zero-fills the new ones."""
+                       d_new: int) -> np.ndarray:
+    """Rows are ``blocks`` input blocks of d_in rows, then a tail of other rows,
+    and ``dst_shape`` has ``d_new`` rows per block; each block keeps its old
+    rows and zero-fills the new ones."""
+    tail = dst_shape[0] - blocks * d_new
     d_old, r_old = divmod(src.shape[0] - tail, blocks)
-    d_new, r_new = divmod(dst_shape[0] - tail, blocks)
-    if src.shape[1] != dst_shape[1] or r_old or r_new or not 0 <= d_old <= d_new:
+    if src.shape[1] != dst_shape[1] or r_old or not 0 <= d_old <= d_new:
         raise TransferError(f"cannot extend input rows {src.shape} to {dst_shape}")
     out = np.zeros(dst_shape)
     for j in range(blocks):
@@ -377,16 +378,16 @@ def _extend_input_rows(src: np.ndarray, dst_shape: tuple, blocks: int,
 def transfer_weights(source: Checkpoint, target) -> TransferReport:
     """Copy checkpoint tensors into ``target`` (same model kind).
 
-    Equal shapes copy exactly. Input-adjacent matrices (the target's
-    ``input_layout``) whose embedding dimension grew copy the old input
-    rows and zero-fill the new ones, so the transferred model computes the
-    same function while the extra embedding dims are zero. Any other
-    mismatch is an error.
+    Equal shapes copy exactly. A matrix whose rows grow with ``d_in`` (it has
+    ``blocks`` more in ``param_shapes`` at the target's ``d_in + 1``) copies
+    the old input rows of each of its d_in blocks and zero-fills the new
+    ones, so the transferred model computes the same function while the
+    extra embedding dims are zero. Any other mismatch is an error.
     """
     if source.model_kind != target.kind:
         raise TransferError(f"model kind mismatch: checkpoint is "
                             f"{source.model_kind!r}, target is {target.kind!r}")
-    layout = target.input_layout()
+    grown = models_mod.param_shapes(target.kind, **{**target.config(), "d_in": target.d_in + 1})
     report = TransferReport()
     new_values = {}
     for name, t in target.params.items():
@@ -397,10 +398,11 @@ def transfer_weights(source: Checkpoint, target) -> TransferReport:
             new_values[name] = src.copy()
             report.copied.append(name)
             continue
-        if name not in layout or src.ndim != 2:
+        blocks = grown[name][0] - t.data.shape[0]  # rows: blocks of d_in, then a tail
+        if not blocks or src.ndim != 2:
             raise TransferError(f"parameter {name}: shape {src.shape} does not "
                                 f"match {t.data.shape} and is not an input block")
-        new_values[name] = _extend_input_rows(src, t.data.shape, *layout[name])
+        new_values[name] = _extend_input_rows(src, t.data.shape, blocks, target.d_in)
         report.extended.append(name)
     target.params.load_values(new_values)
     return report

@@ -15,8 +15,8 @@ from conftest import make_embedding, make_separable_groups
 from verseqa import cli
 from verseqa.data import Candidate, QuestionGroup, read_groups, write_groups
 from verseqa.embeddings import load_pretrained, save_embedding
-from verseqa.evaluation import score_groups
-from verseqa.models import BidafModel, CnnPairModel, RnnPairModel
+from verseqa.evaluation import evaluate, score_groups
+from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
 from verseqa.training import load_checkpoint, model_from_checkpoint, save_checkpoint
 
 
@@ -155,6 +155,33 @@ class TestEvaluate:
         assert rc == 3
         assert "maxpool" in " ".join(_errors(caplog))
 
+    @pytest.mark.parametrize("ckpt_kind", ["rnn", "cnn", "bidaf"])
+    def test_model_flag_must_match_checkpoint_kind(self, dataset_jsonl, embeddings_txt,
+                                                   tmp_path, caplog, ckpt_kind):
+        # every other --model exits 3 and writes nothing; the checkpoint's own
+        # kind writes the report the library computes
+        config = dict(n_filters=2, window=2) if ckpt_kind == "cnn" else dict(d_h=2)
+        model = build_model(ckpt_kind, seed=0, d_in=8, **config)
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(save_checkpoint(model))
+        for kind in ("rnn", "cnn", "bidaf"):
+            caplog.clear()
+            out = tmp_path / f"{kind}.json"
+            rc = cli.main(["evaluate", "--model", kind, "--data", dataset_jsonl,
+                           "--checkpoint", str(ckpt), "--embeddings", embeddings_txt,
+                           "--dim", "8", "--out", str(out)])
+            if kind != ckpt_kind:
+                assert rc == 3 and not out.exists()
+                (message,) = _errors(caplog)
+                assert f"--model {kind}" in message and repr(ckpt_kind) in message
+                continue
+            assert rc == 0
+            with open(embeddings_txt, encoding="utf-8") as f:
+                emb = load_pretrained(f, 8)
+            preds = score_groups(model, read_groups(dataset_jsonl), emb)
+            want = evaluate(preds, model=kind, dataset=dataset_jsonl, seed=0).to_json()
+            assert out.read_text() == want + "\n"
+
     def test_trained_model_needs_embeddings(self, dataset_jsonl, tmp_path, caplog):
         ckpt = tmp_path / "cnn.ckpt"
         ckpt.write_bytes(save_checkpoint(CnnPairModel(8, n_filters=2, window=2, seed=0)))
@@ -187,8 +214,24 @@ class TestEvaluate:
         '"candidates": [{"text": "a", "label": 0}, {"text": "b", "label": 0}]}',
         '{"qid": 1, "translation": "KJV", "question": "q?", '
         '"candidates": [{"text": "a", "label": 1}, {"text": "b", "label": 1}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": true}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1.0}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1, "book": 5}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1, "chapter": "x"}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1, "chapter": true}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1, "verse": 2.0}]}',
+        '{"qid": 1, "translation": "KJV", "question": "q?", '
+        '"candidates": [{"text": "a", "label": 1, "verse": [2]}]}',
     ], ids=["bad-json", "missing-translation", "question-not-string",
-            "candidates-not-objects", "no-positive", "two-positives"])
+            "candidates-not-objects", "no-positive", "two-positives", "label-bool",
+            "label-float", "book-not-string", "chapter-string", "chapter-bool",
+            "verse-float", "verse-list"])
     def test_malformed_dataset_line_exits_3(self, tmp_path, caplog, bad_line):
         good = json.dumps({"qid": 0, "translation": "KJV", "question": "q?",
                            "candidates": [{"text": "a", "label": 1}]})

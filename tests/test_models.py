@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
-                            bidaf_attention, build_model, param_shapes, readout)
+                            bidaf_attention, build_model, init_params, param_shapes,
+                            readout)
 from conftest import (bidaf_reference, directional_check, gather, grad_check,
                       lstm_bptt_reference, lstm_reference, make_separable_groups,
                       pool_reference, stack, total, whole)
@@ -34,7 +35,8 @@ def attend(q, a, w):
 
 
 def zero_cell(d_in, d_h):
-    cell = LstmCell(d_in, d_h, ParameterSet(), "cell", np.random.default_rng(0))
+    cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", d_in, d_h),
+                                np.random.default_rng(0)), "cell")
     for w in cell.W.values():
         w.data[:] = 0.0
     return cell
@@ -72,14 +74,15 @@ class TestLstmStep:
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
         params = ParameterSet()
-        cell = LstmCell(3, 2, params, "cell", rng)
+        cell = LstmCell(init_params(params, LstmCell.shapes("cell", 3, 2), rng), "cell")
         x = Tensor(rng.normal(size=(2, 3)))
         assert grad_check(lambda p: total(gather(cell.encode_states([whole(x)]))), params) < 1e-6
 
 
 class TestEncodeLstm:
     def _cell(self, seed=1):
-        return LstmCell(3, 2, ParameterSet(), "cell", np.random.default_rng(seed))
+        return LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", 3, 2),
+                                    np.random.default_rng(seed)), "cell")
 
     def test_length_one_equals_single_step(self):
         cell = self._cell()
@@ -241,7 +244,8 @@ class TestSequenceNodesExact:
     @pytest.mark.parametrize("d_in,d_h", [(200, 100), (400, 100), (16, 16), (3, 2), (7, 50)])
     def test_encode_states_bitwise(self, d_in, d_h):
         rng = np.random.default_rng(d_in + d_h)
-        cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
+        cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", d_in, d_h), rng),
+                        "cell")
         for rows in (1, 39, *rng.integers(2, 39, size=4)):
             seq = rng.normal(size=(rows, d_in))
             np.testing.assert_array_equal(encode(cell, Tensor(seq))[0], lstm_reference(cell, seq))
@@ -254,7 +258,8 @@ class TestSequenceNodesExact:
         # constant (as embedded inputs are), which takes no gradient and
         # leaves the others' bits alone; [1] is then all constants
         rng = np.random.default_rng(d_in * d_h)
-        cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
+        cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", d_in, d_h), rng),
+                        "cell")
         # the last batch lays out 280 rows, more than one weight-gradient chunk
         for lens in ([1], [5, 1, 9, 9, 2], [3, 8, 1, 6, 4, 7, 2, 5, 5], [4, 4, 4, 4],
                      [70, 3, 66, 70]):
@@ -303,7 +308,7 @@ class TestSequenceNodesExact:
     def test_lstm_gradient_with_input(self):
         rng = np.random.default_rng(5)
         params = ParameterSet()
-        cell = LstmCell(4, 3, params, "cell", rng)
+        cell = LstmCell(init_params(params, LstmCell.shapes("cell", 4, 3), rng), "cell")
         params.add("x", Tensor(rng.normal(size=(6, 4))))
         weights = rng.normal(size=(6, 3))
         assert grad_check(lambda p: total(gather(cell.encode_states([whole(p["x"])])), weights),
@@ -593,7 +598,7 @@ def test_encode_states_batch_invariant(size, seed, data):
     # whole batch and inside any subset of it in any order
     d_in, d_h = size
     rng = np.random.default_rng(seed)
-    cell = LstmCell(d_in, d_h, ParameterSet(), "cell", rng)
+    cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", d_in, d_h), rng), "cell")
     lens, subset = _batch_and_subset(data)
     seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
     alone = [encode(cell, s)[0] for s in seqs]
@@ -613,7 +618,7 @@ def test_encode_states_backward_batch_invariant(size, seed, data):
     d_in, d_h = size
     rng = np.random.default_rng(seed)
     params = ParameterSet()
-    cell = LstmCell(d_in, d_h, params, "cell", rng)
+    cell = LstmCell(init_params(params, LstmCell.shapes("cell", d_in, d_h), rng), "cell")
     lens, subset = _batch_and_subset(data)
     seqs = [rng.normal(size=(n, d_in)) for n in lens]
     grads = [rng.normal(size=(n, d_h)) for n in lens]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import directional_check, grad_check, stack, total, whole
-from verseqa.models import LstmCell, readout
+from verseqa.models import LstmCell, init_params, readout
 from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor, logistic
 
 
@@ -104,7 +104,7 @@ class TestBackward:
             "w": Tensor(rng.normal(size=(4, 1))),
             "b": Tensor(rng.normal(size=(1, 1))),
         })
-        cell = LstmCell(3, 2, params, "cell", rng)
+        cell = LstmCell(init_params(params, LstmCell.shapes("cell", 3, 2), rng), "cell")
 
         def f(p):
             h = cell.encode_states([whole(stack([p["x"], square(p["x"])]))])[0]
@@ -156,7 +156,7 @@ def test_forward_bitwise_deterministic():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4))
     b = rng.normal(size=(8, 1))
-    cell = LstmCell(4, 4, ParameterSet(), "cell", rng)
+    cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", 4, 4), rng), "cell")
 
     def run():
         ta = Tensor(a)

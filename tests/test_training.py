@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -332,6 +333,20 @@ class TestCheckpoint:
         for name, t in model.params.items():
             np.testing.assert_array_equal(ckpt.tensors[name], t.data)
 
+    @pytest.mark.parametrize("kind,config,sha", [
+        ("rnn", dict(d_in=5, d_h=3),
+         "89b7a733d378571d74d1334a5c06325c039575955172b2944d68ccbb11842435"),
+        ("cnn", dict(d_in=5, n_filters=3, window=2, dropout=0.5),
+         "963d13a53e4eb17e348b43aa0715e8f0607cf742497b1305e46b532534bdf637"),
+        ("bidaf", dict(d_in=5, d_h=3),
+         "340966dfeb4c059ad2545f83477c14d429e5e1fe9910fff96cc63edad5fbc4d1"),
+    ])
+    def test_initial_weights_pinned(self, kind, config, sha):
+        # the seed-0 initial weights, bit for bit: a change in the order or
+        # the law of the draws changes these digests
+        blob = save_checkpoint(build_model(kind, seed=0, **config))
+        assert hashlib.sha256(blob).hexdigest() == sha
+
     def test_model_rebuilt_from_checkpoint_scores_identically(self):
         model = RnnPairModel(5, d_h=3, seed=2)
         clone = model_from_checkpoint(load_checkpoint(save_checkpoint(model)))
@@ -528,6 +543,19 @@ class TestTransfer:
                                           w_src[j * 2:(j + 1) * 2])
             np.testing.assert_array_equal(w_dst[j * 5 + 2:(j + 1) * 5],
                                           np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("kind,config,extended", [
+        ("rnn", dict(d_h=3), [f"{cell}.W_{g}" for cell in ("a_cell", "q_cell") for g in "cfio"]),
+        ("cnn", dict(n_filters=3, window=2), ["conv.W"]),
+        ("bidaf", dict(d_h=3), [f"enc_cell.W_{g}" for g in "cfio"]),
+    ])
+    def test_grown_input_extends_only_input_tensors(self, kind, config, extended):
+        # bidaf's model_cell and attn.w, like every out.*, keep their shapes
+        src = build_model(kind, seed=4, d_in=2, **config)
+        dst = build_model(kind, seed=9, d_in=5, **config)
+        report = transfer_weights(load_checkpoint(save_checkpoint(src)), dst)
+        assert report.extended == extended
+        assert report.copied == [name for name, _ in dst.params.items() if name not in extended]
 
     @pytest.mark.parametrize("kind,src_kw,dst_kw", [
         ("rnn", dict(d_in=6, d_h=3), dict(d_in=4, d_h=3)),
