@@ -39,6 +39,14 @@ class ValidationError(ValueError):
     pass
 
 
+def _chapter_verse(chapter: str, verse: str) -> tuple[int, int]:
+    """Two TSV fields as integers; ValueError unless both are ASCII digits."""
+    both = chapter + verse
+    if not (chapter and verse and both.isascii() and both.isdigit()):
+        raise ValueError(f"chapter and verse must be ASCII digits, got {chapter!r}, {verse!r}")
+    return int(chapter), int(verse)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; internal apostrophes
     stay inside a token, edge apostrophes are stripped."""
@@ -115,7 +123,7 @@ class DatasetSpec:
     def window_size(self) -> int | None:
         if self.context_mode == "chapter":
             return None
-        m = re.fullmatch(r"window-(\d+)", self.context_mode)
+        m = re.fullmatch(r"window-([0-9]+)", self.context_mode)
         if not m or int(m.group(1)) < 1:
             raise ValidationError(f"bad context mode: {self.context_mode!r}")
         return int(m.group(1))
@@ -134,7 +142,7 @@ def parse_bible(lines: Iterable[str]) -> BibleCorpus:
                              f"got {len(parts)}")
         translation, book, chapter_s, verse_s, text = parts
         try:
-            chapter, verse = int(chapter_s), int(verse_s)
+            chapter, verse = _chapter_verse(chapter_s, verse_s)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if chapter < 1 or verse < 1:
@@ -183,21 +191,17 @@ def parse_trivia(lines: Iterable[str],
                     and type(rec.get("chapter")) is int and type(rec.get("verse")) is int):
                 raise ParseError(f"line {lineno}: expected string question, answer and "
                                  "book and integer chapter and verse")
-            q = TriviaQuestion(qid=len(questions), question=rec["question"],
-                               answer=rec["answer"], book=rec["book"],
-                               chapter=rec["chapter"], verse=rec["verse"])
+            fields = [rec[k] for k in ("question", "answer", "book", "chapter", "verse")]
         else:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ParseError(f"line {lineno}: expected 5 tab-separated "
                                  f"fields, got {len(parts)}")
             try:
-                q = TriviaQuestion(qid=len(questions), question=parts[0],
-                                   answer=parts[1], book=parts[2],
-                                   chapter=int(parts[3]), verse=int(parts[4]))
+                fields = [*parts[:3], *_chapter_verse(parts[3], parts[4])]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-        questions.append(q)
+        questions.append(TriviaQuestion(len(questions), *fields))
 
     if corpus is not None:
         for q in questions:

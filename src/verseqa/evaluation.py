@@ -129,9 +129,9 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
 
     Groups are scored in chunks of whole groups, up to ``SCORE_CHUNK_PAIRS``
     candidates; a group is never split, so a larger one is a chunk alone.
-    Each chunk is one ``model.encode_questions`` call, which encodes every
-    question once, and one ``model.score`` call over all its candidates,
-    whose [pairs, 1] probabilities are read as one array. A pair's score
+    Each chunk is one ``model.score`` call, which encodes each of its
+    questions once and scores each candidate against its group's question;
+    its [pairs, 1] probabilities are read as one array. A pair's score
     does not depend on the batch it is in, so the scores equal ``forward``
     of each pair bit for bit. Keys are group positions; each list follows
     the group's candidate order. This is the one inference loop: validation
@@ -139,12 +139,12 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
     """
     preds: dict[int, list[Prediction]] = {}
     for run in _chunks(groups, SCORE_CHUNK_PAIRS):
-        q_states = model.encode_questions(
-            [embed_sequence(g.question_tokens, embedding, max_question_tokens) for _, g in run])
+        q_embs = [embed_sequence(g.question_tokens, embedding, max_question_tokens)
+                  for _, g in run]
+        which = [j for j, (_, g) in enumerate(run) for _ in g.candidates]
         a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens)
                   for _, g in run for c in g.candidates]
-        probs = iter(model.score([q for q, (_, g) in zip(q_states, run) for _ in g.candidates],
-                                 a_embs).data[:, 0].tolist() if a_embs else [])
+        probs = iter(model.score(q_embs, which, a_embs).data[:, 0].tolist() if a_embs else [])
         for key, g in run:
             preds[key] = [Prediction(score=next(probs), label=c.label) for c in g.candidates]
     return preds

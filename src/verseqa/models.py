@@ -11,12 +11,10 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout of its final state.
 
-Models take batches: ``encode_questions(q_embs)`` returns one state per
-question (rnn and bidaf: its encoder states; cnn: the sequence itself,
-pooled in ``score``), and ``score(q_states, a_embs)`` scores each candidate
-against the state in the same position, as one [B, 1] node of
-probabilities. ``forward(q_emb, a_emb)``, one pair as a batch of one, is
-kept for the benchmark harness.
+Models take batches: ``score(q_embs, which, a_embs)`` encodes each
+question of ``q_embs`` once and scores candidate k against question
+``which[k]``, as one [B, 1] node of probabilities. ``forward(q_emb,
+a_emb)``, one pair as a batch of one, is kept for the benchmark harness.
 
 Each stage of a call (an LSTM pass, cnn's conv-pool, BiDAF attention, the
 readout) is one graph node, so a call's graph has the same size for any
@@ -52,7 +50,7 @@ def _whole(t: Tensor) -> Seq:
 
 def _nodes(seqs: Sequence[Seq]) -> tuple[Tensor, ...]:
     """The distinct nodes ``seqs`` point into, in order of first use."""
-    return tuple({id(node): node for node, _ in seqs}.values())
+    return tuple(dict.fromkeys(node for node, _ in seqs))
 
 
 def _check_width(seqs: Sequence[Seq], d_in: int) -> None:
@@ -250,12 +248,16 @@ class _PairModel:
 
     def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return self.score(self.encode_questions([q_emb]), [a_emb], training, rng)
+        return self.score([q_emb], [0], [a_emb], training, rng)
 
 
-def _check_pairs(q_states: Sequence, a_seqs: Sequence) -> None:
-    if len(q_states) != len(a_seqs):
-        raise ShapeError(f"{len(q_states)} question states for {len(a_seqs)} candidates")
+def _pick(items: Sequence, which: Sequence[int], a_embs: Sequence) -> list:
+    """``[items[j] for j in which]``: each candidate's question. ShapeError
+    unless ``which`` has one index per candidate, each in ``range(len(items))``."""
+    if len(which) != len(a_embs) or not all(0 <= index(j) < len(items) for j in which):
+        raise ShapeError(f"{len(which)} question indices for {len(a_embs)} candidates, "
+                         f"each must be in range({len(items)})")
+    return [items[j] for j in which]
 
 
 class RnnPairModel(_PairModel):
@@ -279,12 +281,9 @@ class RnnPairModel(_PairModel):
         return {**LstmCell.shapes("q_cell", d_in, d_h), **LstmCell.shapes("a_cell", d_in, d_h),
                 "out.W": (2 * d_h, 1), "out.b": (1, 1)}
 
-    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Seq]:
-        return self.q_cell.encode_states([_whole(q) for q in q_embs])
-
-    def score(self, h_qs: Sequence[Seq], a_embs: Sequence[Tensor], training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        _check_pairs(h_qs, a_embs)
+    def score(self, q_embs: Sequence[Tensor], which: Sequence[int], a_embs: Sequence[Tensor],
+              training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        h_qs = _pick(self.q_cell.encode_states([_whole(q) for q in q_embs]), which, a_embs)
         h_as = self.a_cell.encode_states([_whole(a) for a in a_embs])
         return readout([h_qs, h_as], self.w_out, self.b_out)
 
@@ -366,15 +365,11 @@ class CnnPairModel(_PairModel):
         out._backward = backward
         return [(out, np.array([k])) for k in range(len(seqs))]
 
-    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Seq]:
-        """The question sequences themselves: ``score`` pools them."""
-        return [_whole(q) for q in q_embs]
-
-    def score(self, q_seqs: Sequence[Seq], a_embs: Sequence[Tensor], training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        """One conv-pool node over the distinct sequences (by identity: a
-        question shared by candidates is pooled once), questions first."""
-        _check_pairs(q_seqs, a_embs)
+    def score(self, q_embs: Sequence[Tensor], which: Sequence[int], a_embs: Sequence[Tensor],
+              training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """One conv-pool node over each question once and every candidate,
+        pair by pair: question ``which[k]`` at its first use, then candidate k."""
+        which = _pick(range(len(q_embs)), which, a_embs)
         keep = None
         if training and self.dropout > 0.0:
             if rng is None:
@@ -383,12 +378,13 @@ class CnnPairModel(_PairModel):
             # inverted dropout, one mask row per pair in pair order, question
             # units first: scale kept units so inference needs no rescale
             keep = (rng.random((len(a_embs), 2 * self.n_filters)) < p) / p
-        seqs = {}
-        for q, a in zip(q_seqs, a_embs):
-            seqs.setdefault(id(q), q)
-            seqs.setdefault(id(a), _whole(a))
-        pooled = dict(zip(seqs, self._pool(list(seqs.values()))))
-        return readout([[pooled[id(q)] for q in q_seqs], [pooled[id(a)] for a in a_embs]],
+        at = {}  # pool position of ("q", which[k]) at its first use, then of ("a", k)
+        for k, j in enumerate(which):
+            at.setdefault(("q", j), len(at))
+            at["a", k] = len(at)
+        pooled = self._pool([_whole((q_embs if side == "q" else a_embs)[i]) for side, i in at])
+        return readout([[pooled[at["q", j]] for j in which],
+                        [pooled[at["a", k]] for k in range(len(which))]],
                        self.w_out, self.b_out, keep)
 
 
@@ -398,9 +394,10 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def bidaf_attention(q_encs: Sequence[Seq], a_encs: Sequence[Seq], w_alpha: Tensor) -> list[Seq]:
-    """Bidirectional attention between each candidate encoding and the
-    question encoding in the same position, as one graph node.
+def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequence[Seq],
+                    w_alpha: Tensor) -> list[Seq]:
+    """Bidirectional attention between each candidate encoding k and the
+    question encoding ``which[k]``, as one graph node.
 
     Similarity: S[j, k] = w . [a_j | q_k | a_j*q_k].  Per-candidate-word
     attention averages question vectors with softmax rows of S; the reverse
@@ -409,8 +406,7 @@ def bidaf_attention(q_encs: Sequence[Seq], a_encs: Sequence[Seq], w_alpha: Tenso
     [a_j | attq_j | a_j*attq_j | a_j*pool_a]. On ties in a row maximum the
     gradient goes to the first column. Pairs are computed one by one.
     """
-    q_encs, a_encs = tuple(q_encs), tuple(a_encs)
-    _check_pairs(q_encs, a_encs)
+    q_encs, a_encs = tuple(_pick(q_encs, which, a_encs)), tuple(a_encs)
     d_h = w_alpha.shape[0] // 3
     for node, _ in q_encs + a_encs:
         if node.shape[1:] != (d_h,) or w_alpha.shape != (3 * d_h, 1):
@@ -519,13 +515,11 @@ class BidafModel(_PairModel):
                 **LstmCell.shapes("model_cell", 4 * d_h, d_h),
                 "out.W": (d_h, 1), "out.b": (1, 1)}
 
-    def encode_questions(self, q_embs: Sequence[Tensor]) -> list[Seq]:
-        return self.enc_cell.encode_states([_whole(q) for q in q_embs])
-
-    def score(self, q_encs: Sequence[Seq], a_embs: Sequence[Tensor], training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
+    def score(self, q_embs: Sequence[Tensor], which: Sequence[int], a_embs: Sequence[Tensor],
+              training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        q_encs = self.enc_cell.encode_states([_whole(q) for q in q_embs])
         a_encs = self.enc_cell.encode_states([_whole(a) for a in a_embs])
-        combined = bidaf_attention(q_encs, a_encs, self.w_alpha)
+        combined = bidaf_attention(q_encs, which, a_encs, self.w_alpha)
         return readout([self.model_cell.encode_states(combined)], self.w_out, self.b_out)
 
 

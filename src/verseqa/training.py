@@ -146,17 +146,15 @@ def _validate(model, groups, embedding: EmbeddingMatrix,
 def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
                      rng: np.random.Generator) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of one minibatch of (question, candidate, label) pairs and
-    the gradient of every parameter, from one ``encode_questions`` and one
-    ``score`` call, whose [B, 1] probabilities the loss takes directly. The
-    scores, so the loss too, equal ``forward`` of each pair bit for bit; the
-    gradients equal the sum of each pair's only up to rounding, as an LSTM
-    sums its weight gradients over all rows of the batch at once. The graph
-    is freed on return, before the next is built."""
-    q_states = model.encode_questions(
-        [embed_sequence(q, embedding, cfg.max_question_tokens) for q, _, _ in batch])
-    probs = model.score(
-        q_states, [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
-        training=True, rng=rng)
+    the gradient of every parameter, from one ``score`` call in which each
+    pair has its own question, whose [B, 1] probabilities the loss takes
+    directly. The scores, so the loss too, equal ``forward`` of each pair bit
+    for bit; the gradients equal the sum of each pair's only up to rounding,
+    as an LSTM sums its weight gradients over all rows of the batch at once.
+    The graph is freed on return, before the next is built."""
+    q_embs = [embed_sequence(q, embedding, cfg.max_question_tokens) for q, _, _ in batch]
+    a_embs = [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch]
+    probs = model.score(q_embs, range(len(batch)), a_embs, training=True, rng=rng)
     loss = bce_loss(probs, [label for _, _, label in batch])
     loss.backward()  # every input has a row, so it reaches every param
     return loss.item(), {name: t.grad for name, t in model.params.items()}
@@ -167,10 +165,9 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
     """Mini-batch AdaGrad training with validation-loss early stopping.
 
     Iterates (question, candidate, label) pairs in seeded-shuffled batches,
-    embedding each batch as it runs it; a batch is one ``encode_questions``
-    and one ``score`` call, which give each pair the score ``forward``
-    would, bit for bit, and the batch the gradient of the per-pair losses
-    up to rounding (see ``_batch_gradients``).
+    embedding each batch as it runs it; a batch is one ``score`` call, whose
+    scores equal ``forward``'s bit for bit and whose gradients equal the sum
+    of the per-pair gradients up to rounding (see ``_batch_gradients``).
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
     best validation epoch. Deterministic for fixed weights, data, and seed,

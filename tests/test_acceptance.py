@@ -86,7 +86,7 @@ def test_criterion_1_gradients():
                                                  w, b)]), [1, 0]),
                lambda x: total(gather(lstm.encode_states([whole(x)]))),
                lambda x: total(gather(conv._pool([whole(x)]))),
-               lambda x: total(bidaf_attention([whole(x)], [whole(x)], attn)[0][0]),
+               lambda x: total(bidaf_attention([whole(x)], [0], [whole(x)], attn)[0][0]),
                lambda x: total(stack([x, x]), np.arange(24.0).reshape(6, 4))):
         check(op)
 

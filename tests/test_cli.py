@@ -84,6 +84,28 @@ class TestBuildDataset:
         assert "line 1" in " ".join(_errors(caplog))
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("number", ["1_0", "+3", " 3", "\u0661"],
+                             ids=["underscore", "sign", "space", "arabic-indic"])
+    @pytest.mark.parametrize("site", ["bible", "trivia", "mode"])
+    def test_number_not_in_ascii_digits_exits_3(self, bible_tsv, trivia_tsv, tmp_path, caplog,
+                                                site, number):
+        # int() reads each number; the inputs are otherwise valid
+        paths, mode = {"bible": bible_tsv, "trivia": trivia_tsv}, "window-3"
+        if site == "mode":
+            mode = f"window-{number}"
+        else:
+            bad = tmp_path / f"bad-{site}.tsv"
+            with open(paths[site], encoding="utf-8") as f:
+                bad.write_text(f.read() + {"bible": f"KJV\tMatthew\t{number}\t1\tMore words",
+                                           "trivia": f"Q?\tA\tMatthew\t1\t{number}"}[site]
+                               + "\n", encoding="utf-8")
+            paths[site] = str(bad)
+        out = tmp_path / "out.jsonl"
+        rc = cli.main(["build-dataset", "--bible", paths["bible"], "--trivia", paths["trivia"],
+                       "--mode", mode, "--out", str(out)])
+        assert rc == 3 and not out.exists()
+        assert repr(mode if site == "mode" else number) in " ".join(_errors(caplog))
+
     def test_missing_input_exits_3(self, trivia_tsv, tmp_path):
         rc = cli.main(["build-dataset", "--bible", "nope.tsv",
                        "--trivia", trivia_tsv, "--out", str(tmp_path / "x")])

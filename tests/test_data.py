@@ -28,6 +28,13 @@ class TestTokenize:
         assert tokenize(" ".join(toks)) == toks
 
 
+# fields that are not ASCII digits, most of which ``int`` reads: none may be a
+# TSV chapter or verse or a window size
+NOT_ASCII_DIGITS = ["1_0", "+3", " 3", "3 ", "-1", "3.0", "", "\u0661", "\u0661\u0660"]
+NOT_ASCII_DIGITS_IDS = ["underscore", "sign", "leading-space", "trailing-space", "negative",
+                        "float", "empty", "arabic-indic", "arabic-indic-10"]
+
+
 def bible_lines(chapter_verses, translation="KJV", book="Matthew", chapter=1):
     return [f"{translation}\t{book}\t{chapter}\t{v}\t{text}"
             for v, text in chapter_verses]
@@ -52,6 +59,12 @@ class TestParseBible:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_bible(["KJV\tMatthew\t1\t1\tok", "broken line"])
+
+    @pytest.mark.parametrize("number", NOT_ASCII_DIGITS, ids=NOT_ASCII_DIGITS_IDS)
+    def test_chapter_and_verse_take_ascii_digits_only(self, number):
+        for line in (f"KJV\tMatthew\t{number}\t1\ttext", f"KJV\tMatthew\t1\t{number}\ttext"):
+            with pytest.raises(ParseError, match="line 2"):
+                parse_bible(["KJV\tMatthew\t2\t1\tok", line])
 
     def test_missing_chapter_is_validation_error(self):
         corpus = parse_bible(bible_lines([(1, "In the beginning.")]))
@@ -101,9 +114,21 @@ class TestParseTrivia:
         with pytest.raises(ParseError, match="line 2"):
             parse_trivia(["Q?\tA\tMatthew\t1\t2", line])
 
+    @pytest.mark.parametrize("number", NOT_ASCII_DIGITS, ids=NOT_ASCII_DIGITS_IDS)
+    def test_tsv_chapter_and_verse_take_ascii_digits_only(self, number):
+        for line in (f"Q?\tA\tMatthew\t{number}\t1", f"Q?\tA\tMatthew\t1\t{number}"):
+            with pytest.raises(ParseError, match="line 2"):
+                parse_trivia(["Q?\tA\tMatthew\t1\t2", line])
+
     def test_jsonl_missing_field(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_trivia(['{"question": "Q?", "answer": "A", "book": "Matthew", "chapter": 1}'])
+
+
+@pytest.mark.parametrize("number", NOT_ASCII_DIGITS, ids=NOT_ASCII_DIGITS_IDS)
+def test_window_size_takes_ascii_digits_only(number):
+    with pytest.raises(ValidationError, match="bad context mode"):
+        DatasetSpec(f"window-{number}").window_size()
 
 
 class TestBuildBibleqa:

@@ -197,17 +197,16 @@ WORDS = st.lists(st.sampled_from(KEYS + FILLERS + ["unseen"]), min_size=1, max_s
 
 
 class ScoreLog:
-    """A model that records the number of candidates of each ``score`` call."""
+    """A model that records the number of candidates of each ``score`` call,
+    and its questions and question indices."""
 
     def __init__(self, model):
-        self.model, self.calls = model, []
+        self.model, self.calls, self.questions = model, [], []
 
-    def encode_questions(self, q_embs):
-        return self.model.encode_questions(q_embs)
-
-    def score(self, q_states, a_embs):
+    def score(self, q_embs, which, a_embs):
         self.calls.append(len(a_embs))
-        return self.model.score(q_states, a_embs)
+        self.questions.append(([q.data for q in q_embs], list(which)))
+        return self.model.score(q_embs, which, a_embs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,6 +235,13 @@ def test_score_groups_equals_forward_per_pair(which, groups, big):
         assert b - a <= SCORE_CHUNK_PAIRS or len(whole) == 1
         if n + 1 < len(calls):  # a chunk takes every group that fits
             assert b - a + sizes[whole[-1] + 1] > SCORE_CHUNK_PAIRS
+        # each of the chunk's questions once, and each candidate its group's
+        q_data, which_q = model.questions[n]
+        assert len(q_data) == len(whole)
+        for q, k in zip(q_data, whole):
+            np.testing.assert_array_equal(
+                q, embed_sequence(built[k].question_tokens, SCORING_EMB, 5).data)
+        assert which_q == [j for j, k in enumerate(whole) for _ in range(sizes[k])]
     for key, g in enumerate(built):
         q = embed_sequence(g.question_tokens, SCORING_EMB, 5)
         assert [p.score for p in preds[key]] == [

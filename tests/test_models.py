@@ -31,7 +31,7 @@ def pool(model, x):
 def attend(q, a, w):
     """The attention node of one pair of encodings, whose rows are the
     pair's combined rows."""
-    return bidaf_attention([whole(q)], [whole(a)], w)[0][0]
+    return bidaf_attention([whole(q)], [0], [whole(a)], w)[0][0]
 
 
 def zero_cell(d_in, d_h):
@@ -573,7 +573,7 @@ def test_forward_is_score_of_encoded_question(which, seed, tq, ta):
     rng = np.random.default_rng(seed)
     q = Tensor(rng.normal(size=(tq, 4)))
     a_embs = [Tensor(rng.normal(size=(rows, 4))) for rows in ta]
-    scores = model.score(model.encode_questions([q]) * len(ta), a_embs)
+    scores = model.score([q], [0] * len(ta), a_embs)
     assert scores.shape == (len(ta), 1)
     for p, a in zip(scores.data, a_embs):
         np.testing.assert_array_equal(p, model.forward(q, a).data[0])
@@ -655,8 +655,8 @@ def test_pair_score_batch_invariant(kind, size, seed, data):
     qs = [Tensor(rng.normal(size=(int(rng.integers(1, 7)), d_in))) for _ in lens]
     a_embs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
     alone = [model.forward(q, a).item() for q, a in zip(qs, a_embs)]
-    assert model.score(model.encode_questions(qs), a_embs).data[:, 0].tolist() == alone
-    batch = model.score(model.encode_questions([qs[k] for k in subset]),
+    assert model.score(qs, range(len(qs)), a_embs).data[:, 0].tolist() == alone
+    batch = model.score([qs[k] for k in subset], range(len(subset)),
                         [a_embs[k] for k in subset])
     assert batch.data[:, 0].tolist() == [alone[k] for k in subset]
 
@@ -682,55 +682,84 @@ def test_scores_within_rounding_of_row_by_row_products(kind):
     config = dict(n_filters=20, window=3) if kind == "cnn" else dict(d_h=20)
     blob = save_checkpoint(build_model(kind, seed=7, d_in=50, **config))
     model = model_from_checkpoint(load_checkpoint(blob))
-    scores = model.score(model.encode_questions([q for q, _ in pairs]), [a for _, a in pairs])
+    scores = model.score([q for q, _ in pairs], range(len(pairs)), [a for _, a in pairs])
     for p, old in zip(scores.data[:, 0], ROW_BY_ROW_SCORES[kind]):
         assert p == pytest.approx(float.fromhex(old), rel=1e-13)
 
 
-@pytest.mark.parametrize("factory", ALL_MODELS)
-def test_score_needs_one_question_state_per_candidate(factory):
-    model = factory()
-    q, a = _random_pair(np.random.default_rng(0), 4)
-    with pytest.raises(ShapeError, match="2 question states for 1 candidates"):
-        model.score(model.encode_questions([q, q]), [a])
+@pytest.mark.parametrize("call", [
+    *(lambda qs, which, a_embs, factory=factory: factory().score(qs, which, a_embs)
+      for factory in ALL_MODELS),
+    lambda qs, which, a_embs: bidaf_attention([whole(q) for q in qs], which,
+                                              [whole(a) for a in a_embs],
+                                              Tensor(np.ones((12, 1))))],
+    ids=["rnn", "cnn", "bidaf", "bidaf_attention"])
+def test_score_rejects_bad_question_indices(call):
+    # two questions, two candidates: fewer indices than candidates, an index
+    # equal to the number of questions, and a negative index
+    rng = np.random.default_rng(0)
+    pairs = [_random_pair(rng, 4) for _ in range(2)]
+    qs, a_embs = [q for q, _ in pairs], [a for _, a in pairs]
+    for which in ([0], [0, 2], [0, -1]):
+        with pytest.raises(ShapeError, match="question indices"):
+            call(qs, which, a_embs)
 
 
 # a minibatch mixing question and candidate lengths of 1, 2 and more than
 # ROW_BLOCK rows, with labels of both kinds
 BATCH_LENGTHS = [(1, 6), (2, 1), (6, 2), (1, 1), (5, 7), (2, 2)]
+# the same candidates over the first 4 questions, questions 0 and 1 read twice:
+# two pairs' gradients meet in one question's rows (rnn: its last LSTM state;
+# cnn: its pooled row; bidaf: its encoding, through two attention pairs)
+SHARED_QUESTIONS = [0, 0, 1, 2, 1, 3]
 
 
-def _minibatch_loss(model, rng_seed=3):
+def _minibatch_loss(model, which=None, rng_seed=3):
     """The loss ``train`` builds for one minibatch, over the model's
-    parameters and every input row."""
+    parameters and every input row; pair k is scored against question
+    ``which[k]``, by default its own."""
+    which = range(len(BATCH_LENGTHS)) if which is None else which
+    n_q = max(which) + 1
     rng = np.random.default_rng(11)
     params = ParameterSet(dict(model.params.items()))
     for k, (t_q, t_a) in enumerate(BATCH_LENGTHS):
-        params.add(f"q{k}", Tensor(rng.normal(size=(t_q, 4))))
+        if k < n_q:
+            params.add(f"q{k}", Tensor(rng.normal(size=(t_q, 4))))
         params.add(f"a{k}", Tensor(rng.normal(size=(t_a, 4))))
     labels = [k % 2 for k in range(len(BATCH_LENGTHS))]
 
     def f(p):  # a fresh rng per call: every call draws the same dropout masks
-        n = range(len(BATCH_LENGTHS))
-        probs = model.score(model.encode_questions([p[f"q{k}"] for k in n]),
-                            [p[f"a{k}"] for k in n], training=True,
+        probs = model.score([p[f"q{j}"] for j in range(n_q)], which,
+                            [p[f"a{k}"] for k in range(len(BATCH_LENGTHS))], training=True,
                             rng=np.random.default_rng(rng_seed))
         return bce_loss(probs, labels)
 
     return f, params
 
 
-@pytest.mark.parametrize("name", sorted(EDGE_MODELS))
-def test_minibatch_directional_gradient(name):
-    f, params = _minibatch_loss(EDGE_MODELS[name]())
+def _with_shared_questions(cases: dict) -> dict:
+    """Each case with its own questions, then each with ``SHARED_QUESTIONS``."""
+    return {**{name: (case, None) for name, case in cases.items()},
+            **{f"{name}-shared": (case, SHARED_QUESTIONS) for name, case in cases.items()}}
+
+
+MINIBATCH_EDGE_CASES = _with_shared_questions(dict(sorted(EDGE_MODELS.items())))
+MINIBATCH_CASES = _with_shared_questions(
+    dict(zip(["rnn", "cnn", "bidaf", "cnn-dropout"], ALL_MODELS + [EDGE_MODELS["cnn-dropout"]])))
+
+
+@pytest.mark.parametrize("factory,which", list(MINIBATCH_EDGE_CASES.values()),
+                         ids=list(MINIBATCH_EDGE_CASES))
+def test_minibatch_directional_gradient(factory, which):
+    f, params = _minibatch_loss(factory(), which)
     for seed in range(3):
         assert directional_check(f, params, seed=seed) < 1e-4
 
 
-@pytest.mark.parametrize("factory", ALL_MODELS + [EDGE_MODELS["cnn-dropout"]],
-                         ids=["rnn", "cnn", "bidaf", "cnn-dropout"])
-def test_minibatch_gradient(factory):
-    f, params = _minibatch_loss(factory())
+@pytest.mark.parametrize("factory,which", list(MINIBATCH_CASES.values()),
+                         ids=list(MINIBATCH_CASES))
+def test_minibatch_gradient(factory, which):
+    f, params = _minibatch_loss(factory(), which)
     assert grad_check(f, params) < 1e-4
 
 

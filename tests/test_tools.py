@@ -1,5 +1,6 @@
 """The repository's tools still run against the package as it stands."""
 
+import os
 import re
 import subprocess
 import sys
@@ -15,13 +16,22 @@ _CBOW = re.compile(rf"cbow table={_SHA} history=0x[0-9a-f.p+-]+(,0x[0-9a-f.p+-]+
                    rf"vectors={_SHA}")
 
 
-def test_parity_prints_one_digest_line_per_model():
-    # tools/parity.py is the gate of every change that claims to be exact
+def _parity(threads: int) -> str:
+    """The stdout of tools/parity.py with BLAS at ``threads`` threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "parity.py")],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout
+
+
+def test_parity_prints_one_digest_line_per_model():
+    # tools/parity.py is the gate of every change that claims to be exact, and
+    # an exact change gives the same bits at 1 and 2 BLAS threads
+    out = _parity(1)
+    lines = out.splitlines()
     assert [line.split(" ", 1)[0] for line in lines] == ["rnn", "cnn", "bidaf", "cbow"]
     for line in lines[:3]:
         assert _LINE.fullmatch(line), line
     assert _CBOW.fullmatch(lines[3]), lines[3]
+    assert _parity(2) == out

@@ -202,11 +202,9 @@ class PerPairModel:
     def __init__(self, model):
         self.model, self.params = model, model.params
 
-    def encode_questions(self, q_embs):
-        return list(q_embs)
-
-    def score(self, q_embs, a_embs, training=False, rng=None):
-        return stack([self.model.forward(q, a, training, rng) for q, a in zip(q_embs, a_embs)])
+    def score(self, q_embs, which, a_embs, training=False, rng=None):
+        return stack([self.model.forward(q_embs[j], a, training, rng)
+                      for j, a in zip(which, a_embs)])
 
 
 def ragged_groups(n_groups: int, seed: int) -> list[QuestionGroup]:
@@ -231,12 +229,12 @@ def ragged_groups(n_groups: int, seed: int) -> list[QuestionGroup]:
     ("rnn", dict(d_h=5)), ("cnn", dict(n_filters=6, window=3, dropout=0.5)),
     ("bidaf", dict(d_h=5))])
 def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config):
-    # a batch run through one encode_questions and one score call gives every
-    # pair the score and dropout mask a forward call of its own would. cnn's
-    # weight gradient is a sum over pairs either way, so its history and
-    # weights agree bit for bit; an LSTM's is one sum over all rows of the
-    # batch, so for rnn and bidaf the first minibatch's scores and loss agree
-    # bit for bit and its gradients up to rounding
+    # a batch run through one score call gives every pair the score and
+    # dropout mask a forward call of its own would. cnn's weight gradient is
+    # a sum over pairs either way, so its history and weights agree bit for
+    # bit; an LSTM's is one sum over all rows of the batch, so for rnn and
+    # bidaf the first minibatch's scores and loss agree bit for bit and its
+    # gradients up to rounding
     train_g, val_g = ragged_groups(30, seed=1), ragged_groups(8, seed=2)
     cfg = TrainConfig(learning_rate=0.05, batch_size=7, max_epochs=3, patience=3, seed=5,
                       max_question_tokens=8, max_answer_tokens=8)
@@ -259,7 +257,7 @@ def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config)
     a_embs = [embed_sequence(a, tiny_embedding, 8) for _, a, _ in batch]
     runs = []
     for wrap in (lambda m: m, PerPairModel):
-        probs = wrap(model).score(wrap(model).encode_questions(q_embs), a_embs)
+        probs = wrap(model).score(q_embs, range(len(q_embs)), a_embs)
         scores = probs.data[:, 0].tolist()
         loss, grads = _batch_gradients(wrap(model), batch, tiny_embedding, cfg,
                                        np.random.default_rng(cfg.seed))
