@@ -238,10 +238,11 @@ def cmd_nearest(args) -> int:
 
 # ---- argument plumbing -------------------------------------------------------
 
-def _checked(kind: type, ok, rule: str):
-    """An argparse type: a ``kind`` value for which ``ok`` holds, else exit 2."""
+def _checked(kind: type, ok=lambda v: True, rule: str = ""):
+    """An argparse type: a ``kind`` value for which ``ok`` holds, else exit 2.
+    An int must be ASCII digits (``data.ascii_int``)."""
     def parse(text: str):
-        value = kind(text)
+        value = data.ascii_int(text) if kind is int else kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
@@ -249,6 +250,7 @@ def _checked(kind: type, ok, rule: str):
     return parse
 
 
+_INT = _checked(int)
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _SEED = _checked(int, lambda v: v >= 0, ">= 0")
 _RATE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
@@ -257,10 +259,10 @@ _DROPOUT = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 def _add_embedding_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--embeddings", required=required, help="pretrained vector file")
-    p.add_argument("--dim", type=int, default=100, help="embedding dimension")
+    p.add_argument("--dim", type=_INT, default=100, help="embedding dimension")
     p.add_argument("--concat-embeddings", dest="concat_embeddings",
                    help="second vector file concatenated onto the first")
-    p.add_argument("--concat-dim", dest="concat_dim", type=int, default=200)
+    p.add_argument("--concat-dim", dest="concat_dim", type=_INT, default=200)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -331,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True)
     p.add_argument("--translation", default="WEB")
     p.add_argument("--book", required=True)
-    p.add_argument("--chapter", type=int, required=True)
+    p.add_argument("--chapter", type=_INT, required=True)
     p.add_argument("--top", type=_COUNT, default=5)
     _add_embedding_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("nearest", help="nearest embedding neighbors of a word")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--dim", type=int, default=200)
+    p.add_argument("--dim", type=_INT, default=200)
     p.add_argument("--word", required=True)
     p.add_argument("-k", type=_COUNT, default=10)
     p.set_defaults(func=cmd_nearest)

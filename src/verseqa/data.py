@@ -39,12 +39,12 @@ class ValidationError(ValueError):
     pass
 
 
-def _chapter_verse(chapter: str, verse: str) -> tuple[int, int]:
-    """Two TSV fields as integers; ValueError unless both are ASCII digits."""
-    both = chapter + verse
-    if not (chapter and verse and both.isascii() and both.isdigit()):
-        raise ValueError(f"chapter and verse must be ASCII digits, got {chapter!r}, {verse!r}")
-    return int(chapter), int(verse)
+def ascii_int(text: str) -> int:
+    """``text`` as an integer; ValueError unless it is ASCII digits after an
+    optional ``-`` (``int`` also takes ``+3``, `` 3``, ``1_0`` and ``١``)."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
 
 
 def tokenize(text: str) -> list[str]:
@@ -123,10 +123,13 @@ class DatasetSpec:
     def window_size(self) -> int | None:
         if self.context_mode == "chapter":
             return None
-        m = re.fullmatch(r"window-([0-9]+)", self.context_mode)
-        if not m or int(m.group(1)) < 1:
-            raise ValidationError(f"bad context mode: {self.context_mode!r}")
-        return int(m.group(1))
+        n = self.context_mode.removeprefix("window-")
+        try:
+            if n != self.context_mode and ascii_int(n) >= 1:
+                return int(n)
+        except ValueError:
+            pass
+        raise ValidationError(f"bad context mode: {self.context_mode!r}")
 
 
 def parse_bible(lines: Iterable[str]) -> BibleCorpus:
@@ -142,7 +145,7 @@ def parse_bible(lines: Iterable[str]) -> BibleCorpus:
                              f"got {len(parts)}")
         translation, book, chapter_s, verse_s, text = parts
         try:
-            chapter, verse = _chapter_verse(chapter_s, verse_s)
+            chapter, verse = ascii_int(chapter_s), ascii_int(verse_s)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if chapter < 1 or verse < 1:
@@ -198,9 +201,11 @@ def parse_trivia(lines: Iterable[str],
                 raise ParseError(f"line {lineno}: expected 5 tab-separated "
                                  f"fields, got {len(parts)}")
             try:
-                fields = [*parts[:3], *_chapter_verse(parts[3], parts[4])]
+                fields = [*parts[:3], ascii_int(parts[3]), ascii_int(parts[4])]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+        if fields[3] < 1 or fields[4] < 1:
+            raise ParseError(f"line {lineno}: chapter and verse must be >= 1")
         questions.append(TriviaQuestion(len(questions), *fields))
 
     if corpus is not None:

@@ -160,9 +160,10 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
     Negative sampling against a unigram^0.75 noise distribution. Its CDF
     is built once per call, and each sentence's negatives are drawn in one
     block: the ids, and the random stream, of one ``Generator.choice``
-    call per token. Deterministic for a fixed seed. The PAD row is never
-    touched (real tokens never map to it). A corpus in which no token has
-    a context is an ``EmbeddingError``.
+    call per token. Deterministic for a fixed seed. PAD and UNK are never
+    drawn as negatives, and the PAD row is zero, even for a corpus that
+    holds those tokens. A corpus in which no token has a context is an
+    ``EmbeddingError``.
     """
     sentences = [list(s) for s in corpus if s]
     total = sum(len(s) for s in sentences)
@@ -173,13 +174,7 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
         raise EmbeddingError("no sentence has 2 or more tokens, so no token has a context")
 
     vocab = Vocabulary()
-    counts: dict[int, int] = {}
-    encoded = []
-    for sent in sentences:
-        ids = [vocab.add(t) for t in sent]
-        encoded.append(ids)
-        for i in ids:
-            counts[i] = counts.get(i, 0) + 1
+    encoded = [[vocab.add(t) for t in sent] for sent in sentences]
 
     nv = len(vocab)
     rng = np.random.default_rng(cfg.seed)
@@ -188,12 +183,8 @@ def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,
     w_in[UNK_INDEX] = 0.0
     w_out = np.zeros((nv, cfg.dim), dtype=np.float64)
 
-    freq = np.zeros(nv, dtype=np.float64)
-    for i, c in counts.items():
-        freq[i] = c
-    noise = freq ** 0.75
-    noise[PAD_INDEX] = 0.0
-    noise[UNK_INDEX] = 0.0
+    noise = np.bincount(np.concatenate(encoded), minlength=nv) ** 0.75
+    noise[[PAD_INDEX, UNK_INDEX]] = 0.0  # never drawn, even if a sentence holds their tokens
     noise /= noise.sum()
     # the CDF Generator.choice(nv, p=noise) builds on every call; searching
     # it with rng.random draws the same ids from the same stream
@@ -244,20 +235,11 @@ def concat_embeddings(a: EmbeddingMatrix, b: EmbeddingMatrix) -> EmbeddingMatrix
     A token absent from one source gets zeros in that segment; PAD stays
     all-zero. Union order: a's tokens first, then b's new tokens.
     """
-    vocab = Vocabulary()
-    for tok in a.vocab.tokens()[2:]:
-        vocab.add(tok)
-    for tok in b.vocab.tokens()[2:]:
-        vocab.add(tok)
-    dim = a.dim + b.dim
-    table = np.zeros((len(vocab), dim), dtype=np.float64)
-    for idx in range(1, len(vocab)):  # include UNK, skip PAD
-        tok = vocab.token(idx)
-        if tok in a.vocab:
-            table[idx, :a.dim] = a.table[a.vocab.index(tok)]
-        if tok in b.vocab:
-            table[idx, a.dim:] = b.table[b.vocab.index(tok)]
-    return EmbeddingMatrix(vocab=vocab, dim=dim, table=table)
+    vocab = Vocabulary(a.vocab.tokens()[2:] + b.vocab.tokens()[2:])  # a's indices kept
+    table = np.zeros((len(vocab), a.dim + b.dim), dtype=np.float64)
+    table[1:len(a.vocab), :a.dim] = a.table[1:]  # UNK included, PAD skipped
+    table[[vocab.index(tok) for tok in b.vocab.tokens()[1:]], a.dim:] = b.table[1:]
+    return EmbeddingMatrix(vocab=vocab, dim=a.dim + b.dim, table=table)
 
 
 def embed_sequence(tokens: Sequence[str], m: EmbeddingMatrix,

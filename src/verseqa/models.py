@@ -134,8 +134,7 @@ class LstmCell:
         lens = [len(seqs[k][1]) for k in order]
         live = (np.array(lens)[:, None] > np.arange(lens[0])).sum(axis=0).tolist()  # per step
         start = np.cumsum([0] + [_block_rows(m) for m in live])  # first row of step t
-        gate_w = [self.W[g].data for g in self.GATES]
-        W = np.concatenate(gate_w, axis=1)
+        W = np.concatenate([self.W[g].data for g in self.GATES], axis=1)
         bias = np.concatenate([self.b[g].data[0] for g in self.GATES])
         idx = [start[:n] + r for r, n in enumerate(lens)]  # rows of each sequence
         z = np.zeros((start[-1], d_in + d_h))  # [x_t | h_{t-1}]; zero past the live rows
@@ -168,27 +167,26 @@ class LstmCell:
                     z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
         batch = Tensor(h, (*_nodes(seqs), *self.W.values(), *self.b.values()))
         batch._backward = self._bptt([seqs[k] for k in order], idx, live, start,
-                                     (z, gates, c_all, tanh_c), gate_w)
+                                     (z, gates, c_all, tanh_c), W)
         states = dict(zip(order, idx))
         return [(batch, states[k]) for k in range(len(seqs))]
 
     def _bptt(self, seqs: list[Seq], idx: list[np.ndarray], live: list[int],
-              start: np.ndarray, saved: tuple[np.ndarray, ...],
-              gate_w: list[np.ndarray]):
+              start: np.ndarray, saved: tuple[np.ndarray, ...], W: np.ndarray):
         """The backward of one ``encode_states`` call: backprop through time
         over the forward's row layout, ``seqs`` longest first, sequence r at
         rows ``idx[r]``, step t at ``start[t]`` with ``live[t]`` rows. It reads
         the ``saved`` forward buffers [x_t | h_{t-1}], gates, c_t and tanh(c_t),
-        whose fill rows are zero, and the forward's gate weights ``gate_w``.
-        Like the forward, every product by the weights is taken in row blocks,
-        so a sequence's input gradient does not depend on the batch. The
-        weight gradients add one product per ``GRAD_ROWS`` rows, in order: one
-        product over all rows rounds differently when OpenBLAS splits it
-        between threads, but 256-row products gave the same bits at 1 and 2
-        threads in every shape tried. The weights' recurrent and input rows
-        are joined into C-ordered copies: as the right operand of the blocks,
-        a transposed view is up to 3x slower. Only input nodes with a grad
-        take an input gradient: with constant inputs alone (embedded
+        whose fill rows are zero, and the gate weights ``W`` [d_in+d_h, 4*d_h]
+        the forward joined. Like the forward, every product by the weights is
+        taken in row blocks, so a sequence's input gradient does not depend on
+        the batch. The weight gradients add one product per ``GRAD_ROWS`` rows,
+        in order: one product over all rows rounds differently when OpenBLAS
+        splits it between threads, but 256-row products gave the same bits at
+        1 and 2 threads in every shape tried. The recurrent and input rows of
+        ``W`` are transposed into C-ordered copies: as the right operand of the
+        blocks, a transposed view is up to 3x slower. Only input nodes with a
+        grad take an input gradient: with constant inputs alone (embedded
         sequences) the input-row copy and product are skipped."""
         d_in, d_h = self.d_in, self.d_h
         z, gates, c_all, tanh_c = saved
@@ -206,7 +204,7 @@ class LstmCell:
                 k_g *= 1.0 - s
             np.multiply(i, 1.0 - c_tilde * c_tilde, out=k_c)
             dc_dh = o * (1.0 - tanh_c * tanh_c)
-            w_h = np.concatenate([w[d_in:] for w in gate_w], axis=1).T.copy()  # [4*d_h, d_h]
+            w_h = W[d_in:].T.copy()  # [4*d_h, d_h]
             dh_next = np.zeros((start[1], d_h))  # from step t+1; zero past its live rows
             dc_next = np.zeros((live[0], d_h))
             for t in reversed(range(len(live))):
@@ -227,15 +225,15 @@ class LstmCell:
                 d_w += z[lo:lo + GRAD_ROWS].T @ d_a[lo:lo + GRAD_ROWS]
             d_b = d_a.sum(axis=0)
             for n, gate in enumerate(self.GATES):
-                self.W[gate]._accumulate(d_w[:, n * d_h:(n + 1) * d_h])
-                self.b[gate]._accumulate(d_b[None, n * d_h:(n + 1) * d_h])
+                self.W[gate].grad += d_w[:, n * d_h:(n + 1) * d_h]
+                self.b[gate].grad += d_b[None, n * d_h:(n + 1) * d_h]
             del d_w  # before d_x, the largest of them
             takers = [(node, rows, r) for (node, rows), r in zip(seqs, idx)
                       if node.grad is not None]
             if not takers:
                 return
             d_x = np.empty((len(z), d_in))
-            w_x = np.concatenate([w[:d_in] for w in gate_w], axis=1).T.copy()  # [4*d_h, d_in]
+            w_x = W[:d_in].T.copy()  # [4*d_h, d_in]
             _blocked_matmul(d_a, w_x, d_x)
             for node, rows, r in takers:
                 node.grad[rows] += d_x[r]
@@ -352,8 +350,8 @@ class CnnPairModel(_PairModel):
             for (node, rows), lo, n, at, d_seq in zip(seqs, first_win, n_win, first, d_pre):
                 d_act = np.zeros((n, self.n_filters))  # one nonzero per column: sums are exact
                 d_act[at - lo, cols] = d_seq
-                self.w_conv._accumulate(win[lo:lo + n].T @ d_act)
-                self.b_conv._accumulate(d_seq[None])
+                self.w_conv.grad += win[lo:lo + n].T @ d_act
+                self.b_conv.grad += d_seq[None]
                 if node.grad is None:
                     continue
                 d_win = d_act @ W.T
@@ -443,8 +441,8 @@ def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequenc
             a_node.grad[a_rows] += (g_a + g_prod * att_q + g_pool * pooled_a + p_a.T @ d_pooled
                                     + d_row @ w1.T + d_aw3 * w3.T)
             q_node.grad[q_rows] += p_q.T @ d_att + d_col @ w2.T + d_sim.T @ aw3
-            w_alpha._accumulate(np.concatenate([A.T @ d_row, Q.T @ d_col,
-                                                np.sum(d_aw3 * A, axis=0)[:, None]]))
+            w_alpha.grad += np.concatenate([A.T @ d_row, Q.T @ d_col,
+                                            np.sum(d_aw3 * A, axis=0)[:, None]])
 
     out._backward = backward
     return [(out, np.arange(lo, hi)) for lo, hi in zip(ends[:-1], ends[1:])]
@@ -474,8 +472,8 @@ def readout(feats: Sequence[Sequence[Seq]], w: Tensor, b: Tensor,
     def backward(g: np.ndarray) -> None:
         d_z = g * p * (1.0 - p)
         # left to right over the pairs, as a head per pair added them (np.sum may pair them up)
-        w._accumulate(np.add.accumulate(x * d_z, axis=0)[-1][:, None])
-        b._accumulate(np.add.accumulate(d_z, axis=0)[-1:])
+        w.grad += np.add.accumulate(x * d_z, axis=0)[-1][:, None]
+        b.grad += np.add.accumulate(d_z, axis=0)[-1:]
         d_x = d_z * w.data.T
         if keep is not None:
             d_x = d_x * keep

@@ -19,7 +19,7 @@ reached by ``backward()`` gets a gradient.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, _parents: Tuple["Tensor", ...] = (),
-                 _backward: Callable[[np.ndarray], None] | None = None, *,
+    def __init__(self, data, _parents: Tuple["Tensor", ...] = (), *,
                  requires_grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.size == 0:
@@ -46,7 +45,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
-        self._backward = _backward
+        self._backward = None  # the layer that builds the node sets its closure
 
     # ---- basic introspection -------------------------------------------------
 
@@ -64,12 +63,10 @@ class Tensor:
 
     # ---- backward ----------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        self.grad += g  # backward() zeroed the grad of every reachable node but constants
-
     def backward(self) -> None:
         """Populate grads of all tensors reachable from this scalar output,
-        constants (``requires_grad=False``) apart: their grad stays None."""
+        constants (``requires_grad=False``) apart: their grad stays None. The
+        others start at zero, and each node's backward adds into them."""
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
         order: list[Tensor] = []

@@ -90,7 +90,7 @@ def bce_loss(p: Tensor, y: Sequence[float]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         d = -g * (1.0 / n)
         dp = (d * labels) / pc - (d * (1.0 - labels)) / (1.0 - pc)
-        p._accumulate((dp * inside).reshape(p.shape))
+        p.grad += (dp * inside).reshape(p.shape)
 
     out._backward = backward
     return out

@@ -107,7 +107,11 @@ def total(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
     if w.shape != x.shape:
         raise ShapeError(f"weights {w.shape} do not match {x.shape}")
     out = Tensor(np.sum(x.data * w).reshape(1, 1), (x,))
-    out._backward = lambda g: x._accumulate(g[0, 0] * w)
+
+    def backward(g: np.ndarray) -> None:
+        x.grad += g[0, 0] * w
+
+    out._backward = backward
     return out
 
 

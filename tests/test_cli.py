@@ -628,6 +628,22 @@ class TestNumericFlags:
         assert exc.value.code == 2
         assert f"argument {flags[-2]}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("number", ["١", "1_0", "+3", " 3"],
+                             ids=["arabic-indic", "underscore", "sign", "leading-space"])
+    @pytest.mark.parametrize("flag", ["--chapter", "--top", "--seed", "--hidden", "--dim"])
+    def test_integers_take_ascii_digits_only(self, base, bible_tsv, embeddings_txt, capsys,
+                                             flag, number):
+        # int() reads all four as 1, 10, 3 and 3
+        argv = base["train"] if flag == "--hidden" else [
+            "predict", "--checkpoint", "model.ckpt", "--bible", bible_tsv, "--question",
+            "Q?", "--book", "Matthew", "--chapter", "1", "--embeddings", embeddings_txt]
+        assert getattr(cli.build_parser().parse_args(argv + [flag, "3"]),
+                       flag[2:]) == 3
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, number])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value" in capsys.readouterr().err
+
 
 _DEEP_JSON = '{"a": ' + "[" * 100_000
 

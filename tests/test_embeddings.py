@@ -206,6 +206,67 @@ def test_train_cbow_equals_per_token_choice_reference(corpus, window, epochs, se
     assert [h.hex() for h in history] == [h.hex() for h in ref_history]
 
 
+def test_train_cbow_with_reserved_tokens_equals_reference():
+    # a sentence may hold the tokens PAD and UNK map to: they are still
+    # never drawn as negatives, and the PAD row still ends at zero
+    corpus = [["<pad>", "a", "b", "<unk>", "c", "a"], ["b", "<pad>", "c", "a", "d"]] * 20
+    cfg = CbowConfig(window=2, dim=4, epochs=2, seed=0)
+    history: list[float] = []
+    m = train_cbow(corpus, cfg, loss_history=history)
+    table, ref_history = cbow_reference(corpus, cfg)
+    assert m.table.tobytes() == table.tobytes()
+    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
+    np.testing.assert_array_equal(m.table[PAD_INDEX], np.zeros(4))
+
+
+def _concat_reference(a: EmbeddingMatrix, b: EmbeddingMatrix) -> tuple[list[str], np.ndarray]:
+    """concat_embeddings as a per-token loop over the union vocabulary:
+    (its tokens, its table)."""
+    vocab = Vocabulary()
+    for tok in a.vocab.tokens()[2:]:
+        vocab.add(tok)
+    for tok in b.vocab.tokens()[2:]:
+        vocab.add(tok)
+    table = np.zeros((len(vocab), a.dim + b.dim))
+    for idx in range(1, len(vocab)):  # include UNK, skip PAD
+        tok = vocab.token(idx)
+        if tok in a.vocab:
+            table[idx, :a.dim] = a.table[a.vocab.index(tok)]
+        if tok in b.vocab:
+            table[idx, a.dim:] = b.table[b.vocab.index(tok)]
+    return vocab.tokens(), table
+
+
+@st.composite
+def _embedding_source(draw):
+    """Up to 8 of 12 shared token names, in any order, with a table whose
+    every row, PAD and UNK included, is nonzero noise."""
+    tokens = draw(st.lists(st.sampled_from([f"w{i}" for i in range(12)]),
+                           unique=True, max_size=8))
+    vocab = Vocabulary(tokens)
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return EmbeddingMatrix(vocab=vocab, dim=dim, table=rng.uniform(0.5, 1.5, (len(vocab), dim)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_embedding_source(), b=_embedding_source())
+def test_concat_embeddings_equals_per_token_reference(a, b):
+    m = concat_embeddings(a, b)
+    tokens, table = _concat_reference(a, b)
+    assert m.vocab.tokens() == tokens and m.dim == a.dim + b.dim
+    assert m.table.tobytes() == table.tobytes()
+    np.testing.assert_array_equal(m.table[PAD_INDEX], np.zeros(m.dim))
+    np.testing.assert_array_equal(m.table[UNK_INDEX],
+                                  np.concatenate([a.table[UNK_INDEX], b.table[UNK_INDEX]]))
+    for tok in tokens[2:]:  # shared, a-only and b-only tokens; a's keep their index
+        if tok in a.vocab:
+            assert m.vocab.index(tok) == a.vocab.index(tok)
+        row = m.table[m.vocab.index(tok)]
+        assert (row[:a.dim] != 0.0).all() == (tok in a.vocab)
+        assert (row[a.dim:] != 0.0).all() == (tok in b.vocab)
+
+
 class TestConcatEmbeddings:
     def _matrix(self, entries, dim):
         vocab = Vocabulary(tok for tok, _ in entries)

@@ -13,7 +13,7 @@ _EPOCH = "0x[0-9a-f.p+-]+/0x[0-9a-f.p+-]+/0x[0-9a-f.p+-]+"
 _LINE = re.compile(rf"(rnn|cnn|bidaf) forward={_SHA} history={_EPOCH}(,{_EPOCH})* "
                    rf"ckpt={_SHA} scores={_SHA} report={_SHA} transfer={_SHA}")
 _CBOW = re.compile(rf"cbow table={_SHA} history=0x[0-9a-f.p+-]+(,0x[0-9a-f.p+-]+)* "
-                   rf"vectors={_SHA}")
+                   rf"vectors={_SHA} concat={_SHA}")
 
 
 def _parity(threads: int) -> str:

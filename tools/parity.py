@@ -21,7 +21,9 @@ first 300 verses of the corpus's base translation and holds:
 
 * ``table``: sha256 of the trained table's bytes;
 * ``history``: the per-epoch mean loss as float hex;
-* ``vectors``: sha256 of the ``save_embedding`` text.
+* ``vectors``: sha256 of the ``save_embedding`` text;
+* ``concat``: sha256 of the bytes of the ``concat_embeddings`` table of the
+  corpus's vectors and the trained CBOW vectors.
 
 Run it from a checkout: ``python tools/parity.py``. It imports verseqa
 from that checkout's ``src``, and pins BLAS to one thread. An exact
@@ -84,7 +86,7 @@ def digest(kind: str, window_groups, chapter_groups, emb) -> str:
             f"transfer={_sha(training.save_checkpoint(target))}")
 
 
-def cbow_digest(bible_lines: list[str]) -> str:
+def cbow_digest(bible_lines: list[str], emb) -> str:
     base = bible_lines[0].split("\t", 1)[0] + "\t"
     verses = [line.split("\t")[4] for line in bible_lines if line.startswith(base)]
     history: list[float] = []
@@ -92,8 +94,10 @@ def cbow_digest(bible_lines: list[str]) -> str:
                               embeddings.CbowConfig(dim=DIM, epochs=2, seed=0),
                               loss_history=history)
     vectors = "\n".join(embeddings.save_embedding(m))
+    concat = embeddings.concat_embeddings(emb, m)
     return (f"cbow table={_sha(m.table.tobytes())} "
-            f"history={','.join(h.hex() for h in history)} vectors={_sha(vectors)}")
+            f"history={','.join(h.hex() for h in history)} vectors={_sha(vectors)} "
+            f"concat={_sha(concat.table.tobytes())}")
 
 
 def main() -> None:
@@ -107,7 +111,7 @@ def main() -> None:
     emb = embeddings.load_pretrained(corpus.vector_lines, DIM)
     for kind in ("rnn", "cnn", "bidaf"):
         print(digest(kind, window, chapter, emb), flush=True)
-    print(cbow_digest(corpus.bible_lines), flush=True)
+    print(cbow_digest(corpus.bible_lines, emb), flush=True)
 
 
 if __name__ == "__main__":
