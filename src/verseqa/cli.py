@@ -42,8 +42,11 @@ def _atomic_write(path: str, payload: bytes | str) -> None:
         raise CliValidationError(f"output path is a directory: {path}")
     mode = "wb" if isinstance(payload, bytes) else "w"
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0o077)  # read it: a plain open() creates 0o666 & ~umask
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-verseqa-")
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0o600 would survive os.replace
         with os.fdopen(fd, mode) as f:
             f.write(payload)
         os.replace(tmp, path)
@@ -351,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend config-file entries as flags so explicit CLI flags win. The
-    path comes as ``--config PATH`` or ``--config=PATH``."""
+    """Prepend config-file entries as ``--flag=value`` so CLI flags, in either
+    form, win. The path comes as ``--config PATH`` or ``--config=PATH``."""
     idx = next((i for i, arg in enumerate(argv)
                 if arg == "--config" or arg.startswith("--config=")), None)
     if idx is None:
@@ -376,12 +379,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             raise CliValidationError(f"config file {path}: {key}: expected a string "
                                      f"or a number, got {json.dumps(value)}")
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            injected += [flag, str(value)]
+        if not any(arg == flag or arg.startswith(flag + "=") for arg in argv):
+            injected.append(f"{flag}={value}")  # one word: a value may start with -
     # flags after the subcommand, which must be argv[0] after --config removal
-    if not rest:
-        return rest
-    return [rest[0]] + injected + rest[1:]
+    return rest[:1] + injected + rest[1:] if rest else rest
 
 
 def main(argv: list[str] | None = None) -> int:

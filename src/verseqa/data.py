@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,11 +90,10 @@ class Candidate:
     book: str | None = None
     chapter: int | None = None
     verse: int | None = None
-    tokens: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.tokens:
-            self.tokens = tokenize(self.text)
+    @cached_property
+    def tokens(self) -> list[str]:
+        return tokenize(self.text)
 
 
 @dataclass
@@ -102,11 +102,10 @@ class QuestionGroup:
     translation: str
     question: str
     candidates: list[Candidate]
-    question_tokens: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.question_tokens:
-            self.question_tokens = tokenize(self.question)
+    @cached_property
+    def question_tokens(self) -> list[str]:
+        return tokenize(self.question)
 
     def gold_index(self) -> int:
         for i, c in enumerate(self.candidates):

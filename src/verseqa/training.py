@@ -322,7 +322,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
                       config=manifest["config"], tensors=tensors)
 
 
-def model_from_checkpoint(ckpt: Checkpoint, seed: int = 0):
+def model_from_checkpoint(ckpt: Checkpoint):
     """The model a checkpoint describes; ManifestMismatchError if it cannot be built.
 
     The shapes the config implies are checked against the tensors before
@@ -341,7 +341,7 @@ def model_from_checkpoint(ckpt: Checkpoint, seed: int = 0):
         raise ManifestMismatchError(f"tensors {sorted(got.items() - want.items())} "
                                     f"do not fit {sorted(want.items() - got.items())}")
     try:
-        model = models_mod.build_model(ckpt.model_kind, seed=seed, **ckpt.config)
+        model = models_mod.build_model(ckpt.model_kind, **ckpt.config)
     except (TypeError, ValueError) as exc:  # a bad value the shapes do not show
         raise unbuildable(exc) from exc
     model.params.load_values(ckpt.tensors)

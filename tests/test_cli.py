@@ -2,6 +2,7 @@ import argparse
 import json
 import logging
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import make_embedding, make_separable_groups
 from verseqa import cli
-from verseqa.data import Candidate, QuestionGroup, read_groups, write_groups
+from verseqa.data import Candidate, QuestionGroup, read_groups, tokenize, write_groups
 from verseqa.embeddings import load_pretrained, save_embedding
 from verseqa.evaluation import evaluate, score_groups
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
@@ -398,6 +399,13 @@ class TestUsageAndConfig:
         assert report["seed"] == 9  # CLI beats the file
         assert report["model"] == "baseline"
 
+    def test_cli_equals_form_beats_config_file(self, dataset_jsonl, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "baseline", "data": dataset_jsonl,
+                                   "seed": -1}))  # the file's value is never parsed
+        assert cli.main(["--config", str(cfg), "evaluate", "--seed=3"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
     def test_config_equals_form_matches_separate_form(self, dataset_jsonl, tmp_path,
                                                       capsys):
         cfg = tmp_path / "cfg.json"
@@ -457,6 +465,43 @@ class TestUsageAndConfig:
         assert proc.returncode == 3
         assert len(proc.stderr.splitlines()) == 1
         assert str(cfg) in proc.stderr
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+@pytest.mark.parametrize("payload", [b"bytes", "text"], ids=["bytes", "text"])
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, umask, payload):
+    old = os.umask(umask)
+    try:
+        cli._atomic_write(str(tmp_path / "atomic"), payload)
+        with open(tmp_path / "plain", "w") as f:
+            f.write("plain")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic", "plain")]
+    assert modes == [0o666 & ~umask] * 2
+    assert sorted(os.listdir(tmp_path)) == ["atomic", "plain"]  # no temp file left
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "convert-span", "evaluate"])
+def test_commands_that_read_no_tokens_never_tokenize(command, bible_tsv, trivia_tsv,
+                                                     dataset_jsonl, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("verseqa.data.tokenize",
+                        lambda text: calls.append(text) or tokenize(text))
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text(json.dumps({"context": "One here. The answer. Last.",
+                                 "question": "Where?", "answer_text": "answer",
+                                 "answer_start": 14}) + "\n")
+    out = str(tmp_path / "out")
+    argv, groups = {
+        "build-dataset": (["--bible", bible_tsv, "--trivia", trivia_tsv], out),
+        "convert-span": (["--in", str(spans)], out),
+        "evaluate": (["--model", "baseline", "--data", dataset_jsonl], dataset_jsonl),
+    }[command]
+    assert cli.main([command, *argv, "--out", out]) == 0
+    assert calls == []
+    group = read_groups(groups)[0]  # the counter sees a read of the tokens
+    assert group.question_tokens == tokenize(group.question) and len(calls) == 1
 
 
 class TestConvertSpan:
@@ -554,6 +599,17 @@ class TestPredict:
         assert order.index(2) + 1 == order.index(4)
         for r in ranked:
             assert r["text"] == self.VERSES[r["verse"] - 1]
+
+    def test_config_value_may_start_with_a_dash(self, paths, capsys, tmp_path):
+        argv = self._argv(paths, top=len(self.VERSES))
+        at = argv.index("--question")
+        del argv[at:at + 2]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"question": "-k3"}))  # one word, so not an argument
+        assert cli.main(["--config", str(cfg)] + argv) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert cli.main(argv + ["--question", "k3"]) == 0  # the dash is no token
+        assert from_file == json.loads(capsys.readouterr().out)
 
     def test_top_truncates(self, paths, capsys):
         full = self._predict(paths, capsys, top=len(self.VERSES))
@@ -701,8 +757,22 @@ _TEXT = {"--question": ["who is k0?", ""], "--translation": ["WEB", "XYZ"],
          "--book": ["Matthew", "Nope"], "--word": ["k0", "zzz"],
          "--mode": ["window-3", "chapter", "window-0", "bogus"],
          "--translations": ["WEB", "KJV,WEB", "XYZ", ""]}
-_NUMBERS = {"int": ["-1", "0", "1", "2", "3", "x"],
-            "float": ["-1", "0", "0.01", "0.5", "1", "nan", "inf", "x"]}
+_INTS = ["-1", "0", "1", "2", "3", "x"]
+_FLOATS = ["-1", "0", "0.01", "0.5", "1", "nan", "inf", "x"]
+# keyed by the parser's type objects; the test below gives every option one pool
+_NUMBERS = {cli._INT: _INTS, cli._COUNT: _INTS, cli._SEED: _INTS,
+            cli._RATE: _FLOATS, cli._DROPOUT: _FLOATS}
+_FILES = {"--bible", "--trivia", "--in", "--data", "--embeddings", "--concat-embeddings",
+          "--checkpoint", "--pretrained"}
+
+
+def test_every_option_has_one_declared_fuzz_kind():
+    for command, flags in _FLAGS.items():
+        for flag, action in flags.items():
+            kinds = [bool(action.choices), action.type in _NUMBERS, flag == "--out",
+                     flag in _TEXT, flag in _FILES]
+            assert kinds.count(True) == 1, (command, flag)
+            assert action.type is None or action.type in _NUMBERS, (command, flag)
 
 
 @pytest.fixture(scope="module")
@@ -752,9 +822,8 @@ def _base(paths) -> dict[str, dict[str, str]]:
 def _pool(flag: str, action, paths) -> list[str]:
     if action.choices:
         return list(action.choices) + ["bogus"]
-    kind = getattr(action.type, "__name__", "str")
-    if kind in _NUMBERS:
-        return _NUMBERS[kind]
+    if action.type in _NUMBERS:
+        return _NUMBERS[action.type]
     if flag == "--out":
         return paths["outs"]
     return _TEXT.get(flag, paths["inputs"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from verseqa.data import (BibleCorpus, Candidate, DatasetSpec, ParseError,
                           QuestionGroup, TriviaQuestion, ValidationError, build_bibleqa,
                           convert_span_dataset, group_from_json,
-                          group_to_json, parse_bible, parse_trivia,
-                          split_dataset, split_sentences, tokenize)
+                          group_to_json, parse_bible, parse_trivia, read_groups,
+                          split_dataset, split_sentences, tokenize, write_groups)
 
 
 class TestTokenize:
@@ -282,6 +283,33 @@ class TestJsonRoundTrip:
         assert again.question_tokens == g.question_tokens
         assert [(c.text, c.label) for c in again.candidates] == \
                [(c.text, c.label) for c in g.candidates]
+
+
+class TestDerivedTokens:
+    def test_tokens_are_no_fields(self):
+        assert [f.name for f in dataclasses.fields(Candidate)] == \
+            ["text", "label", "book", "chapter", "verse"]
+        assert [f.name for f in dataclasses.fields(QuestionGroup)] == \
+            ["qid", "translation", "question", "candidates"]
+        assert not hasattr(Candidate, "__post_init__")
+        assert not hasattr(QuestionGroup, "__post_init__")
+
+    def test_read_groups_tokens_equal_tokenize(self, tmp_path):
+        path = tmp_path / "groups.jsonl"
+        write_groups(path, [QuestionGroup(qid=0, translation="KJV", question="Who's there?",
+                                          candidates=[Candidate("It's Peter.", 1),
+                                                      Candidate("'Tis John!", 0)])])
+        (group,) = read_groups(path)
+        assert group.question_tokens == tokenize(group.question) == ["who's", "there"]
+        assert [c.tokens for c in group.candidates] == [["it's", "peter"], ["tis", "john"]]
+
+    def test_replaced_group_reads_its_own_question(self):
+        group = many_groups(1)[0]
+        assert group.question_tokens == ["question", "0"]  # cached on the original
+        fewer = dataclasses.replace(group, candidates=group.candidates[:1])
+        assert fewer.question_tokens == ["question", "0"]
+        asked = dataclasses.replace(group, question="Who wept?")
+        assert asked.question_tokens == ["who", "wept"]
 
 
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
