@@ -94,9 +94,7 @@ def _model_hyperparams(args, d_in: int) -> dict:
 
 
 def _train_config(args) -> training.TrainConfig:
-    lr = args.learning_rate
-    if lr is None:
-        lr = 0.0001 if args.model == "cnn" else 0.001
+    lr = args.learning_rate or (0.0001 if args.model == "cnn" else 0.001)  # None if not given
     return training.TrainConfig(learning_rate=lr, batch_size=args.batch_size,
                                 max_epochs=args.max_epochs, patience=args.patience,
                                 seed=args.seed)
@@ -353,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend config-file entries as ``--flag=value`` so CLI flags, in either
-    form, win. The path comes as ``--config PATH`` or ``--config=PATH``."""
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Prepend config-file entries as ``FLAG=value`` so CLI flags, in either
+    form, win. A key is a subcommand option's dest (``k`` for ``-k``) or its
+    long flag. The path comes as ``--config PATH`` or ``--config=PATH``."""
     idx = next((i for i, arg in enumerate(argv)
                 if arg == "--config" or arg.startswith("--config=")), None)
     if idx is None:
@@ -373,13 +372,17 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             raise CliValidationError(f"config file {path}: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise CliValidationError(f"config file {path}: expected a JSON object")
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    actions = commands[rest[0]]._actions if rest and rest[0] in commands else []
+    flags = {a.dest: a.option_strings[-1] for a in actions if a.option_strings}
     injected: list[str] = []
     for key, value in file_cfg.items():
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise CliValidationError(f"config file {path}: {key}: expected a string "
                                      f"or a number, got {json.dumps(value)}")
-        flag = "--" + key.replace("_", "-")
-        if not any(arg == flag or arg.startswith(flag + "=") for arg in argv):
+        flag = flags.get(key, "--" + key.replace("_", "-"))
+        given = flag if flag[1] != "-" else flag + "="  # -k5 gives -k its value too
+        if not any(arg == flag or arg.startswith(given) for arg in argv):
             injected.append(f"{flag}={value}")  # one word: a value may start with -
     # flags after the subcommand, which must be argv[0] after --config removal
     return rest[:1] + injected + rest[1:] if rest else rest
@@ -391,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(argv))
+        args = parser.parse_args(_apply_config_file(argv, parser))
         _echo_config(args)
         return args.func(args)
     except CliUsageError as exc:

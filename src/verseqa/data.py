@@ -243,10 +243,7 @@ def build_bibleqa(corpus: BibleCorpus, questions: Sequence[TriviaQuestion],
                     f"question {q.qid}: reference {q.book} {q.chapter}:{q.verse} "
                     f"not found in {translation}")
             verses = corpus.chapter(translation, q.book, q.chapter)
-            if n is None:
-                first, last = 1, len(verses)
-            else:
-                first, last = _window_bounds(q.verse, n, len(verses))
+            first, last = _window_bounds(q.verse, n or len(verses), len(verses))
             candidates = [
                 Candidate(text=verses[v - 1], label=int(v == q.verse),
                           book=q.book, chapter=q.chapter, verse=v)
@@ -328,17 +325,17 @@ def convert_span_dataset(records: Iterable[dict]) -> SpanConversion:
 
     Sentences of the context become candidates; the sentence containing the
     answer start offset is the positive. Answers that cross a sentence
-    boundary drop the record (counted); an out-of-range offset is an error.
+    boundary drop the record (counted); an out-of-range offset is an error
+    naming the record's position, from 1. Kept groups take qids 0, 1, ...
     """
     result = SpanConversion(groups=[])
-    qid = 0
-    for rec in records:
+    for n, rec in enumerate(records, start=1):
         context = rec["context"]
         answer_start = int(rec["answer_start"])
         answer_text = rec.get("answer_text", "")
         if not (0 <= answer_start < len(context)):
             raise ValidationError(
-                f"record {qid}: answer_start {answer_start} out of range "
+                f"record {n}: answer_start {answer_start} out of range "
                 f"for context of length {len(context)}")
         spans = split_sentences(context)
         answer_end = answer_start + len(answer_text)
@@ -353,10 +350,9 @@ def convert_span_dataset(records: Iterable[dict]) -> SpanConversion:
             continue
         candidates = [Candidate(text=context[lo:hi].strip(), label=int(i == gold))
                       for i, (lo, hi) in enumerate(spans)]
-        result.groups.append(QuestionGroup(qid=qid, translation="",
+        result.groups.append(QuestionGroup(qid=len(result.groups), translation="",
                                            question=rec["question"],
                                            candidates=candidates))
-        qid += 1
     return result
 
 

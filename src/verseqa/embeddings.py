@@ -145,12 +145,9 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
 
 def save_embedding(m: EmbeddingMatrix) -> list[str]:
     """Render non-reserved rows in the same text format load_pretrained reads."""
-    out = []
-    for idx in range(2, len(m.vocab)):
-        # one row at a time, so the whole table is never held as Python floats
-        vec = " ".join(map(repr, m.table[idx].tolist()))
-        out.append(f"{m.vocab.token(idx)} {vec}")
-    return out
+    # one row at a time, so the whole table is never held as Python floats
+    return [f"{m.vocab.token(idx)} " + " ".join(map(repr, m.table[idx].tolist()))
+            for idx in range(2, len(m.vocab))]
 
 
 def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,

@@ -129,19 +129,20 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
 
     Groups are scored in chunks of whole groups, up to ``SCORE_CHUNK_PAIRS``
     candidates; a group is never split, so a larger one is a chunk alone.
-    Each chunk is one ``model.score`` call, which encodes each of its
-    questions once and scores each candidate against its group's question;
-    its [pairs, 1] probabilities are read as one array. A pair's score
-    does not depend on the batch it is in, so the scores equal ``forward``
-    of each pair bit for bit. Keys are group positions; each list follows
-    the group's candidate order. This is the one inference loop: validation
-    and ``predict`` use it too.
+    Each chunk is one ``model.score`` call, which encodes each distinct
+    question text once and scores each candidate against its group's
+    question; its [pairs, 1] probabilities are read as one array. A pair's
+    score does not depend on the batch it is in, so the scores equal
+    ``forward`` of each pair bit for bit. Keys are group positions; each list
+    follows the group's candidate order. This is the one inference loop:
+    validation and ``predict`` use it too.
     """
     preds: dict[int, list[Prediction]] = {}
     for run in _chunks(groups, SCORE_CHUNK_PAIRS):
-        q_embs = [embed_sequence(g.question_tokens, embedding, max_question_tokens)
-                  for _, g in run]
-        which = [j for j, (_, g) in enumerate(run) for _ in g.candidates]
+        first: dict[tuple, int] = {}  # question -> its index in q_embs
+        which = [first.setdefault(tuple(g.question_tokens), len(first))
+                 for _, g in run for _ in g.candidates]
+        q_embs = [embed_sequence(q, embedding, max_question_tokens) for q in first]
         a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens)
                   for _, g in run for c in g.candidates]
         probs = iter(model.score(q_embs, which, a_embs).data[:, 0].tolist() if a_embs else [])

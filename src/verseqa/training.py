@@ -146,15 +146,18 @@ def _validate(model, groups, embedding: EmbeddingMatrix,
 def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
                      rng: np.random.Generator) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of one minibatch of (question, candidate, label) pairs and
-    the gradient of every parameter, from one ``score`` call in which each
-    pair has its own question, whose [B, 1] probabilities the loss takes
-    directly. The scores, so the loss too, equal ``forward`` of each pair bit
-    for bit; the gradients equal the sum of each pair's only up to rounding,
-    as an LSTM sums its weight gradients over all rows of the batch at once.
+    the gradient of every parameter, from one ``score`` call that encodes
+    each distinct question token list once, whose [B, 1] probabilities the
+    loss takes directly. The scores, so the loss too, equal ``forward`` of
+    each pair bit for bit; the gradients equal the sum of each pair's up to
+    rounding, as a shared question's gradient is summed before its encoder's
+    backward and an LSTM sums its weight gradients over the batch's rows.
     The graph is freed on return, before the next is built."""
-    q_embs = [embed_sequence(q, embedding, cfg.max_question_tokens) for q, _, _ in batch]
+    first: dict[tuple, int] = {}  # question -> its index in q_embs
+    which = [first.setdefault(tuple(q), len(first)) for q, _, _ in batch]
+    q_embs = [embed_sequence(q, embedding, cfg.max_question_tokens) for q in first]
     a_embs = [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch]
-    probs = model.score(q_embs, range(len(batch)), a_embs, training=True, rng=rng)
+    probs = model.score(q_embs, which, a_embs, training=True, rng=rng)
     loss = bce_loss(probs, [label for _, _, label in batch])
     loss.backward()  # every input has a row, so it reaches every param
     return loss.item(), {name: t.grad for name, t in model.params.items()}
@@ -165,9 +168,9 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
     """Mini-batch AdaGrad training with validation-loss early stopping.
 
     Iterates (question, candidate, label) pairs in seeded-shuffled batches,
-    embedding each batch as it runs it; a batch is one ``score`` call, whose
-    scores equal ``forward``'s bit for bit and whose gradients equal the sum
-    of the per-pair gradients up to rounding (see ``_batch_gradients``).
+    embedding each batch as it runs it; a batch is one ``score`` call that
+    encodes each distinct question once. Its scores equal ``forward``'s bit
+    for bit, its gradients the per-pair sum up to rounding (``_batch_gradients``).
     Stops when validation loss has not improved for ``cfg.patience`` epochs
     or at ``cfg.max_epochs``; the returned model holds the weights of the
     best validation epoch. Deterministic for fixed weights, data, and seed,

@@ -368,6 +368,33 @@ class TestNearest:
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split("\t")[0] for line in lines] == ["b", "d", "c"]
 
+    @pytest.mark.parametrize("cli_k", [[], ["-k", "1"], ["-k1"], ["-k=1"]],
+                             ids=["file", "separate", "joined", "equals"])
+    def test_config_file_sets_k_and_cli_wins(self, tmp_path, capsys, cli_k):
+        # the key is the option's dest: "k" names -k, which has no --k form
+        path = tmp_path / "four.txt"
+        path.write_text("a 1 0\nb 2 0\nc 0 1\nd 1 1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2}))
+        rc = cli.main(["--config", str(cfg), "nearest", "--embeddings", str(path),
+                       "--dim", "2", "--word", "a", *cli_k])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["b", "d"][:1 if cli_k else 2]
+
+    def test_config_key_may_name_an_option_by_flag_or_dest(self, tmp_path):
+        # convert-span's --in has dest "input": both keys name it
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(json.dumps({"context": "One here. The answer is in.",
+                                     "question": "Where?", "answer_text": "answer",
+                                     "answer_start": 14}) + "\n")
+        for key in ("in", "input"):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: str(spans)}))
+            out = tmp_path / f"{key}.jsonl"
+            assert cli.main(["--config", str(cfg), "convert-span", "--out", str(out)]) == 0
+            assert [c.label for c in read_groups(out)[0].candidates] == [0, 1]
+
     def test_negative_dim_exits_3(self, tmp_path, caplog):
         path = tmp_path / "empty.txt"
         path.write_text("")

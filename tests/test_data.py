@@ -238,6 +238,18 @@ class TestConvertSpanDataset:
         with pytest.raises(ValidationError):
             convert_span_dataset([rec])
 
+    def test_error_names_the_record_by_position_after_a_drop(self):
+        # the first record is dropped, so two groups are kept before the bad
+        # one, the fourth record; the kept groups still take qids 0 and 1
+        ok = {"context": self.CONTEXT, "question": "Q?", "answer_text": "First",
+              "answer_start": 0}
+        crossing = dict(ok, answer_text="here. The answer",
+                        answer_start=self.CONTEXT.index("here"))
+        result = convert_span_dataset([crossing, ok, ok])
+        assert [g.qid for g in result.groups] == [0, 1] and result.dropped == 1
+        with pytest.raises(ValidationError, match="^record 4: answer_start 10000 "):
+            convert_span_dataset([crossing, ok, ok, dict(ok, answer_start=10_000)])
+
 
 def many_groups(n_questions=100, translations=("KJV", "WEB")):
     groups = []

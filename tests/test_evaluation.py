@@ -217,10 +217,13 @@ class ScoreLog:
 def test_score_groups_equals_forward_per_pair(which, groups, big):
     # groups are scored in chunks of whole groups of up to SCORE_CHUNK_PAIRS
     # candidates, and one group larger than that, inserted at position
-    # ``big``, is a chunk alone; the question encoded once per group scores
-    # every candidate as forward(q, a) does, bit for bit. 1-token texts are
-    # shorter than cnn's window
+    # ``big``, is a chunk alone; each distinct question text of a chunk,
+    # encoded once, scores every candidate of its groups as forward(q, a)
+    # does, bit for bit. Two groups of equal question text follow the large
+    # one, so they open a chunk together. 1-token texts are shorter than
+    # cnn's window
     groups.insert(big, (["k1"], [["f2", "k1"]] * (SCORE_CHUNK_PAIRS + 3)))
+    groups[big + 1:big + 1] = [(["f1", "k2"], [["k2"], ["f1", "f2"]]), (["f1", "k2"], [["k1"]])]
     model = ScoreLog(SCORING_MODELS[which]())
     built = [QuestionGroup(qid=k, translation="syn", question=" ".join(q),
                            candidates=[Candidate(text=" ".join(a), label=0) for a in cands])
@@ -235,13 +238,17 @@ def test_score_groups_equals_forward_per_pair(which, groups, big):
         assert b - a <= SCORE_CHUNK_PAIRS or len(whole) == 1
         if n + 1 < len(calls):  # a chunk takes every group that fits
             assert b - a + sizes[whole[-1] + 1] > SCORE_CHUNK_PAIRS
-        # each of the chunk's questions once, and each candidate its group's
+        # each distinct question of the chunk once, in order of first use,
+        # and each candidate its group's
         q_data, which_q = model.questions[n]
-        assert len(q_data) == len(whole)
-        for q, k in zip(q_data, whole):
-            np.testing.assert_array_equal(
-                q, embed_sequence(built[k].question_tokens, SCORING_EMB, 5).data)
-        assert which_q == [j for j, k in enumerate(whole) for _ in range(sizes[k])]
+        texts = list(dict.fromkeys(tuple(built[k].question_tokens) for k in whole))
+        assert len(q_data) == len(texts)
+        for q, tokens in zip(q_data, texts):
+            np.testing.assert_array_equal(q, embed_sequence(tokens, SCORING_EMB, 5).data)
+        assert which_q == [texts.index(tuple(built[k].question_tokens))
+                           for k in whole for _ in range(sizes[k])]
+        if big + 1 in whole:  # the equal questions share one encode
+            assert len(q_data) < len(whole)
     for key, g in enumerate(built):
         q = embed_sequence(g.question_tokens, SCORING_EMB, 5)
         assert [p.score for p in preds[key]] == [

@@ -800,7 +800,8 @@ def test_batch_gradients_of_constant_inputs_equal_ordinary_inputs(kind, seed, da
     # embed_sequence's tensors are constants: a minibatch built from them
     # leaves every one with no grad, and gives every parameter the gradient,
     # bit for bit, and the loss that the same batch of ordinary input tensors
-    # gives; questions and candidates are empty, short and truncated
+    # gives; questions and candidates are empty, short and truncated, and
+    # each distinct question is embedded once
     config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
     model = build_model(kind, seed=seed % 1000, d_in=16, **config)
     words = st.lists(st.sampled_from(tiny_embedding.vocab.tokens()), max_size=10)
@@ -824,7 +825,7 @@ def test_batch_gradients_of_constant_inputs_equal_ordinary_inputs(kind, seed, da
             loss, grads = _batch_gradients(model, batch, tiny_embedding, cfg,
                                            np.random.default_rng(seed))
             runs.append((loss, {name: g.copy() for name, g in grads.items()}))
-    assert len(constants) == len(ordinary) == 2 * len(batch)
+    assert len(constants) == len(ordinary) == len(batch) + len({tuple(q) for q, _, _ in batch})
     assert all(t.grad is None for t in constants)
     assert all(t.grad is not None for t in ordinary)
     assert runs[0][0] == runs[1][0]

@@ -225,39 +225,37 @@ def ragged_groups(n_groups: int, seed: int) -> list[QuestionGroup]:
     return groups
 
 
+def _distinct(questions) -> tuple[list, list[int]]:
+    """The distinct token lists in order of first use, and each one's index."""
+    first: dict[tuple, int] = {}
+    which = [first.setdefault(tuple(q), len(first)) for q in questions]
+    return list(first), which
+
+
 @pytest.mark.parametrize("kind,config", [
     ("rnn", dict(d_h=5)), ("cnn", dict(n_filters=6, window=3, dropout=0.5)),
     ("bidaf", dict(d_h=5))])
 def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config):
-    # a batch run through one score call gives every pair the score and
-    # dropout mask a forward call of its own would. cnn's weight gradient is
-    # a sum over pairs either way, so its history and weights agree bit for
-    # bit; an LSTM's is one sum over all rows of the batch, so for rnn and
-    # bidaf the first minibatch's scores and loss agree bit for bit and its
-    # gradients up to rounding
-    train_g, val_g = ragged_groups(30, seed=1), ragged_groups(8, seed=2)
-    cfg = TrainConfig(learning_rate=0.05, batch_size=7, max_epochs=3, patience=3, seed=5,
+    # a batch run through one score call, each distinct question encoded
+    # once, gives every pair the score and dropout mask a forward call of
+    # its own would, so the first minibatch's scores and loss agree bit for
+    # bit. Its gradients agree up to rounding: a shared question's gradient
+    # is summed before its encoder's backward, and an LSTM's weight gradient
+    # is one sum over all rows of the batch
+    train_g = ragged_groups(30, seed=1)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=16, seed=5,
                       max_question_tokens=8, max_answer_tokens=8)
-    if kind == "cnn":
-        runs = []
-        for wrap in (lambda m: m, PerPairModel):
-            model = build_model(kind, seed=3, d_in=16, **config)
-            result = train(wrap(model), train_g, val_g, tiny_embedding, cfg)
-            runs.append((model.params.copy_values(),
-                         [(r.train_loss, r.val_loss, r.val_f1) for r in result.history]))
-        assert runs[0][1] == runs[1][1]
-        for name in runs[0][0]:
-            np.testing.assert_array_equal(runs[0][0][name], runs[1][0][name])
-        return
     model = build_model(kind, seed=3, d_in=16, **config)
     pairs = [(g.question_tokens, c.tokens, float(c.label)) for g in train_g for c in g.candidates]
     order = np.random.default_rng(cfg.seed).permutation(len(pairs))  # as train draws it
     batch = [pairs[i] for i in order[:cfg.batch_size]]
-    q_embs = [embed_sequence(q, tiny_embedding, 8) for q, _, _ in batch]
+    questions, which = _distinct([q for q, _, _ in batch])
+    assert len(questions) < len(batch)  # the batch repeats a question
+    q_embs = [embed_sequence(q, tiny_embedding, 8) for q in questions]
     a_embs = [embed_sequence(a, tiny_embedding, 8) for _, a, _ in batch]
     runs = []
     for wrap in (lambda m: m, PerPairModel):
-        probs = wrap(model).score(q_embs, range(len(q_embs)), a_embs)
+        probs = wrap(model).score(q_embs, which, a_embs)
         scores = probs.data[:, 0].tolist()
         loss, grads = _batch_gradients(wrap(model), batch, tiny_embedding, cfg,
                                        np.random.default_rng(cfg.seed))
@@ -266,6 +264,53 @@ def test_train_batches_equal_per_pair_forward_loop(tiny_embedding, kind, config)
     assert runs[0][1] == runs[1][1]
     for name, want in runs[1][2].items():
         assert np.linalg.norm(runs[0][2][name] - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+class ScoreLog:
+    """``model`` with the questions and question indices of each ``score`` call."""
+
+    def __init__(self, model):
+        self.model, self.params, self.calls = model, model.params, []
+
+    def score(self, q_embs, which, a_embs, training=False, rng=None):
+        self.calls.append(([q.data for q in q_embs], list(which)))
+        return self.model.score(q_embs, which, a_embs, training, rng)
+
+
+@pytest.mark.parametrize("kind", ["rnn", "cnn", "bidaf"])
+def test_batch_encodes_each_distinct_question_once(tiny_embedding, kind, monkeypatch):
+    # pairs of one group share its question's token list, and two groups
+    # of equal question text share it too: each distinct token list is
+    # embedded once and passed to score once, in order of first use
+    twin = ragged_groups(1, seed=4)[0]
+    train_g = ragged_groups(6, seed=3) + [QuestionGroup(qid=9, translation="KJV",
+                                                        question=twin.question,
+                                                        candidates=twin.candidates)]
+    pairs = [(g.question_tokens, c.tokens, float(c.label)) for g in train_g + [twin]
+             for c in g.candidates]
+    batch = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
+    questions, which = _distinct([q for q, _, _ in batch])
+    assert len(questions) == 7 and twin.question_tokens is not train_g[-1].question_tokens
+    embedded = []
+
+    def logged(tokens, m, max_len):
+        embedded.append((tuple(tokens), max_len))
+        return embed_sequence(tokens, m, max_len)
+
+    monkeypatch.setattr(verseqa.training, "embed_sequence", logged)
+    config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
+    model = ScoreLog(build_model(kind, seed=0, d_in=16, **config))
+    cfg = TrainConfig(max_question_tokens=8, max_answer_tokens=9)
+    _batch_gradients(model, batch, tiny_embedding, cfg, np.random.default_rng(0))
+    ((q_data, which_q),) = model.calls
+    assert [t for t, max_len in embedded if max_len == 8] == questions
+    assert len(embedded) == len(questions) + len(batch)
+    assert len(q_data) == len(questions)
+    for data, q in zip(q_data, questions):
+        np.testing.assert_array_equal(data, embed_sequence(q, tiny_embedding, 8).data)
+    assert which_q == which
+    for k, (q, _, _) in enumerate(batch):
+        assert questions[which_q[k]] == tuple(q)
 
 
 # trains each model at paper size (d=200, hidden 100) for one epoch of three
