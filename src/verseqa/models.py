@@ -49,8 +49,10 @@ def _whole(t: Tensor) -> Seq:
 
 
 def _nodes(seqs: Sequence[Seq]) -> tuple[Tensor, ...]:
-    """The distinct nodes ``seqs`` point into, in order of first use."""
-    return tuple(dict.fromkeys(node for node, _ in seqs))
+    """The distinct nodes ``seqs`` point into that take a gradient, in order
+    of first use: a constant is no node's parent, so a graph does not keep
+    it alive."""
+    return tuple(dict.fromkeys(node for node, _ in seqs if node.requires_grad))
 
 
 def _check_width(seqs: Sequence[Seq], d_in: int) -> None:
@@ -142,7 +144,8 @@ class LstmCell:
             node, rows = seqs[k]
             z[idx[r], :d_in] = node.data[rows]
         gates = np.empty((start[-1], 4 * d_h))  # activated i | f | o | c_tilde
-        c_all, tanh_c, h = (np.zeros((start[-1], d_h)) for _ in range(3))
+        c_all, h = np.zeros((start[-1], d_h)), np.zeros((start[-1], d_h))
+        tanh_c = np.empty((live[0], d_h))  # one step's tanh(c_t); _bptt recomputes it
         cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
         with np.errstate(over="ignore"):  # as in logistic: exp overflows to inf, 1/inf = 0
             for t, m in enumerate(live):
@@ -160,66 +163,86 @@ class LstmCell:
                 c = c_all[rows]
                 c_prev = c_all[start[t - 1]:start[t - 1] + m] if t else np.zeros((m, d_h))
                 np.add(np.multiply(f, c_prev, out=c), i * c_tilde, out=c)
-                np.tanh(c, out=tanh_c[rows])
-                np.multiply(o, tanh_c[rows], out=h[rows])
+                np.tanh(c, out=tanh_c[:m])
+                np.multiply(o, tanh_c[:m], out=h[rows])
                 if t + 1 < len(live):  # h_t of the sequences that go on
                     n = live[t + 1]
                     z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
         batch = Tensor(h, (*_nodes(seqs), *self.W.values(), *self.b.values()))
-        batch._backward = self._bptt([seqs[k] for k in order], idx, live, start,
-                                     (z, gates, c_all, tanh_c), W)
+        takers = [(*seqs[k], idx[r]) for r, k in enumerate(order) if seqs[k][0].requires_grad]
+        batch._backward = self._bptt(takers, live, start, (z, gates, c_all), W)
         states = dict(zip(order, idx))
         return [(batch, states[k]) for k in range(len(seqs))]
 
-    def _bptt(self, seqs: list[Seq], idx: list[np.ndarray], live: list[int],
+    def _bptt(self, takers: list[tuple[Tensor, np.ndarray, np.ndarray]], live: list[int],
               start: np.ndarray, saved: tuple[np.ndarray, ...], W: np.ndarray):
         """The backward of one ``encode_states`` call: backprop through time
-        over the forward's row layout, ``seqs`` longest first, sequence r at
-        rows ``idx[r]``, step t at ``start[t]`` with ``live[t]`` rows. It reads
-        the ``saved`` forward buffers [x_t | h_{t-1}], gates, c_t and tanh(c_t),
-        whose fill rows are zero, and the gate weights ``W`` [d_in+d_h, 4*d_h]
-        the forward joined. Like the forward, every product by the weights is
-        taken in row blocks, so a sequence's input gradient does not depend on
-        the batch. The weight gradients add one product per ``GRAD_ROWS`` rows,
-        in order: one product over all rows rounds differently when OpenBLAS
-        splits it between threads, but 256-row products gave the same bits at
-        1 and 2 threads in every shape tried. The recurrent and input rows of
-        ``W`` are transposed into C-ordered copies: as the right operand of the
-        blocks, a transposed view is up to 3x slower. Only input nodes with a
-        grad take an input gradient: with constant inputs alone (embedded
-        sequences) the input-row copy and product are skipped."""
+        over the forward's row layout, step t at ``start[t]`` with ``live[t]``
+        rows. It keeps the ``saved`` forward buffers [x_t | h_{t-1}], the
+        activated gates and c_t, whose fill rows are zero, the gate weights
+        ``W`` [d_in+d_h, 4*d_h] the forward joined, and ``takers``: each input
+        sequence that takes a gradient, as its node, its rows there and its
+        rows in the layout. Constant inputs (embedded sequences) are not kept.
+
+        tanh(c_t) is recomputed, bit for bit the forward's, and the gates are
+        turned into d(gate pre-activation) in place, so a backward runs once.
+        Like the forward, every product by the weights is taken in row
+        blocks, and each taker's input gradient is a blocked product of its
+        own rows, so it does not depend on the batch. The weight gradients
+        add one product per ``GRAD_ROWS`` rows, in order: one product over
+        all rows rounds differently when OpenBLAS splits it between threads,
+        but 256-row products gave the same bits at 1 and 2 threads in every
+        shape tried. The recurrent and input rows of ``W`` are transposed
+        into C-ordered copies: as the right operand of the blocks, a
+        transposed view is up to 3x slower."""
         d_in, d_h = self.d_in, self.d_h
-        z, gates, c_all, tanh_c = saved
+        z, gates, c_all = saved
 
         def backward(g: np.ndarray) -> None:
-            i, f, o, c_tilde = (gates[:, k * d_h:(k + 1) * d_h] for k in range(4))
-            # d(gate pre-activation) per unit of dc (gates i, f, c) or of dh (o),
-            # built in place and scaled into d_a step by step; zero on fill rows
-            d_a = np.zeros_like(gates)
-            k_i, k_f, k_o, k_c = (d_a[:, k * d_h:(k + 1) * d_h] for k in range(4))
-            for t in range(1, len(live)):  # c_{t-1}
-                k_f[start[t]:start[t] + live[t]] = c_all[start[t - 1]:start[t - 1] + live[t]]
-            for k_g, x, s in ((k_i, c_tilde, i), (k_f, k_f, f), (k_o, tanh_c, o)):
-                np.multiply(x, s, out=k_g)  # x * s * (1 - s), s a sigmoid
-                k_g *= 1.0 - s
-            np.multiply(i, 1.0 - c_tilde * c_tilde, out=k_c)
-            dc_dh = o * (1.0 - tanh_c * tanh_c)
+            # d_a: d(gate pre-activation) per unit of dc (gates i, f, c) or of
+            # dh (o), built over the gates in place and scaled step by step;
+            # zero on fill rows
+            d_a = gates
+            i, f, o, c_tilde = (d_a[:, k * d_h:(k + 1) * d_h] for k in range(4))
+            f_t = f.copy()  # the forget gates, for the step loop
+            tmp = np.tanh(c_all)
+            dc_dh = np.multiply(tmp, tmp)  # o * (1 - tanh(c)^2)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= o
+            tmp *= o  # k_o = tanh(c) * o * (1 - o)
+            np.subtract(1.0, o, out=o)
+            o *= tmp
+            np.multiply(c_tilde, i, out=tmp)  # k_i = c_tilde * i * (1 - i)
+            c_tilde *= c_tilde  # k_c = i * (1 - c_tilde^2)
+            np.subtract(1.0, c_tilde, out=c_tilde)
+            c_tilde *= i
+            np.subtract(1.0, i, out=i)
+            i *= tmp
+            tmp.fill(0.0)  # k_f = c_{t-1} * f * (1 - f), c_{-1} = 0
+            for t in range(1, len(live)):
+                tmp[start[t]:start[t] + live[t]] = c_all[start[t - 1]:start[t - 1] + live[t]]
+            f *= tmp
+            np.subtract(1.0, f_t, out=tmp)
+            f *= tmp
+            del tmp
             w_h = W[d_in:].T.copy()  # [4*d_h, d_h]
             dh_next = np.zeros((start[1], d_h))  # from step t+1; zero past its live rows
             dc_next = np.zeros((live[0], d_h))
+            dh_t, dc_t = np.empty((live[0], d_h)), np.empty((live[0], d_h))
             for t in reversed(range(len(live))):
                 m = live[t]
                 rows = slice(start[t], start[t] + m)
-                dh = g[rows] + dh_next[:m]
-                dc = dh * dc_dh[rows] + dc_next[:m]
+                dh = np.add(g[rows], dh_next[:m], out=dh_t[:m])
+                dc = np.multiply(dh, dc_dh[rows], out=dc_t[:m])
+                dc += dc_next[:m]
                 d4 = d_a[rows].reshape(m, 4, d_h)
                 d4[:, :2] *= dc[:, None]
                 d4[:, 2] *= dh
                 d4[:, 3] *= dc
                 if t:  # what step t passes back to step t - 1
                     _blocked_matmul(d_a[start[t]:start[t + 1]], w_h, dh_next)
-                    np.multiply(dc, f[rows], out=dc_next[:m])
-            del dc_dh  # a training step's memory peaks in the products below
+                    np.multiply(dc, f_t[rows], out=dc_next[:m])
+            del dc_dh, f_t, w_h  # a training step's memory peaks in the products below
             d_w = z[:GRAD_ROWS].T @ d_a[:GRAD_ROWS]
             for lo in range(GRAD_ROWS, len(z), GRAD_ROWS):
                 d_w += z[lo:lo + GRAD_ROWS].T @ d_a[lo:lo + GRAD_ROWS]
@@ -227,16 +250,16 @@ class LstmCell:
             for n, gate in enumerate(self.GATES):
                 self.W[gate].grad += d_w[:, n * d_h:(n + 1) * d_h]
                 self.b[gate].grad += d_b[None, n * d_h:(n + 1) * d_h]
-            del d_w  # before d_x, the largest of them
-            takers = [(node, rows, r) for (node, rows), r in zip(seqs, idx)
-                      if node.grad is not None]
+            del d_w
             if not takers:
                 return
-            d_x = np.empty((len(z), d_in))
             w_x = W[:d_in].T.copy()  # [4*d_h, d_in]
-            _blocked_matmul(d_a, w_x, d_x)
             for node, rows, r in takers:
-                node.grad[rows] += d_x[r]
+                d_seq = np.zeros((_block_rows(len(r)), 4 * d_h))
+                d_seq[:len(r)] = d_a[r]
+                d_x = np.empty((len(d_seq), d_in))
+                _blocked_matmul(d_seq, w_x, d_x)
+                node.grad[rows] += d_x[:len(r)]
 
         return backward
 
@@ -321,7 +344,8 @@ class CnnPairModel(_PairModel):
         row per sequence; on ties the gradient goes to the first position.
         The weight gradient adds the sequences' terms in order. A sequence
         whose node is a constant (an embedded sequence) takes no input
-        gradient, so its window-gradient product and scatter are skipped.
+        gradient: the backward does not keep it, and skips its
+        window-gradient product and scatter.
         ShapeError unless every input has ``d_in`` columns."""
         _check_width(seqs, self.d_in)
         w, d = self.window, self.d_in
@@ -344,16 +368,18 @@ class CnnPairModel(_PairModel):
                           for lo, n in zip(first_win, n_win)])  # [sequences, filters]
         pooled = act[first, cols]
         out = Tensor(pooled, (*_nodes(seqs), self.w_conv, self.b_conv))
+        takers = [seq if seq[0].requires_grad else None for seq in seqs]
 
         def backward(g: np.ndarray) -> None:
             d_pre = g * (pooled > 0.0)
-            for (node, rows), lo, n, at, d_seq in zip(seqs, first_win, n_win, first, d_pre):
+            for taker, lo, n, at, d_seq in zip(takers, first_win, n_win, first, d_pre):
                 d_act = np.zeros((n, self.n_filters))  # one nonzero per column: sums are exact
                 d_act[at - lo, cols] = d_seq
                 self.w_conv.grad += win[lo:lo + n].T @ d_act
                 self.b_conv.grad += d_seq[None]
-                if node.grad is None:
+                if taker is None:
                     continue
+                node, rows = taker
                 d_win = d_act @ W.T
                 d_rows = np.zeros((n + w - 1, d))
                 for k in range(w):
@@ -403,6 +429,11 @@ def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequenc
     each pair's combined rows [t_a, 4*d_h] in the node, combined[j] =
     [a_j | attq_j | a_j*attq_j | a_j*pool_a]. On ties in a row maximum the
     gradient goes to the first column. Pairs are computed one by one.
+
+    The backward keeps, per pair, the two softmaxes, the first maximal
+    columns and the pooled candidate vector. It reads a and attq back from
+    the node's own rows, gathers the question rows again from their node and
+    recomputes a*w3, all bit for bit the forward's.
     """
     q_encs, a_encs = tuple(_pick(q_encs, which, a_encs)), tuple(a_encs)
     d_h = w_alpha.shape[0] // 3
@@ -414,22 +445,24 @@ def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequenc
     for (q_node, q_rows), (a_node, a_rows) in zip(q_encs, a_encs):
         A, Q = a_node.data[a_rows], q_node.data[q_rows]
         q_t = Q.T.copy()  # a product with the transposed view rounds differently
-        aw3 = A * w3.T
-        sim = (A @ w1 + (Q @ w2).T) + aw3 @ q_t          # [t_a, t_q]
+        sim = (A @ w1 + (Q @ w2).T) + (A * w3.T) @ q_t   # [t_a, t_q]
         p_q = _softmax_rows(sim)
         att_q = p_q @ Q                                  # [t_a, d_h]
         first = np.argmax(sim, axis=1)                   # first maximal column
         p_a = _softmax_rows(sim[np.arange(len(A)), first].reshape(1, -1))
         pooled_a = p_a @ A                               # [1, d_h]
         parts.append(np.concatenate([A, att_q, A * att_q, A * pooled_a], axis=1))
-        saved.append((q_node, q_rows, a_node, a_rows, A, Q, aw3, p_q, att_q, first, p_a, pooled_a))
+        saved.append((q_node, q_rows, a_node, a_rows, p_q, first, p_a, pooled_a))
     ends = np.cumsum([0, *(len(part) for part in parts)])
-    out = Tensor(np.concatenate(parts), (*_nodes(q_encs + a_encs), w_alpha))
+    combined = np.concatenate(parts)
+    out = Tensor(combined, (*_nodes(q_encs + a_encs), w_alpha))
 
     def backward(grad: np.ndarray) -> None:
-        for lo, (q_node, q_rows, a_node, a_rows, A, Q, aw3, p_q, att_q, first, p_a,
-                 pooled_a) in zip(ends, saved):
-            g_a, g_att, g_prod, g_pool = np.split(grad[lo:lo + len(A)], 4, axis=1)
+        for lo, (q_node, q_rows, a_node, a_rows, p_q, first, p_a, pooled_a) in zip(ends, saved):
+            hi = lo + len(a_rows)
+            A, att_q = combined[lo:hi, :d_h], combined[lo:hi, d_h:2 * d_h]
+            Q = q_node.data[q_rows]
+            g_a, g_att, g_prod, g_pool = np.split(grad[lo:hi], 4, axis=1)
             d_att = g_att + g_prod * A
             d_pooled = np.sum(g_pool * A, axis=0, keepdims=True)
             d_p_q = d_att @ Q.T
@@ -440,7 +473,7 @@ def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequenc
             d_aw3 = d_sim @ Q
             a_node.grad[a_rows] += (g_a + g_prod * att_q + g_pool * pooled_a + p_a.T @ d_pooled
                                     + d_row @ w1.T + d_aw3 * w3.T)
-            q_node.grad[q_rows] += p_q.T @ d_att + d_col @ w2.T + d_sim.T @ aw3
+            q_node.grad[q_rows] += p_q.T @ d_att + d_col @ w2.T + d_sim.T @ (A * w3.T)
             w_alpha.grad += np.concatenate([A.T @ d_row, Q.T @ d_col,
                                             np.sum(d_aw3 * A, axis=0)[:, None]])
 

@@ -10,11 +10,18 @@ hand-written backward, next to the code that uses it, and sequences pass
 between them as (node, rows) pairs; ``logistic`` is the sigmoid they
 share. Forward results are bitwise deterministic.
 
-A leaf made with ``requires_grad=False`` is a constant: ``backward()``
-leaves its ``grad`` at None, and the layers it feeds skip the products
-that only its gradient would need. Embedded inputs are such constants,
-since training never updates the embedding table. Every other node
-reached by ``backward()`` gets a gradient.
+A leaf made with ``requires_grad=False`` is a constant: its ``grad`` stays
+None, and the layers it feeds neither list it among a node's parents nor
+keep it for their backward, so it is freed when the forward that read it
+ends. Embedded inputs are such constants, since training never updates the
+embedding table. Every other node reached by ``backward()`` gets a
+gradient.
+
+``backward()`` frees the graph as it goes. A node's ``grad`` is made, as
+zeros, just before the first closure that adds into it runs, and each
+node's closure is dropped once it has run, so the arrays a stage saved for
+its backward are freed as soon as the walk has passed it. A graph's
+backward therefore runs once; a second call raises :class:`GraphError`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Backward called on something that is not a scalar graph output."""
+    """Backward called on something that is not a scalar graph output, or
+    through a graph whose backward already ran."""
 
 
 class Tensor:
@@ -65,8 +73,11 @@ class Tensor:
 
     def backward(self) -> None:
         """Populate grads of all tensors reachable from this scalar output,
-        constants (``requires_grad=False``) apart: their grad stays None. The
-        others start at zero, and each node's backward adds into them."""
+        constants (``requires_grad=False``) apart: their grad stays None. A
+        grad starts at zero when the first closure that adds into it runs;
+        each closure is dropped once it has run, freeing what it saved.
+        GraphError if a node of the graph has already been through a
+        backward."""
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
         order: list[Tensor] = []
@@ -79,17 +90,24 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents and node._backward is None:
+                raise GraphError("backward already ran through this graph")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        for node in order:
-            node.grad = np.zeros_like(node.data) if node.requires_grad else None
         self.grad = np.ones_like(self.data)
+        made = {id(self)}
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            for p in node._parents:
+                if p.requires_grad and id(p) not in made:
+                    made.add(id(p))
+                    p.grad = np.zeros_like(p.data)
+            node._backward(node.grad)
+            node._backward = None
 
 
 def logistic(a: np.ndarray) -> np.ndarray:
@@ -132,5 +150,5 @@ class ParameterSet:
             if src.shape != t.data.shape:
                 raise ShapeError(f"parameter {name}: shape {src.shape} "
                                  f"does not match {t.data.shape}")
-            t.data = src.astype(np.float64).copy()
+            t.data = np.array(src, dtype=np.float64)  # always a copy
 

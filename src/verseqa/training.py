@@ -105,15 +105,22 @@ class AdaGradState:
 
 def adagrad_step(params: ParameterSet, grads: dict[str, np.ndarray],
                  state: AdaGradState, lr: float) -> None:
-    """theta -= lr * g / (sqrt(sum g^2) + eps), in place."""
+    """theta -= lr * g / (sqrt(sum g^2) + eps), in place, through two scratch
+    arrays per tensor: the operations and their order are those of
+    ``acc += g * g; theta -= (lr * g) / (np.sqrt(acc) + eps)``, so are the bits."""
     for name, t in params.items():
         g = grads[name]
         if g.shape != t.data.shape:
             raise ShapeError(f"gradient for {name}: shape {g.shape} "
                              f"does not match {t.data.shape}")
         acc = state.accum[name]
-        acc += g * g
-        t.data -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+        step, denom = np.empty_like(acc), np.empty_like(acc)
+        acc += np.multiply(g, g, out=step)
+        np.sqrt(acc, out=denom)
+        denom += ADAGRAD_EPS
+        np.multiply(lr, g, out=step)
+        step /= denom
+        t.data -= step
 
 
 @dataclass
@@ -152,12 +159,14 @@ def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
     each pair bit for bit; the gradients equal the sum of each pair's up to
     rounding, as a shared question's gradient is summed before its encoder's
     backward and an LSTM sums its weight gradients over the batch's rows.
-    The graph is freed on return, before the next is built."""
-    first: dict[tuple, int] = {}  # question -> its index in q_embs
+    The embedded inputs are freed when ``score`` returns, each stage's saved
+    arrays as the backward passes it, and the rest of the graph on return."""
+    first: dict[tuple, int] = {}  # question -> its index in the questions embedded
     which = [first.setdefault(tuple(q), len(first)) for q, _, _ in batch]
-    q_embs = [embed_sequence(q, embedding, cfg.max_question_tokens) for q in first]
-    a_embs = [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch]
-    probs = model.score(q_embs, which, a_embs, training=True, rng=rng)
+    probs = model.score([embed_sequence(q, embedding, cfg.max_question_tokens) for q in first],
+                        which,
+                        [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
+                        training=True, rng=rng)
     loss = bce_loss(probs, [label for _, _, label in batch])
     loss.backward()  # every input has a row, so it reaches every param
     return loss.item(), {name: t.grad for name, t in model.params.items()}

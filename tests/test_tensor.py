@@ -101,6 +101,41 @@ class TestBackward:
         with pytest.raises(GraphError):
             Tensor([1.0, 2.0]).backward()
 
+    def test_backward_runs_once_and_drops_each_closure(self):
+        x = Tensor([[3.0]])
+        inner = square(x)
+        y = total(inner)
+        y.backward()
+        assert inner._backward is None and y._backward is None
+        np.testing.assert_array_equal(x.grad, [[6.0]])
+        with pytest.raises(GraphError, match="already ran"):
+            y.backward()
+        # a new graph over the spent part cannot reach x either
+        with pytest.raises(GraphError, match="already ran"):
+            total(inner).backward()
+        np.testing.assert_array_equal(x.grad, [[6.0]])
+
+    def test_grad_is_made_when_its_first_consumer_runs(self):
+        # a node has no grad of this walk until the closure of its first
+        # consumer runs: the readout's input has none while the loss runs
+        x = Tensor([[1.0, 2.0]])
+        x.grad = np.full((1, 2), 7.0)  # stale, from an earlier walk
+        p = readout([[whole(x)]], Tensor([[1.0], [-1.0]]), Tensor([[0.0]]))
+        seen = []
+
+        def spy(g: np.ndarray) -> None:
+            seen.append((p.grad is None, x.grad.copy()))
+            p.grad += g
+
+        out = Tensor(p.data.copy(), (p,))
+        out._backward = spy
+        out.backward()
+        ((p_unmade, x_stale),) = seen
+        assert p_unmade is False  # made just before spy ran
+        np.testing.assert_array_equal(x_stale, [[7.0, 7.0]])  # readout has not run yet
+        slope = p.item() * (1.0 - p.item())
+        np.testing.assert_array_equal(x.grad, [[slope, -slope]])  # zeroed, then added into
+
     def test_random_chain_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         params = ParameterSet({
@@ -171,6 +206,18 @@ def test_forward_bitwise_deterministic():
 
 
 class TestParameterSet:
+    def test_load_values_copies(self):
+        ps = ParameterSet({"w": Tensor([[1.0, 2.0]]), "b": Tensor([[0.0]])})
+        values = {"w": np.array([[3.0, 4.0]]), "b": np.array([[5]], dtype=np.int64)}
+        ps.load_values(values)
+        values["w"][0, 0] = -1.0
+        values["b"][0, 0] = -1
+        np.testing.assert_array_equal(ps["w"].data, [[3.0, 4.0]])
+        assert ps["b"].data.dtype == np.float64 and ps["b"].data[0, 0] == 5.0
+        own = {name: t.data for name, t in ps.items()}
+        ps.load_values(own)  # its own arrays: still copies
+        assert not any(np.shares_memory(own[name], t.data) for name, t in ps.items())
+
     def test_lexicographic_iteration(self):
         ps = ParameterSet({"b": Tensor([1.0]), "a": Tensor([2.0]), "c": Tensor([3.0])})
         assert [n for n, _ in ps.items()] == ["a", "b", "c"]
