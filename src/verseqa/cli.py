@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Iterable
 
 from . import data, embeddings, evaluation, models, training
 
@@ -37,7 +38,8 @@ class CliUsageError(ValueError):
     pass
 
 
-def _atomic_write(path: str, payload: bytes | str) -> None:
+def _atomic_write(path: str, payload: bytes | str | Iterable[str]) -> None:
+    """Write through a temp file and a rename; an iterable one item at a time."""
     if os.path.isdir(path):
         raise CliValidationError(f"output path is a directory: {path}")
     mode = "wb" if isinstance(payload, bytes) else "w"
@@ -48,7 +50,7 @@ def _atomic_write(path: str, payload: bytes | str) -> None:
     try:
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0o600 would survive os.replace
         with os.fdopen(fd, mode) as f:
-            f.write(payload)
+            f.writelines([payload] if isinstance(payload, (bytes, str)) else payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,11 +69,16 @@ def _read_lines(path: str) -> list[str]:
         return f.readlines()
 
 
+def _read_vectors(path: str, dim: int) -> embeddings.EmbeddingMatrix:
+    """A vector file, parsed as it is read: its lines are never all held."""
+    with open(_require_file(path), encoding="utf-8") as f:
+        return embeddings.load_pretrained(f, dim)
+
+
 def _load_embedding(args) -> embeddings.EmbeddingMatrix:
-    emb = embeddings.load_pretrained(_read_lines(args.embeddings), args.dim)
+    emb = _read_vectors(args.embeddings, args.dim)
     if getattr(args, "concat_embeddings", None):
-        extra = embeddings.load_pretrained(_read_lines(args.concat_embeddings),
-                                           args.concat_dim)
+        extra = _read_vectors(args.concat_embeddings, args.concat_dim)
         emb = embeddings.concat_embeddings(emb, extra)
     return emb
 
@@ -142,7 +149,7 @@ def cmd_train_embeddings(args) -> int:
     emb = embeddings.train_cbow(sentences, cfg, loss_history=history)
     logger.info("cbow loss: first epoch %.4f, last epoch %.4f",
                 history[0], history[-1])
-    _atomic_write(args.out, "\n".join(embeddings.save_embedding(emb)) + "\n")
+    _atomic_write(args.out, (line + "\n" for line in embeddings.save_embedding(emb)))
     return EXIT_OK
 
 
@@ -227,7 +234,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_nearest(args) -> int:
-    emb = embeddings.load_pretrained(_read_lines(args.embeddings), args.dim)
+    emb = _read_vectors(args.embeddings, args.dim)
     try:
         neighbors = embeddings.nearest_neighbors(args.word, emb, args.k)
     except KeyError as exc:

@@ -8,10 +8,11 @@ tensors: one row per token, so the row count is the sequence length.
 
 from __future__ import annotations
 
+import array
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,12 +102,14 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
 
     PAD and UNK rows are prepended; UNK is the mean of all loaded vectors.
     Duplicate tokens keep the first occurrence; a nan or inf, in a vector
-    or in their mean, is an error.
+    or in their mean, is an error. Lines are read one at a time (an open
+    file or ``save_embedding`` will do) into one growing float64 buffer that
+    becomes the table uncopied, so the parse holds about one table.
     """
     if expected_dim < 1:
         raise EmbeddingError(f"dimension must be >= 1, got {expected_dim}")
     vocab = Vocabulary()
-    rows: list[np.ndarray] = []
+    values = array.array("d", bytes(16 * expected_dim))  # the PAD and UNK rows, zero
     linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -119,23 +122,22 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
                 f"got {len(parts) - 1}")
         token = parts[0]
         try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            vec = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise EmbeddingError(f"line {lineno}: {exc}") from exc
         if token in vocab:
             logger.warning("duplicate token %r at line %d, keeping first", token, lineno)
             continue
         vocab.add(token)
-        rows.append(vec)
+        values.fromlist(vec)
         linenos.append(lineno)
 
-    table = np.zeros((len(vocab), expected_dim), dtype=np.float64)
-    if rows:
-        loaded = np.stack(rows)
+    table = np.frombuffer(values, dtype=np.float64).reshape(len(vocab), expected_dim)
+    if linenos:
+        loaded = table[2:]
         finite = np.isfinite(loaded).all(axis=1)
         if not finite.all():
             raise EmbeddingError(f"line {linenos[np.argmin(finite)]}: non-finite component")
-        table[2:] = loaded
         with np.errstate(over="ignore"):  # the sum of large finite vectors may overflow
             table[UNK_INDEX] = loaded.mean(axis=0)
         if not np.isfinite(table[UNK_INDEX]).all():
@@ -143,11 +145,11 @@ def load_pretrained(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
     return EmbeddingMatrix(vocab=vocab, dim=expected_dim, table=table)
 
 
-def save_embedding(m: EmbeddingMatrix) -> list[str]:
-    """Render non-reserved rows in the same text format load_pretrained reads."""
-    # one row at a time, so the whole table is never held as Python floats
-    return [f"{m.vocab.token(idx)} " + " ".join(map(repr, m.table[idx].tolist()))
-            for idx in range(2, len(m.vocab))]
+def save_embedding(m: EmbeddingMatrix) -> Iterator[str]:
+    """Render non-reserved rows in the text format load_pretrained reads, one
+    line (no newline) per row, each rendered only when it is consumed."""
+    for idx in range(2, len(m.vocab)):
+        yield f"{m.vocab.token(idx)} " + " ".join(map(repr, m.table[idx].tolist()))
 
 
 def train_cbow(corpus: Sequence[Sequence[str]], cfg: CbowConfig,

@@ -121,6 +121,14 @@ def _chunks(groups, limit: int):
         yield run
 
 
+def distinct_questions(questions) -> tuple[list[tuple], list[int]]:
+    """The distinct question token lists in order of first use, and the
+    index among them of every question: ``score``'s ``which``."""
+    first: dict[tuple, int] = {}
+    which = [first.setdefault(tuple(q), len(first)) for q in questions]
+    return list(first), which
+
+
 def score_groups(model, groups, embedding: EmbeddingMatrix,
                  max_question_tokens: int = MAX_QUESTION_TOKENS,
                  max_answer_tokens: int = MAX_ANSWER_TOKENS
@@ -139,10 +147,9 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
     """
     preds: dict[int, list[Prediction]] = {}
     for run in _chunks(groups, SCORE_CHUNK_PAIRS):
-        first: dict[tuple, int] = {}  # question -> its index in q_embs
-        which = [first.setdefault(tuple(g.question_tokens), len(first))
-                 for _, g in run for _ in g.candidates]
-        q_embs = [embed_sequence(q, embedding, max_question_tokens) for q in first]
+        questions, which = distinct_questions(g.question_tokens for _, g in run
+                                              for _ in g.candidates)
+        q_embs = [embed_sequence(q, embedding, max_question_tokens) for q in questions]
         a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens)
                   for _, g in run for c in g.candidates]
         probs = iter(model.score(q_embs, which, a_embs).data[:, 0].tolist() if a_embs else [])

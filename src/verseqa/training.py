@@ -161,9 +161,8 @@ def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
     backward and an LSTM sums its weight gradients over the batch's rows.
     The embedded inputs are freed when ``score`` returns, each stage's saved
     arrays as the backward passes it, and the rest of the graph on return."""
-    first: dict[tuple, int] = {}  # question -> its index in the questions embedded
-    which = [first.setdefault(tuple(q), len(first)) for q, _, _ in batch]
-    probs = model.score([embed_sequence(q, embedding, cfg.max_question_tokens) for q in first],
+    questions, which = evaluation.distinct_questions(q for q, _, _ in batch)
+    probs = model.score([embed_sequence(q, embedding, cfg.max_question_tokens) for q in questions],
                         which,
                         [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
                         training=True, rng=rng)

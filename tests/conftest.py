@@ -2,7 +2,8 @@
 per-coordinate and directional finite-difference gradient checks and a
 scalar reduction for them, (node, rows) sequence and stacking nodes, and
 plain numpy references of the LSTM recurrence and its backprop through
-time, the conv-pool layer, BiDAF attention and CBOW training.
+time, the conv-pool layer, BiDAF attention and CBOW training, and the
+row-at-a-time vector-file parser that ``load_pretrained`` replaced.
 
 The separable task: question tokens mix filler words with one key word;
 the positive candidate copies that key word from the question, negatives
@@ -12,19 +13,22 @@ learnable by construction.
 
 from __future__ import annotations
 
-from typing import Callable
+import logging
+from typing import Callable, Iterable
 
 import numpy as np
 import pytest
 
 from verseqa.data import Candidate, QuestionGroup
 from verseqa.embeddings import (NEGATIVE_SAMPLES, PAD_INDEX, UNK_INDEX, CbowConfig,
-                                EmbeddingMatrix, Vocabulary)
+                                EmbeddingError, EmbeddingMatrix, Vocabulary)
 from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor, logistic
 
 KEYS = [f"k{i}" for i in range(15)]
 FILLERS = [f"f{i}" for i in range(30)]
 SHIFTED_KEYS = [f"m{i}" for i in range(15)]
+
+logger = logging.getLogger(__name__)
 
 
 def make_separable_groups(n_groups: int, seed: int, keys=None, fillers=None,
@@ -373,3 +377,46 @@ def cbow_reference(corpus, cfg: CbowConfig) -> tuple[np.ndarray, list[float]]:
 
     w_in[PAD_INDEX] = 0.0
     return w_in, history
+
+
+def load_pretrained_reference(lines: Iterable[str], expected_dim: int) -> EmbeddingMatrix:
+    """``load_pretrained`` as it was before it parsed into one buffer: one
+    array per row, stacked, then copied into the table."""
+    if expected_dim < 1:
+        raise EmbeddingError(f"dimension must be >= 1, got {expected_dim}")
+    vocab = Vocabulary()
+    rows: list[np.ndarray] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != expected_dim + 1:
+            raise EmbeddingError(
+                f"line {lineno}: expected {expected_dim} components, "
+                f"got {len(parts) - 1}")
+        token = parts[0]
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingError(f"line {lineno}: {exc}") from exc
+        if token in vocab:
+            logger.warning("duplicate token %r at line %d, keeping first", token, lineno)
+            continue
+        vocab.add(token)
+        rows.append(vec)
+        linenos.append(lineno)
+
+    table = np.zeros((len(vocab), expected_dim), dtype=np.float64)
+    if rows:
+        loaded = np.stack(rows)
+        finite = np.isfinite(loaded).all(axis=1)
+        if not finite.all():
+            raise EmbeddingError(f"line {linenos[np.argmin(finite)]}: non-finite component")
+        table[2:] = loaded
+        with np.errstate(over="ignore"):  # the sum of large finite vectors may overflow
+            table[UNK_INDEX] = loaded.mean(axis=0)
+        if not np.isfinite(table[UNK_INDEX]).all():
+            raise EmbeddingError("the mean of the vectors (the UNK row) is not finite")
+    return EmbeddingMatrix(vocab=vocab, dim=expected_dim, table=table)

@@ -564,6 +564,19 @@ class TestTrainEmbeddings:
         first = out.read_text().splitlines()[0].split(" ")
         assert len(first) == 7  # token + 6 components
 
+    def test_writes_the_save_embedding_lines(self, bible_tsv, tmp_path, monkeypatch):
+        # the lines are written one at a time, as the joined text was
+        trained = []
+        train_cbow = cli.embeddings.train_cbow
+        monkeypatch.setattr(cli.embeddings, "train_cbow",
+                            lambda *args, **kw: trained.append(train_cbow(*args, **kw))
+                            or trained[-1])
+        out = tmp_path / "vec.txt"
+        assert cli.main(["train-embeddings", "--bible", bible_tsv, "--out", str(out),
+                         "--dim", "6", "--window", "2"]) == 0
+        (m,) = trained
+        assert out.read_bytes() == ("\n".join(list(save_embedding(m))) + "\n").encode()
+
     def test_verses_of_one_word_exit_3(self, tmp_path, caplog):
         # 12 tokens, more than window+1, but no token has a context
         bible = tmp_path / "bible.tsv"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cbow_reference
+from conftest import cbow_reference, load_pretrained_reference
 from verseqa.embeddings import (CbowConfig, EmbeddingError, EmbeddingMatrix,
                                 PAD_INDEX, UNK_INDEX, Vocabulary,
                                 concat_embeddings, cosine, embed_sequence,
@@ -72,8 +73,8 @@ def _rows_matrix(rows: list[list[float]]) -> EmbeddingMatrix:
 
 def test_save_embedding_renders_each_component_repr():
     m = _rows_matrix([[-0.0, 5e-324, 1e-300], [1e308, 0.1, 1 / 3], [-1e308, -5e-324, 2.0]])
-    assert save_embedding(m) == _per_component_lines(m)
-    assert save_embedding(m)[0] == "w0 -0.0 5e-324 1e-300"
+    assert list(save_embedding(m)) == _per_component_lines(m)
+    assert list(save_embedding(m))[0] == "w0 -0.0 5e-324 1e-300"
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,7 +83,7 @@ def test_save_embedding_renders_each_component_repr():
     min_size=1, max_size=4)))
 def test_save_embedding_matches_per_component_repr(rows):
     m = _rows_matrix(rows)
-    assert save_embedding(m) == _per_component_lines(m)
+    assert list(save_embedding(m)) == _per_component_lines(m)
 
 
 _VECTOR_LINE = (st.lists(st.text(max_size=4) | st.floats(width=32).map(repr)
@@ -98,6 +99,65 @@ def test_load_pretrained_raises_only_embedding_error(lines, dim):
     except EmbeddingError:
         return
     assert m.table.shape == (len(m.vocab), dim)
+
+
+# vector-file components: mostly finite, plus the values each check catches
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-9, 9).map(str)
+_COMPONENT = _FINITE | _FINITE | st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1.7976931348623157e308", "x", "", "1,5"])
+_HUGE = st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "0.5"])
+
+
+@st.composite
+def _vector_file(draw):
+    """A dimension and lines of a vector file of that dimension: tokens from
+    a small set, so some repeat; some lines empty or one component short or
+    long; some components not numbers, non-finite, or large enough that the
+    mean of two overflows."""
+    dim = draw(st.integers(1, 4))
+    component = draw(st.sampled_from([_COMPONENT, _HUGE]))
+    line = st.builds(
+        lambda tok, comps, end: " ".join([tok] + comps) + end,
+        st.sampled_from(["a", "b", "c", "<unk>", ""]),
+        st.lists(component, min_size=dim, max_size=dim)
+        | st.lists(component, min_size=dim - 1, max_size=dim + 1),
+        st.sampled_from(["", "\n"]))
+    return dim, draw(st.lists(line | st.sampled_from(["", "\n", " "]), max_size=8))
+
+
+def _outcome(load, lines, dim):
+    try:
+        m = load(lines, dim)
+    except EmbeddingError as exc:
+        return type(exc), str(exc)
+    return m.vocab.tokens(), m.table.shape, m.table.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_file())
+def test_load_pretrained_matches_row_at_a_time_reference(case):
+    # same vocabulary and table bytes, or the same error and message
+    dim, lines = case
+    assert _outcome(load_pretrained, iter(lines), dim) == \
+        _outcome(load_pretrained_reference, lines, dim)
+
+
+def test_vector_round_trip_holds_about_one_table():
+    # streaming: the lines are never all held, and the rows are parsed into
+    # one buffer that becomes the table; the row-at-a-time parse of a list
+    # of lines peaked near 6 tables
+    rng = np.random.default_rng(0)
+    m = EmbeddingMatrix(vocab=Vocabulary(f"w{i}" for i in range(5000)), dim=200,
+                        table=np.vstack([np.zeros((2, 200)), rng.normal(size=(5000, 200))]))
+    tracemalloc.start()
+    try:
+        loaded = load_pretrained(save_embedding(m), 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.vocab.tokens() == m.vocab.tokens()
+    np.testing.assert_array_equal(loaded.table[2:], m.table[2:])
+    assert peak <= 1.5 * m.table.nbytes, (peak, m.table.nbytes)
 
 
 def _two_cluster_corpus(n_sentences=300, seed=0):

@@ -1,5 +1,9 @@
 """Print one digest line per model and one for CBOW, to compare two
-checkouts bit for bit.
+checkouts bit for bit, after a first line naming the build that made them.
+
+The ``build`` line names numpy's BLAS library and its version, numpy's
+version, the SIMD extensions numpy found on the CPU, and
+``platform.machine()``: the bits below depend on all of them.
 
 For rnn, cnn and bidaf at paper sizes (d=200, hidden 100) on the bench
 corpus of seed 3 (``bench/corpus.generate``, read only), the line holds:
@@ -27,13 +31,18 @@ first 300 verses of the corpus's base translation and holds:
 
 Run it from a checkout: ``python tools/parity.py``. It imports verseqa
 from that checkout's ``src``, and pins BLAS to one thread. An exact
-change prints the same lines as its parent.
+change prints the same lines as its parent. ``tools/parity_lines.txt``
+holds the lines of the current tree, as ``python tools/parity.py >
+tools/parity_lines.txt`` writes them; ``tests/test_tools.py`` compares
+each run with it on the build it names, so a change that moves rounding
+on purpose rewrites it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import sys
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -42,6 +51,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+import numpy as np  # noqa: E402
 from corpus import DIM, generate  # noqa: E402
 from verseqa import data, embeddings, evaluation, models, training  # noqa: E402
 
@@ -49,6 +59,15 @@ SEED = 3
 HIDDEN = 100
 TRANSFER_DIM = 250
 CBOW_VERSES = 300
+
+
+def build() -> str:
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {}).get("found", [])
+    return (f"build blas={blas.get('name', '?')}-{blas.get('version', '?')} "
+            f"numpy={np.__version__} simd={','.join(simd) or '-'} "
+            f"machine={platform.machine()}")
 
 
 def _sha(payload: bytes | str) -> str:
@@ -101,6 +120,7 @@ def cbow_digest(bible_lines: list[str], emb) -> str:
 
 
 def main() -> None:
+    print(build(), flush=True)
     corpus = generate(SEED)
     bible = data.parse_bible(corpus.bible_lines)
     questions = data.parse_trivia(corpus.trivia_lines, bible)
