@@ -122,16 +122,14 @@ def cmd_build_dataset(args) -> int:
     questions = data.parse_trivia(_read_lines(args.trivia), corpus)
     spec = data.DatasetSpec(context_mode=args.mode, translations=translations)
     groups = data.build_bibleqa(corpus, questions, spec)
-    payload = "".join(data.group_to_json(g) + "\n" for g in groups)
-    _atomic_write(args.out, payload)
+    _atomic_write(args.out, (data.group_to_json(g) + "\n" for g in groups))
     logger.info("wrote %d groups to %s", len(groups), args.out)
     return EXIT_OK
 
 
 def cmd_convert_span(args) -> int:
     result = data.convert_span_dataset(data.parse_span_records(_read_lines(args.input)))
-    payload = "".join(data.group_to_json(g) + "\n" for g in result.groups)
-    _atomic_write(args.out, payload)
+    _atomic_write(args.out, (data.group_to_json(g) + "\n" for g in result.groups))
     logger.info("wrote %d groups (%d records dropped: answer crossed a "
                 "sentence boundary)", len(result.groups), result.dropped)
     return EXIT_OK

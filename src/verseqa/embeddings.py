@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, logistic
+from .tensor import logistic
 
 logger = logging.getLogger(__name__)
 
@@ -242,20 +242,18 @@ def concat_embeddings(a: EmbeddingMatrix, b: EmbeddingMatrix) -> EmbeddingMatrix
 
 
 def embed_sequence(tokens: Sequence[str], m: EmbeddingMatrix,
-                   max_len: int) -> Tensor:
-    """Map tokens to a [min(len(tokens), max_len), dim] tensor, one row each.
+                   max_len: int) -> np.ndarray:
+    """Map tokens to a [min(len(tokens), max_len), dim] array, one row each.
 
     Unknown tokens use the UNK row; long inputs are truncated at the tail.
-    Nothing is padded: an empty list yields one all-zero row. The tensor is
-    a constant (``requires_grad=False``): training never updates the table,
-    so backward computes no gradient for it.
+    Nothing is padded: an empty list yields one all-zero row. Training never
+    updates the table, so no backward computes a gradient for these rows.
     """
     if max_len < 1:
         raise EmbeddingError("max_len must be >= 1")
     if not tokens:
-        return Tensor(np.zeros((1, m.dim)), requires_grad=False)
-    return Tensor(m.table[[m.vocab.index(tok) for tok in tokens[:max_len]]],
-                  requires_grad=False)
+        return np.zeros((1, m.dim))
+    return m.table[[m.vocab.index(tok) for tok in tokens[:max_len]]]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

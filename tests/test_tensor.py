@@ -5,37 +5,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import directional_check, grad_check, stack, total, whole
-from verseqa.models import LstmCell, init_params, readout
+from conftest import directional_check, grad_check, total, whole
+from verseqa import models
+from verseqa.models import LstmCell, build_model, init_params, readout
 from verseqa.tensor import GraphError, ParameterSet, ShapeError, Tensor, logistic
 
 
-def square(x: Tensor) -> Tensor:
-    """x * x entrywise, as a one-parent node for the graph-walk tests."""
-    out = Tensor(x.data * x.data, (x,))
-
-    def backward(g: np.ndarray) -> None:
-        x.grad += 2.0 * x.data * g
-
-    out._backward = backward
-    return out
+def square(x: np.ndarray):
+    """x * x entrywise as a stage: its output and its backward."""
+    return x * x, lambda g: [2.0 * x * g]
 
 
 class TestUnaryOps:
     def test_sigmoid_at_zero(self):
         assert logistic(np.zeros((1, 1)))[0, 0] == 0.5
-        assert readout([[whole(Tensor([[3.0]]))]], Tensor([[0.0]]), Tensor([[0.0]])).item() == 0.5
+        p, _ = readout([[whole(np.array([[3.0]]))]], Tensor([[0.0]]), Tensor([[0.0]]))
+        assert p[0, 0] == 0.5
 
     def test_sigmoid_saturates_without_overflow_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(logistic(np.array([[-800.0, 800.0]])), [[0.0, 1.0]])
-            x = Tensor([[-800.0, 800.0]])
             w = Tensor([[1.0], [0.0]])
-            out = readout([[whole(x)]], w, Tensor([[0.0]]))
-            out.backward()
-        assert out.item() == 0.0
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+            p, backward = readout([[whole(np.array([[-800.0, 800.0]]))]], w, Tensor([[0.0]]))
+            (d_x,) = backward(np.ones((1, 1)))
+        assert p[0, 0] == 0.0
+        np.testing.assert_array_equal(d_x, [[0.0, 0.0]])
         np.testing.assert_array_equal(w.grad, [[0.0], [0.0]])
 
     def test_empty_tensor_rejected(self):
@@ -44,18 +39,18 @@ class TestUnaryOps:
 
 
 class TestNoBroadcasting:
-    """The readout node is where the models multiply and add; like every
-    node it broadcasts nothing."""
+    """The readout is where the models multiply and add; like every stage
+    it broadcasts nothing."""
 
     def test_float_operand_is_shape_error(self):
-        x, w, b = Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.0]])
+        x, w, b = np.array([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.0]])
         with pytest.raises(ShapeError):
             readout([[whole(x)]], w, b, keep=2.0)
         with pytest.raises(ShapeError):
             readout([[whole(x)]], w, Tensor(0.0))
 
     def test_size_one_operand_is_shape_error(self):
-        x, w, b = Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.0]])
+        x, w, b = np.array([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.0]])
         with pytest.raises(ShapeError, match=r"\(1, 1\)"):
             readout([[whole(x)]], w, b, keep=np.ones((1, 1)))
         with pytest.raises(ShapeError, match=r"\(1, 1\)"):
@@ -65,35 +60,35 @@ class TestNoBroadcasting:
 class TestBackward:
     def test_square(self):
         x = Tensor([[3.0]])
-        total(square(x)).backward()
+        total(square(x.data), ParameterSet(), inputs=[x]).backward()
         np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_sigmoid_chain(self):
         w = Tensor([[0.0]])
-        x = Tensor([[1.0]])
-        readout([[whole(x)]], w, Tensor([[0.0]])).backward()
+        _, backward = readout([[whole(np.array([[1.0]]))]], w, Tensor([[0.0]]))
+        backward(np.ones((1, 1)))
         np.testing.assert_allclose(w.grad, [[0.25]])
 
     def test_grad_of_loss_wrt_itself_is_one(self):
-        x = Tensor([[2.0]])
-        y = total(square(x))
-        y.backward()
-        assert y.grad == 1.0
+        seen = []
+        Tensor([[2.0]], seen.append).backward()
+        np.testing.assert_array_equal(seen, [[[1.0]]])
 
     def test_node_shared_twice_sums_both_paths(self):
-        # x reaches the output through both parts of the stack and through
-        # the readout: three paths, one walk, each visited once
+        # an array that two blocks of the readout read takes the sum of both
+        # blocks' gradients, as if each had read a copy of its own
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(2, 3)))
-        w = rng.normal(size=(4, 3))
-        y = total(stack([x, x]), w)
-        y.backward()
-        np.testing.assert_array_equal(x.grad, w[:2] + w[2:])
+        x = rng.normal(size=(2, 3))
+        w, b = Tensor(rng.normal(size=(6, 1))), Tensor([[0.3]])
+        (d_x,) = readout([[whole(x)], [whole(x)]], w, b)[1](np.ones((1, 1)))
+        d_1, d_2 = readout([[whole(x)], [whole(x.copy())]], w, b)[1](np.ones((1, 1)))
+        np.testing.assert_array_equal(d_x, d_1 + d_2)
         params = ParameterSet({"x": Tensor(rng.normal(size=(2, 3))),
                                "w": Tensor(rng.normal(size=(6, 1))), "b": Tensor([[0.3]])})
 
         def f(p):
-            return readout([[whole(p["x"])], [whole(stack([p["x"], p["x"]]))]], p["w"], p["b"])
+            x = p["x"].data
+            return total(readout([[whole(x)], [whole(x)]], p["w"], p["b"]), p, inputs=[p["x"]])
 
         assert grad_check(f, params) < 1e-6
 
@@ -102,41 +97,44 @@ class TestBackward:
             Tensor([1.0, 2.0]).backward()
 
     def test_backward_runs_once_and_drops_each_closure(self):
-        x = Tensor([[3.0]])
-        inner = square(x)
-        y = total(inner)
+        calls = []
+        y = Tensor([[9.0]], calls.append)
         y.backward()
-        assert inner._backward is None and y._backward is None
-        np.testing.assert_array_equal(x.grad, [[6.0]])
+        assert y._backward is None and len(calls) == 1
         with pytest.raises(GraphError, match="already ran"):
             y.backward()
-        # a new graph over the spent part cannot reach x either
         with pytest.raises(GraphError, match="already ran"):
-            total(inner).backward()
-        np.testing.assert_array_equal(x.grad, [[6.0]])
+            y.backward_from(np.ones((1, 1)))
+        assert len(calls) == 1
 
-    def test_grad_is_made_when_its_first_consumer_runs(self):
-        # a node has no grad of this walk until the closure of its first
-        # consumer runs: the readout's input has none while the loss runs
-        x = Tensor([[1.0, 2.0]])
-        x.grad = np.full((1, 2), 7.0)  # stale, from an earlier walk
-        p = readout([[whole(x)]], Tensor([[1.0], [-1.0]]), Tensor([[0.0]]))
+    def test_grad_is_made_when_its_first_consumer_runs(self, monkeypatch):
+        # a model's backward clears every parameter's grad, stale ones from
+        # an earlier backward included, and a grad is made, as zeros, when
+        # the first stage that adds into it runs: none exists yet when the
+        # readout, the last stage, starts
+        model = build_model("rnn", seed=0, d_in=2, d_h=2)
+        for _, t in model.params.items():
+            t.grad = np.full(t.data.shape, 7.0)
         seen = []
 
-        def spy(g: np.ndarray) -> None:
-            seen.append((p.grad is None, x.grad.copy()))
-            p.grad += g
+        def spied(*args):
+            p, backward = readout(*args)
 
-        out = Tensor(p.data.copy(), (p,))
-        out._backward = spy
-        out.backward()
-        ((p_unmade, x_stale),) = seen
-        assert p_unmade is False  # made just before spy ran
-        np.testing.assert_array_equal(x_stale, [[7.0, 7.0]])  # readout has not run yet
-        slope = p.item() * (1.0 - p.item())
-        np.testing.assert_array_equal(x.grad, [[slope, -slope]])  # zeroed, then added into
+            def spy(g):
+                seen.append([t.grad for _, t in model.params.items()])
+                return backward(g)
+
+            return p, spy
+
+        monkeypatch.setattr(models, "readout", spied)
+        model.forward(np.ones((1, 2)), np.ones((2, 2))).backward()
+        assert seen == [[None] * len(seen[0])]
+        assert all(t.grad is not None and not (t.grad == 7.0).all()
+                   for _, t in model.params.items())
 
     def test_random_chain_matches_finite_differences(self):
+        # x -> [x; x^2] -> LSTM -> readout of the last state twice -> -p^2,
+        # chained by hand as a model's score chains its stages
         rng = np.random.default_rng(7)
         params = ParameterSet({
             "x": Tensor(rng.normal(size=(3, 3))),
@@ -146,8 +144,19 @@ class TestBackward:
         cell = LstmCell(init_params(params, LstmCell.shapes("cell", 3, 2), rng), "cell")
 
         def f(p):
-            h = cell.encode_states([whole(stack([p["x"], square(p["x"])]))])[0]
-            return total(square(readout([[h], [h]], p["w"], p["b"])), np.array([[-1.0]]))
+            x = p["x"].data
+            (h,), lstm_back = cell.encode_states([whole(np.concatenate([x, x * x]))],
+                                                 input_grads=True)
+            prob, out_back = readout([[h], [h]], p["w"], p["b"])
+
+            def backward(g):
+                for _, t in p.items():
+                    t.grad = None
+                (d_h,) = out_back(-2.0 * prob * g)
+                (d_xx,) = lstm_back(d_h)
+                p["x"].add_grad(d_xx[:len(x)] + 2.0 * x * d_xx[len(x):])
+
+            return Tensor(-prob * prob, backward)
 
         assert grad_check(f, params) < 1e-6
 
@@ -155,15 +164,19 @@ class TestBackward:
 class TestGradCheck:
     def test_quadratic_bowl_nearly_exact(self):
         params = ParameterSet({"w": Tensor([[1.0, -2.0], [0.5, 3.0]])})
-        assert grad_check(lambda p: total(square(p["w"])), params) < 1e-9
-        assert directional_check(lambda p: total(square(p["w"])), params) < 1e-9
+
+        def f(p):
+            return total(square(p["w"].data), p, inputs=[p["w"]])
+
+        assert grad_check(f, params) < 1e-9
+        assert directional_check(f, params) < 1e-9
 
     def test_non_scalar_f_rejected(self):
         params = ParameterSet({"w": Tensor([1.0, 2.0])})
         with pytest.raises(GraphError):
-            grad_check(lambda p: square(p["w"]), params)
+            grad_check(lambda p: Tensor(*square(p["w"].data)), params)
         with pytest.raises(GraphError):
-            directional_check(lambda p: square(p["w"]), params)
+            directional_check(lambda p: Tensor(*square(p["w"].data)), params)
 
 
 @settings(max_examples=25, deadline=None)
@@ -182,11 +195,21 @@ def test_ops_match_finite_differences_on_random_shapes(rows, cols, seed):
     keep = (rng.random((1, 3 * cols)) < 0.5) / 0.5
 
     def f(p):
-        x = p["x"]
-        joined = stack([x, square(x)])  # last row comes from the second part
-        p_1 = readout([[whole(x)], [whole(joined)], [whole(square(x))]], p["w"], p["b"], keep)
-        p_2 = readout([[whole(joined)], [whole(x)], [whole(x)]], p["w"], p["b"])
-        return total(stack([p_1, p_2]), np.array([[1.0], [0.5]]))
+        x = p["x"].data
+        sq = x * x
+        joined = np.concatenate([x, sq])  # last row comes from the second part
+        p_1, back_1 = readout([[whole(x)], [whole(joined)], [whole(sq)]], p["w"], p["b"], keep)
+        p_2, back_2 = readout([[whole(joined)], [whole(x)], [whole(x)]], p["w"], p["b"])
+
+        def backward(g):
+            for _, t in p.items():
+                t.grad = None
+            d_x, d_joined, d_sq = back_1(g)
+            d_joined_2, d_x_2 = back_2(0.5 * g)  # in order of first use: joined, x
+            d_joined = d_joined + d_joined_2
+            p["x"].add_grad(d_x + d_x_2 + d_joined[:rows] + 2.0 * x * (d_joined[rows:] + d_sq))
+
+        return Tensor(p_1 + 0.5 * p_2, backward)
 
     assert grad_check(f, params) < 1e-4
 
@@ -198,9 +221,8 @@ def test_forward_bitwise_deterministic():
     cell = LstmCell(init_params(ParameterSet(), LstmCell.shapes("cell", 4, 4), rng), "cell")
 
     def run():
-        ta = Tensor(a)
-        h = cell.encode_states([whole(stack([ta, square(ta)]))])[0]
-        return readout([[h], [whole(square(ta))]], Tensor(b), Tensor([[0.1]])).item()
+        (h,), _ = cell.encode_states([whole(np.concatenate([a, a * a]))])
+        return readout([[h], [whole(a * a)]], Tensor(b), Tensor([[0.1]]))[0][0, 0]
 
     assert run() == run()
 

@@ -1,14 +1,21 @@
-"""The repository's tools still run against the package as it stands, and
+"""The repository's tools still run against the package as it stands:
 ``tools/parity.py`` still prints the lines recorded in
-``tools/parity_lines.txt``."""
+``tools/parity_lines.txt``, and the benchmark's tracer still wraps the
+functions it patches."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from conftest import make_separable_groups
+from verseqa import cli, data, embeddings, evaluation, models, tensor, training
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +54,41 @@ def test_parity_prints_one_digest_line_per_model():
     if lines[0] != recorded_build:
         pytest.skip(f"parity lines recorded on '{recorded_build}', this is '{lines[0]}'")
     assert out == recorded
+
+
+def test_bench_tracer_runs_over_a_minibatch_of_each_model_and_scoring(tiny_embedding):
+    # bench/tracing.py patches verseqa's functions by name, and its wrapper
+    # of Tensor.backward counts graph nodes over Tensor._parents: one
+    # minibatch of each model and one scoring pass run under it without an
+    # error, and uninstall puts every original back
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    vq = SimpleNamespace(tensor=tensor, models=models, embeddings=embeddings,
+                         training=training, data=data, evaluation=evaluation, cli=cli)
+    originals = (tensor.Tensor.backward, training.bce_loss, training.embed_sequence,
+                 evaluation.score_groups, models.bidaf_attention)
+    groups = make_separable_groups(4, seed=0)
+    pairs = [(g.question_tokens, c.tokens, float(c.label)) for g in groups for c in g.candidates]
+    tr = tracing.Tracer()
+    tr.op = 1  # a timed call: spans of operation 0 count as set-up
+    undo = tracing.install(tr, vq)
+    try:
+        for kind in tracing.MODEL_KINDS:
+            config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
+            model = models.build_model(kind, seed=0, d_in=16, **config)
+            tr.model = kind
+            training._batch_gradients(model, pairs, tiny_embedding, training.TrainConfig(),
+                                      np.random.default_rng(0))
+        evaluation.score_groups(model, groups, tiny_embedding)
+    finally:
+        tracing.uninstall(undo)
+    assert (tensor.Tensor.backward, training.bce_loss, training.embed_sequence,
+            evaluation.score_groups, models.bidaf_attention) == originals
+    names = {span[0] for span in tr.spans}
+    assert {"tensor.backward", "training.bce_loss", "models.lstm_encode",
+            "evaluation.score_groups"} <= names
+    assert not any(span[6] for span in tr.spans)  # no span ended in an error
+    assert all(tr.counts[f"nodes_pairs.{kind}"] == len(pairs) for kind in tracing.MODEL_KINDS)
+    metrics = tracing.layer_metrics(tr, 1)
+    assert metrics["tensor.backward_s"] > 0.0

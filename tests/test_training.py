@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FILLERS, KEYS, grad_check, make_separable_groups, stack
+from conftest import FILLERS, KEYS, grad_check, make_separable_groups
 import verseqa
+from verseqa import models
 from verseqa.data import Candidate, QuestionGroup
 from verseqa.embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from verseqa.models import BidafModel, CnnPairModel, RnnPairModel, build_model
@@ -27,6 +28,14 @@ from verseqa.training import (AdaGradState, BadMagicError, Checkpoint,
                               adagrad_step, bce_loss,
                               load_checkpoint, model_from_checkpoint,
                               save_checkpoint, train, transfer_weights)
+
+
+def probabilities(values) -> Tensor:
+    """Probabilities as a Tensor whose backward keeps the gradient it gets
+    as its grad, where a model's output would pass it on to its stages."""
+    p = Tensor(values)
+    p._backward = p.add_grad
+    return p
 
 
 class TestBceLoss:
@@ -48,7 +57,7 @@ class TestBceLoss:
             bce_loss(Tensor([[0.5]]), [0.5])
 
     def test_nonnegative_and_differentiable(self):
-        p = Tensor([[0.3], [0.8], [0.5]])
+        p = probabilities([[0.3], [0.8], [0.5]])
         loss = bce_loss(p, [0, 1, 1])
         assert loss.item() >= 0
         loss.backward()
@@ -56,11 +65,11 @@ class TestBceLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        params = ParameterSet({"p": Tensor(rng.uniform(0.05, 0.95, size=(6, 1)))})
+        params = ParameterSet({"p": probabilities(rng.uniform(0.05, 0.95, size=(6, 1)))})
         assert grad_check(lambda ps: bce_loss(ps["p"], [1, 0, 0, 1, 1, 0]), params) < 1e-6
 
     def test_clipped_probabilities_give_finite_loss_and_zero_gradient(self):
-        p = Tensor([[0.0], [1.0], [0.0], [1.0], [0.5]])
+        p = probabilities([[0.0], [1.0], [0.0], [1.0], [0.5]])
         loss = bce_loss(p, [1, 0, 0, 1, 1])
         assert math.isfinite(loss.item())
         loss.backward()
@@ -229,8 +238,18 @@ class PerPairModel:
         self.model, self.params = model, model.params
 
     def score(self, q_embs, which, a_embs, training=False, rng=None):
-        return stack([self.model.forward(q_embs[j], a, training, rng)
-                      for j, a in zip(which, a_embs)])
+        pairs = [self.model.forward(q_embs[j], a, training, rng) for j, a in zip(which, a_embs)]
+
+        def backward(g):  # each pair's backward refills the grads: sum them pair by pair
+            sums = {}
+            for k, p in enumerate(pairs):
+                p.backward_from(g[k:k + 1])
+                for name, t in self.params.items():
+                    sums[name] = sums[name] + t.grad if k else t.grad
+            for name, t in self.params.items():
+                t.grad = sums[name]
+
+        return Tensor(np.concatenate([p.data for p in pairs]), backward)
 
 
 def ragged_groups(n_groups: int, seed: int) -> list[QuestionGroup]:
@@ -299,7 +318,7 @@ class ScoreLog:
         self.model, self.params, self.calls = model, model.params, []
 
     def score(self, q_embs, which, a_embs, training=False, rng=None):
-        self.calls.append(([q.data for q in q_embs], list(which)))
+        self.calls.append((list(q_embs), list(which)))
         return self.model.score(q_embs, which, a_embs, training, rng)
 
 
@@ -333,7 +352,7 @@ def test_batch_encodes_each_distinct_question_once(tiny_embedding, kind, monkeyp
     assert len(embedded) == len(questions) + len(batch)
     assert len(q_data) == len(questions)
     for data, q in zip(q_data, questions):
-        np.testing.assert_array_equal(data, embed_sequence(q, tiny_embedding, 8).data)
+        np.testing.assert_array_equal(data, embed_sequence(q, tiny_embedding, 8))
     assert which_q == which
     for k, (q, _, _) in enumerate(batch):
         assert questions[which_q[k]] == tuple(q)
@@ -364,48 +383,103 @@ def _paper_size_model(kind: str):
 
 @pytest.mark.parametrize("kind", ["rnn", "cnn", "bidaf"])
 def test_minibatch_graph_is_freed_as_backward_runs(kind, monkeypatch):
-    # one paper-size minibatch: the embedded inputs are no node's parent and
-    # no stage keeps them, so they are freed when score returns; after the
-    # backward no node keeps its closure, and a second backward is refused
+    # one paper-size minibatch: no stage keeps the embedded inputs, so they
+    # are freed when score returns; and every array a stage saved for its
+    # backward is freed once that backward has run, before the next stage's
+    # starts (bidaf: the modeling LSTM's buffers before the attention's)
     emb, batch = _paper_size_batch()
-    inputs, losses = [], []
+    inputs, saved, checks = [], [], []
 
     def embedded(tokens, m, max_len):
-        t = embed_sequence(tokens, m, max_len)
-        inputs.append(weakref.ref(t.data))
-        return t
+        x = embed_sequence(tokens, m, max_len)
+        inputs.append(weakref.ref(x))
+        return x
 
     def loss_of(p, y):  # called on what score returned, before the backward
         assert len(inputs) == 11 + 32
-        assert all(data() is None for data in inputs)
-        losses.append(bce_loss(p, y))
-        return losses[-1]
+        assert all(x() is None for x in inputs)
+        return bce_loss(p, y)
+
+    chain = models._chain
+
+    def watched(params, p, stages):
+        # weak references to the arrays each stage's backward closes over,
+        # the probabilities (the output's data) apart
+        saved[:] = [[weakref.ref(c.cell_contents) for c in stage.__closure__
+                     if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not p]
+                    for stage in stages]
+
+        def spy(k, stage):
+            def run(g):
+                checks.append((k, [all(r() is None for r in refs) for refs in saved[k + 1:]]))
+                return stage(g)
+            return run
+
+        return chain(params, p, [spy(k, stage) for k, stage in enumerate(stages)])
 
     model = _paper_size_model(kind)
     monkeypatch.setattr(verseqa.training, "embed_sequence", embedded)
     monkeypatch.setattr(verseqa.training, "bce_loss", loss_of)
+    monkeypatch.setattr(models, "_chain", watched)
     _, grads = _batch_gradients(model, batch, emb, TrainConfig(), np.random.default_rng(0))
     assert all(g is not None for g in grads.values())
-    (loss,) = losses
-    nodes, todo = {id(loss): loss}, [loss]
-    while todo:
-        for parent in todo.pop()._parents:
-            assert parent.requires_grad
-            if id(parent) not in nodes:
-                nodes[id(parent)] = parent
-                todo.append(parent)
-    assert all(node._backward is None for node in nodes.values())
-    assert len(nodes) > len(grads)  # the stages and every parameter
-    with pytest.raises(GraphError):
+    assert all(saved) and [k for k, _ in checks] == list(reversed(range(len(saved))))
+    for k, dead in checks:
+        assert all(dead), (k, dead)
+    assert all(r() is None for refs in saved for r in refs)
+    if kind == "bidaf":  # the attention's backward found the modeling LSTM's buffers dead
+        assert checks[2] == (2, [True, True])
+
+
+@pytest.mark.parametrize("kind", ["rnn", "cnn", "bidaf"])
+def test_backward_runs_once_and_only_through_a_closure(kind):
+    # a loss's backward runs once; so does the backward of the probabilities
+    # under it, whichever loss reaches them; and a loss over probabilities
+    # that have no backward has none to run
+    config = dict(n_filters=3, window=2) if kind == "cnn" else dict(d_h=3)
+    model = build_model(kind, seed=0, d_in=4, **config)
+    rng = np.random.default_rng(0)
+    q, a = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
+    probs = model.score([q], [0, 0], [a, a[:1]], training=True, rng=rng)
+    loss = bce_loss(probs, [1, 0])
+    loss.backward()
+    with pytest.raises(GraphError, match="already ran"):
         loss.backward()
+    with pytest.raises(GraphError, match="already ran"):
+        bce_loss(probs, [1, 0]).backward()
+    with pytest.raises(GraphError, match="no backward"):
+        bce_loss(Tensor(probs.data), [1, 0]).backward()
+
+
+@pytest.mark.parametrize("kind", ["rnn", "cnn", "bidaf"])
+def test_second_minibatch_grad_replaces_the_first(kind, tiny_embedding):
+    # a minibatch's gradient is its own: a model that ran one minibatch
+    # before gives the next the gradient a fresh copy of it gives, bit for
+    # bit, and the first minibatch's gradient arrays are left as they were
+    config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
+    model = build_model(kind, seed=0, d_in=16, **config)
+    fresh = model_from_checkpoint(load_checkpoint(save_checkpoint(model)))
+    pairs = [(g.question_tokens, c.tokens, float(c.label))
+             for g in make_separable_groups(6, seed=2) for c in g.candidates]
+    cfg = TrainConfig()
+    _, first = _batch_gradients(model, pairs[:9], tiny_embedding, cfg, np.random.default_rng(0))
+    kept = {name: g.copy() for name, g in first.items()}
+    _, second = _batch_gradients(model, pairs[9:], tiny_embedding, cfg,
+                                 np.random.default_rng(1))
+    _, want = _batch_gradients(fresh, pairs[9:], tiny_embedding, cfg, np.random.default_rng(1))
+    for name in want:
+        np.testing.assert_array_equal(second[name], want[name], err_msg=name)
+        np.testing.assert_array_equal(first[name], kept[name], err_msg=name)
+        assert second[name] is not first[name]
 
 
 # tracemalloc peak of one paper-size ``_batch_gradients`` call on a fresh
-# model, in MiB: measured 27.2 (bidaf) and 11.3 (rnn) with numpy 2.4, and
-# 37.4 / 18.0 while every forward buffer, a zero grad for every node and
-# the embedded inputs lived through the whole backward; the budgets allow
-# about 10% over the measurement
-_BATCH_PEAK_BUDGET_MB = {"bidaf": 30.0, "rnn": 12.4}
+# model, in MiB: measured 25.0 (bidaf) and 10.4 (rnn) with numpy 2.4; 27.2
+# / 11.3 while a graph walk kept every node until it returned, and 37.4 /
+# 18.0 while every forward buffer, a zero grad for every node and the
+# embedded inputs lived through the whole backward; the budgets allow about
+# 10% over the measurement
+_BATCH_PEAK_BUDGET_MB = {"bidaf": 27.5, "rnn": 11.5}
 
 
 @pytest.mark.parametrize("kind", sorted(_BATCH_PEAK_BUDGET_MB))
@@ -502,8 +576,8 @@ class TestCheckpoint:
         model = RnnPairModel(5, d_h=3, seed=2)
         clone = model_from_checkpoint(load_checkpoint(save_checkpoint(model)))
         rng = np.random.default_rng(0)
-        q = Tensor(rng.normal(size=(2, 5)))
-        a = Tensor(rng.normal(size=(3, 5)))
+        q = rng.normal(size=(2, 5))
+        a = rng.normal(size=(3, 5))
         assert clone.forward(q, a).item() == model.forward(q, a).item()
 
     def test_bad_magic(self):
@@ -738,5 +812,5 @@ class TestTransfer:
             a4 = rng.normal(size=(4, 4))
             q10 = np.hstack([q4, np.zeros((3, 6))])
             a10 = np.hstack([a4, np.zeros((4, 6))])
-            assert dst.forward(Tensor(q10), Tensor(a10)).item() == pytest.approx(
-                src.forward(Tensor(q4), Tensor(a4)).item(), abs=1e-12)
+            assert dst.forward(q10, a10).item() == pytest.approx(
+                src.forward(q4, a4).item(), abs=1e-12)
