@@ -108,10 +108,13 @@ class QuestionGroup:
         return tokenize(self.question)
 
     def gold_index(self) -> int:
-        for i, c in enumerate(self.candidates):
-            if c.label == 1:
-                return i
-        raise ValidationError(f"group {self.qid}: no positive candidate")
+        """The position of the one positive candidate; ValidationError unless
+        exactly one candidate has label 1."""
+        golds = [i for i, c in enumerate(self.candidates) if c.label == 1]
+        if len(golds) != 1:
+            raise ValidationError(f"group {self.qid}: expected exactly one positive, "
+                                  f"got {len(golds)}")
+        return golds[0]
 
 
 @dataclass
@@ -161,12 +164,10 @@ def parse_bible(lines: Iterable[str]) -> BibleCorpus:
     for translation, books in raw.items():
         for book, chaps in books.items():
             for chapter, verses in chaps.items():
-                expected = set(range(1, len(verses) + 1))
-                missing = sorted(expected - set(verses))
-                if missing or max(verses) != len(verses):
-                    gaps = missing or sorted(set(verses) - expected)
+                missing = sorted(set(range(1, len(verses) + 1)) - set(verses))
+                if missing:
                     raise ParseError(f"{translation} {book} {chapter}: gap in "
-                                     f"verse numbering at {gaps}")
+                                     f"verse numbering at {missing}")
                 ordered = [verses[v] for v in range(1, len(verses) + 1)]
                 corpus.chapters.setdefault(translation, {}) \
                     .setdefault(book, {})[chapter] = ordered

@@ -19,6 +19,7 @@ import numpy as np
 
 from .embeddings import (EmbeddingMatrix, MAX_ANSWER_TOKENS,
                          MAX_QUESTION_TOKENS, embed_sequence)
+from .tensor import Tensor
 
 
 @dataclass
@@ -121,12 +122,21 @@ def _chunks(groups, limit: int):
         yield run
 
 
-def distinct_questions(questions) -> tuple[list[tuple], list[int]]:
-    """The distinct question token lists in order of first use, and the
-    index among them of every question: ``score``'s ``which``."""
+def score_pairs(model, pairs, embedding: EmbeddingMatrix,
+                max_question_tokens: int = MAX_QUESTION_TOKENS,
+                max_answer_tokens: int = MAX_ANSWER_TOKENS,
+                training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """``model.score`` of (question tokens, candidate tokens) ``pairs`` as
+    one batch, the [B, 1] probabilities Tensor: each distinct question token
+    list, in order of first use, is embedded and encoded once, and each
+    candidate scored against its pair's. The one path from token pairs to
+    ``score``: training's minibatches and ``score_groups`` take it."""
     first: dict[tuple, int] = {}
-    which = [first.setdefault(tuple(q), len(first)) for q in questions]
-    return list(first), which
+    which = [first.setdefault(tuple(q), len(first)) for q, _ in pairs]
+    return model.score([embed_sequence(q, embedding, max_question_tokens) for q in first],
+                       which,
+                       [embed_sequence(a, embedding, max_answer_tokens) for _, a in pairs],
+                       training=training, rng=rng)
 
 
 def score_groups(model, groups, embedding: EmbeddingMatrix,
@@ -137,7 +147,7 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
 
     Groups are scored in chunks of whole groups, up to ``SCORE_CHUNK_PAIRS``
     candidates; a group is never split, so a larger one is a chunk alone.
-    Each chunk is one ``model.score`` call, which encodes each distinct
+    Each chunk is one ``score_pairs`` batch, which encodes each distinct
     question text once and scores each candidate against its group's
     question; its [pairs, 1] probabilities are read as one array. A pair's
     score does not depend on the batch it is in, so the scores equal
@@ -147,12 +157,9 @@ def score_groups(model, groups, embedding: EmbeddingMatrix,
     """
     preds: dict[int, list[Prediction]] = {}
     for run in _chunks(groups, SCORE_CHUNK_PAIRS):
-        questions, which = distinct_questions(g.question_tokens for _, g in run
-                                              for _ in g.candidates)
-        q_embs = [embed_sequence(q, embedding, max_question_tokens) for q in questions]
-        a_embs = [embed_sequence(c.tokens, embedding, max_answer_tokens)
-                  for _, g in run for c in g.candidates]
-        probs = iter(model.score(q_embs, which, a_embs).data[:, 0].tolist() if a_embs else [])
+        pairs = [(g.question_tokens, c.tokens) for _, g in run for c in g.candidates]
+        probs = iter(score_pairs(model, pairs, embedding, max_question_tokens,
+                                 max_answer_tokens).data[:, 0].tolist() if pairs else [])
         for key, g in run:
             preds[key] = [Prediction(score=next(probs), label=c.label) for c in g.candidates]
     return preds

@@ -11,6 +11,8 @@ probability in (0, 1):
   the two sequences, a modeling LSTM over the combined representation,
   sigmoid readout of its final state.
 
+The three share one constructor, ``_PairModel.__init__``, which draws the
+parameters ``param_shapes`` names and keeps the options as ``config()``.
 Models take batches of embedded arrays: ``score(q_embs, which, a_embs)``
 encodes each question of ``q_embs`` once and scores candidate k against
 question ``which[k]``, as one [B, 1] Tensor of probabilities. ``forward(q_emb,
@@ -81,7 +83,7 @@ def init_params(params: ParameterSet, shapes: dict[str, tuple[int, int]],
 
 
 ROW_BLOCK = 4  # rows per weight product; see _blocked_matmul
-GRAD_ROWS = 256  # rows per product of an LSTM's weight gradient; see _bptt
+GRAD_ROWS = 256  # rows per product of an LSTM's weight gradient; see encode_states
 
 
 def _blocked_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -124,8 +126,8 @@ class LstmCell:
     def encode_states(self, seqs: Sequence[Seq],
                       input_grads: bool = False) -> tuple[list[Seq], Backward]:
         """The hidden states [rows, d_h] of each sequence, as rows of one
-        array, and the backward, ``_bptt``, which returns the gradient of the
-        input arrays when ``input_grads`` asks for it. Sequences run longest
+        array, and the backward, which returns the gradient of the input
+        arrays when ``input_grads`` asks for it. Sequences run longest
         first, one row each, stored step after step. Step t multiplies the
         rows ``[x_t | h_{t-1}]`` of the sequences still running by the four
         gate weights joined into one [d_in+d_h, 4*d_h] matrix, in blocks of
@@ -148,7 +150,7 @@ class LstmCell:
             z[idx[r], :d_in] = x[rows]
         gates = np.empty((start[-1], 4 * d_h))  # activated i | f | o | c_tilde
         c_all, h = np.zeros((start[-1], d_h)), np.zeros((start[-1], d_h))
-        tanh_c = np.empty((live[0], d_h))  # one step's tanh(c_t); _bptt recomputes it
+        tanh_c = np.empty((live[0], d_h))  # one step's tanh(c_t); the backward recomputes it
         cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
         with np.errstate(over="ignore"):  # as in logistic: exp overflows to inf, 1/inf = 0
             for t, m in enumerate(live):
@@ -172,38 +174,15 @@ class LstmCell:
                     n = live[t + 1]
                     z[start[t + 1]:start[t + 1] + n, d_in:] = h[start[t]:start[t] + n]
         states = dict(zip(order, idx))
+        # the backward keeps W, z, gates and c_all, and the inputs only to return
+        # their gradient: each input's array, its rows there and its rows here
         inputs = [(*seq, states[k]) for k, seq in enumerate(seqs)] if input_grads else None
-        return ([(h, states[k]) for k in range(len(seqs))],
-                self._bptt(inputs, live, start, (z, gates, c_all), W))
-
-    def _bptt(self, inputs: list[tuple] | None, live: list[int], start: np.ndarray,
-              saved: tuple[np.ndarray, ...], W: np.ndarray) -> Backward:
-        """The backward of one ``encode_states`` call: backprop through time
-        over the forward's row layout, step t at ``start[t]`` with ``live[t]``
-        rows. It keeps the ``saved`` forward buffers [x_t | h_{t-1}], the
-        activated gates and c_t, whose fill rows are zero, the gate weights
-        ``W`` [d_in+d_h, 4*d_h] the forward joined, and ``inputs`` when the
-        input gradient is asked for: each input sequence as its array, its
-        rows there and its rows in the layout.
-
-        tanh(c_t) is recomputed, bit for bit the forward's, and the gates are
-        turned into d(gate pre-activation) in place, so a backward runs once.
-        Like the forward, every product by the weights is taken in row
-        blocks, and each sequence's input gradient is a blocked product of its
-        own rows, so it does not depend on the batch. The weight gradients
-        add one product per ``GRAD_ROWS`` rows, in order: one product over
-        all rows rounds differently when OpenBLAS splits it between threads,
-        but 256-row products gave the same bits at 1 and 2 threads in every
-        shape tried. The recurrent and input rows of ``W`` are transposed
-        into C-ordered copies: as the right operand of the blocks, a
-        transposed view is up to 3x slower."""
-        d_in, d_h = self.d_in, self.d_h
-        z, gates, c_all = saved
 
         def backward(g: np.ndarray) -> list[np.ndarray] | None:
-            # d_a: d(gate pre-activation) per unit of dc (gates i, f, c) or of
-            # dh (o), built over the gates in place and scaled step by step;
-            # zero on fill rows
+            # tanh(c_t) is recomputed, bit for bit the forward's. d_a: d(gate
+            # pre-activation) per unit of dc (gates i, f, c) or of dh (o), built
+            # over the gates in place, so a backward runs once, and scaled step
+            # by step; zero on fill rows
             d_a = gates
             i, f, o, c_tilde = (d_a[:, k * d_h:(k + 1) * d_h] for k in range(4))
             f_t = f.copy()  # the forget gates, for the step loop
@@ -227,6 +206,7 @@ class LstmCell:
             np.subtract(1.0, f_t, out=tmp)
             f *= tmp
             del tmp
+            # a C-ordered copy: as a block's right operand a transposed view is up to 3x slower
             w_h = W[d_in:].T.copy()  # [4*d_h, d_h]
             dh_next = np.zeros((start[1], d_h))  # from step t+1; zero past its live rows
             dc_next = np.zeros((live[0], d_h))
@@ -245,6 +225,9 @@ class LstmCell:
                     _blocked_matmul(d_a[start[t]:start[t + 1]], w_h, dh_next)
                     np.multiply(dc, f_t[rows], out=dc_next[:m])
             del dc_dh, f_t, w_h  # a training step's memory peaks in the products below
+            # one product per GRAD_ROWS rows, in order: one over all rows rounds
+            # differently when OpenBLAS splits it between threads; 256-row
+            # products gave the same bits at 1 and 2 threads in every shape tried
             d_w = z[:GRAD_ROWS].T @ d_a[:GRAD_ROWS]
             for lo in range(GRAD_ROWS, len(z), GRAD_ROWS):
                 d_w += z[lo:lo + GRAD_ROWS].T @ d_a[lo:lo + GRAD_ROWS]
@@ -255,6 +238,7 @@ class LstmCell:
             del d_w
             if inputs is None:
                 return None
+            # per sequence, a blocked product of its own rows: it does not depend on the batch
             w_x = W[:d_in].T.copy()  # [4*d_h, d_in]
             d_inputs = _zeros_for([(x, rows) for x, rows, _ in inputs])
             for x, rows, r in inputs:
@@ -265,7 +249,7 @@ class LstmCell:
                 d_inputs[id(x)][rows] += d_x[:len(r)]
             return list(d_inputs.values())
 
-        return backward
+        return [(h, states[k]) for k in range(len(seqs))], backward
 
 
 def _chain(params: ParameterSet, p: np.ndarray, stages: list[Backward]) -> Tensor:
@@ -284,7 +268,20 @@ def _chain(params: ParameterSet, p: np.ndarray, stages: list[Backward]) -> Tenso
 
 
 class _PairModel:
-    """``forward``, one pair as a batch of one, for the benchmark harness."""
+    """The one constructor of the pair models: it keeps ``config`` as
+    attributes, draws the parameters ``param_shapes(**config)`` names from
+    ``seed`` and wires ``out.W``/``out.b``. ``forward``, one pair as a batch of
+    one, is for the benchmark harness."""
+
+    def __init__(self, seed: int, **config):
+        self._config = config
+        vars(self).update(config)
+        self.params = init_params(ParameterSet(), self.param_shapes(**config),
+                                  np.random.default_rng(seed))
+        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
+
+    def config(self) -> dict:
+        return dict(self._config)
 
     def forward(self, q_emb: np.ndarray, a_emb: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -304,16 +301,9 @@ class RnnPairModel(_PairModel):
     kind = "rnn"
 
     def __init__(self, d_in: int, d_h: int = 100, seed: int = 0):
-        self.d_in = d_in
-        self.d_h = d_h
-        self.params = init_params(ParameterSet(), self.param_shapes(d_in, d_h),
-                                  np.random.default_rng(seed))
+        super().__init__(seed, d_in=d_in, d_h=d_h)
         self.q_cell = LstmCell(self.params, "q_cell")
         self.a_cell = LstmCell(self.params, "a_cell")
-        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
-
-    def config(self) -> dict:
-        return {"d_in": self.d_in, "d_h": self.d_h}
 
     @staticmethod
     def param_shapes(d_in: int, d_h: int = 100) -> dict[str, tuple[int, ...]]:
@@ -338,18 +328,8 @@ class CnnPairModel(_PairModel):
             raise ValueError("window must be >= 1")
         if not (0.0 <= dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-        self.d_in = d_in
-        self.n_filters = n_filters
-        self.window = window
-        self.dropout = dropout
-        self.params = init_params(ParameterSet(), self.param_shapes(d_in, n_filters, window),
-                                  np.random.default_rng(seed))
+        super().__init__(seed, d_in=d_in, n_filters=n_filters, window=window, dropout=dropout)
         self.w_conv, self.b_conv = self.params["conv.W"], self.params["conv.b"]
-        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
-
-    def config(self) -> dict:
-        return {"d_in": self.d_in, "n_filters": self.n_filters,
-                "window": self.window, "dropout": self.dropout}
 
     @staticmethod
     def param_shapes(d_in: int, n_filters: int = 100, window: int = 3,
@@ -538,17 +518,10 @@ class BidafModel(_PairModel):
                  readout: str = "final"):
         if readout != "final":  # the key every bidaf checkpoint carries
             raise ValueError(f"unknown readout: {readout}")
-        self.d_in = d_in
-        self.d_h = d_h
-        self.params = init_params(ParameterSet(), self.param_shapes(d_in, d_h),
-                                  np.random.default_rng(seed))
+        super().__init__(seed, d_in=d_in, d_h=d_h, readout=readout)
         self.enc_cell = LstmCell(self.params, "enc_cell")
         self.model_cell = LstmCell(self.params, "model_cell")
         self.w_alpha = self.params["attn.w"]
-        self.w_out, self.b_out = self.params["out.W"], self.params["out.b"]
-
-    def config(self) -> dict:
-        return {"d_in": self.d_in, "d_h": self.d_h, "readout": "final"}
 
     @staticmethod
     def param_shapes(d_in: int, d_h: int = 100,

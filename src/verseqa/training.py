@@ -12,8 +12,7 @@ import numpy as np
 
 from . import evaluation
 from . import models as models_mod
-from .embeddings import (EmbeddingMatrix, MAX_ANSWER_TOKENS,
-                         MAX_QUESTION_TOKENS, embed_sequence)
+from .embeddings import EmbeddingMatrix, MAX_ANSWER_TOKENS, MAX_QUESTION_TOKENS
 from .tensor import ParameterSet, ShapeError, Tensor
 
 BCE_EPS = 1e-7
@@ -152,7 +151,7 @@ def _validate(model, groups, embedding: EmbeddingMatrix,
 def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
                      rng: np.random.Generator) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of one minibatch of (question, candidate, label) pairs and
-    the gradient of every parameter, from one ``score`` call that encodes
+    the gradient of every parameter, from one ``score_pairs`` batch that encodes
     each distinct question token list once, whose [B, 1] probabilities the
     loss takes directly. The scores, so the loss too, equal ``forward`` of
     each pair bit for bit; the gradients equal the sum of each pair's up to
@@ -160,11 +159,9 @@ def _batch_gradients(model, batch, embedding: EmbeddingMatrix, cfg: TrainConfig,
     backward and an LSTM sums its weight gradients over the batch's rows.
     The embedded inputs are freed when ``score`` returns, and each stage's
     saved arrays as soon as its backward has run."""
-    questions, which = evaluation.distinct_questions(q for q, _, _ in batch)
-    probs = model.score([embed_sequence(q, embedding, cfg.max_question_tokens) for q in questions],
-                        which,
-                        [embed_sequence(a, embedding, cfg.max_answer_tokens) for _, a, _ in batch],
-                        training=True, rng=rng)
+    probs = evaluation.score_pairs(model, [(q, a) for q, a, _ in batch], embedding,
+                                   cfg.max_question_tokens, cfg.max_answer_tokens,
+                                   training=True, rng=rng)
     loss = bce_loss(probs, [label for _, _, label in batch])
     loss.backward()  # refills every parameter's grad
     return loss.item(), {name: t.grad for name, t in model.params.items()}
@@ -187,11 +184,8 @@ def train(model, train_groups, val_groups, embedding: EmbeddingMatrix,
     """
     if not train_groups:
         raise ValueError("empty training set")
-    for g in list(train_groups) + list(val_groups):
-        positives = sum(c.label for c in g.candidates)
-        if positives != 1:
-            raise ValueError(f"group {g.qid}: expected exactly one positive, "
-                             f"got {positives}")
+    for g in (*train_groups, *val_groups):
+        g.gold_index()  # ValidationError unless exactly one positive
 
     train_pairs = [(g.question_tokens, c.tokens, float(c.label))
                    for g in train_groups for c in g.candidates]

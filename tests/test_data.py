@@ -297,6 +297,21 @@ class TestJsonRoundTrip:
                [(c.text, c.label) for c in g.candidates]
 
 
+class TestGoldIndex:
+    def test_one_positive_is_the_gold(self):
+        group = QuestionGroup(qid=3, translation="KJV", question="q",
+                              candidates=[Candidate("a", 0), Candidate("b", 1)])
+        assert group.gold_index() == 1
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0], [1, 0, 1]])
+    def test_anything_but_one_positive_raises_with_the_qid(self, labels):
+        group = QuestionGroup(qid=7, translation="KJV", question="q",
+                              candidates=[Candidate(f"c{k}", y) for k, y in enumerate(labels)])
+        with pytest.raises(ValidationError,
+                           match=f"group 7: expected exactly one positive, got {sum(labels)}"):
+            group.gold_index()
+
+
 class TestDerivedTokens:
     def test_tokens_are_no_fields(self):
         assert [f.name for f in dataclasses.fields(Candidate)] == \

@@ -203,10 +203,10 @@ class ScoreLog:
     def __init__(self, model):
         self.model, self.calls, self.questions = model, [], []
 
-    def score(self, q_embs, which, a_embs):
+    def score(self, q_embs, which, a_embs, training=False, rng=None):
         self.calls.append(len(a_embs))
         self.questions.append((list(q_embs), list(which)))
-        return self.model.score(q_embs, which, a_embs)
+        return self.model.score(q_embs, which, a_embs, training, rng)
 
 
 @settings(max_examples=30, deadline=None)

@@ -552,6 +552,21 @@ def test_forward_directional_gradient_at_edge_shapes(name, t_q, t_a):
         assert directional_check(f, model.params, seed=seed) < 1e-4
 
 
+@pytest.mark.parametrize("model,want", [
+    (RnnPairModel(4), {"d_in": 4, "d_h": 100}),
+    (CnnPairModel(4), {"d_in": 4, "n_filters": 100, "window": 3, "dropout": 0.5}),
+    (BidafModel(4), {"d_in": 4, "d_h": 100, "readout": "final"}),
+])
+def test_config_is_every_option_with_defaults_filled_in(model, want):
+    # config() names every constructor option but the seed, and a caller
+    # that changes the dict it got changes nothing of the model
+    assert model.config() == want
+    model.config()["d_in"] = 5
+    model.config().clear()
+    assert model.config() == want
+    assert build_model(model.kind, seed=1, **model.config()).config() == want
+
+
 class TestBidafModel:
     def test_maxpool_readout_rejected(self):
         with pytest.raises(ValueError, match="maxpool"):

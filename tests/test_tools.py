@@ -66,7 +66,7 @@ def test_bench_tracer_runs_over_a_minibatch_of_each_model_and_scoring(tiny_embed
     spec.loader.exec_module(tracing)
     vq = SimpleNamespace(tensor=tensor, models=models, embeddings=embeddings,
                          training=training, data=data, evaluation=evaluation, cli=cli)
-    originals = (tensor.Tensor.backward, training.bce_loss, training.embed_sequence,
+    originals = (tensor.Tensor.backward, training.bce_loss, evaluation.embed_sequence,
                  evaluation.score_groups, models.bidaf_attention)
     groups = make_separable_groups(4, seed=0)
     pairs = [(g.question_tokens, c.tokens, float(c.label)) for g in groups for c in g.candidates]
@@ -83,7 +83,7 @@ def test_bench_tracer_runs_over_a_minibatch_of_each_model_and_scoring(tiny_embed
         evaluation.score_groups(model, groups, tiny_embedding)
     finally:
         tracing.uninstall(undo)
-    assert (tensor.Tensor.backward, training.bce_loss, training.embed_sequence,
+    assert (tensor.Tensor.backward, training.bce_loss, evaluation.embed_sequence,
             evaluation.score_groups, models.bidaf_attention) == originals
     names = {span[0] for span in tr.spans}
     assert {"tensor.backward", "training.bce_loss", "models.lstm_encode",

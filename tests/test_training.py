@@ -342,7 +342,7 @@ def test_batch_encodes_each_distinct_question_once(tiny_embedding, kind, monkeyp
         embedded.append((tuple(tokens), max_len))
         return embed_sequence(tokens, m, max_len)
 
-    monkeypatch.setattr(verseqa.training, "embed_sequence", logged)
+    monkeypatch.setattr(verseqa.evaluation, "embed_sequence", logged)
     config = dict(n_filters=5, window=3) if kind == "cnn" else dict(d_h=5)
     model = ScoreLog(build_model(kind, seed=0, d_in=16, **config))
     cfg = TrainConfig(max_question_tokens=8, max_answer_tokens=9)
@@ -418,7 +418,7 @@ def test_minibatch_graph_is_freed_as_backward_runs(kind, monkeypatch):
         return chain(params, p, [spy(k, stage) for k, stage in enumerate(stages)])
 
     model = _paper_size_model(kind)
-    monkeypatch.setattr(verseqa.training, "embed_sequence", embedded)
+    monkeypatch.setattr(verseqa.evaluation, "embed_sequence", embedded)
     monkeypatch.setattr(verseqa.training, "bce_loss", loss_of)
     monkeypatch.setattr(models, "_chain", watched)
     _, grads = _batch_gradients(model, batch, emb, TrainConfig(), np.random.default_rng(0))
